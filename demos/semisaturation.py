@@ -49,10 +49,11 @@ def main():
                   f"                    {rs.ssat_recursion_floor(r, k):4d}")
 
     print()
-    print("(3, K_3) on five vertices is impossible; the bracket is open:")
-    print("  search(3, 3, 5):", rs.ssat_search(3, 3, 5).status)
-    print(f"  {rs.ssat_lower_bound_formula(3, 3)} <= ssat_3(K_3) <= "
-          f"{rs.ssat_upper_bound_reference(3, 3)}")
+    print("(3, K_3) on at most six vertices is impossible; the bracket is open:")
+    for n in range(1, 7):
+        print(f"  search(3, 3, {n}):", rs.ssat_search(3, 3, n).status)
+    print(f"  7 <= ssat_3(K_3) <= {rs.ssat_upper_bound_reference(3, 3)}"
+          f"  (the formula alone gives {rs.ssat_lower_bound_formula(3, 3)})")
 
 
 if __name__ == "__main__":

@@ -43,7 +43,10 @@ from .graphs import (
     extract_homogeneous_cover,
     find_clique,
     find_independent_set,
+    pair_rank,
     ramsey_extract,
+    subset_rank,
+    subset_unrank,
     turan_bound,
     turan_independent_set,
 )
@@ -71,14 +74,12 @@ from .reduction import (
     graph_from_edge_mask,
     graph_to_coloring,
     has_unbalanced_set,
-    pair_rank,
-    subset_rank,
-    subset_unrank,
 )
 from .saturation import (
     PatternParams,
     SsatSearchResult,
     Verdict,
+    check_kkfree,
     check_observation,
     coloring_escapes,
     is_kkfree_pattern,

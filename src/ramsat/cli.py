@@ -30,7 +30,6 @@ from typing import Optional
 
 from . import constructions, geometry, io, reduction, saturation
 from .errors import BudgetError, ParseError
-from .graphs import find_clique_mask, iter_bits
 
 
 class _UsageError(Exception):
@@ -163,6 +162,10 @@ def _int_list(text: str) -> list[int]:
         raise _UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _out(args) -> Optional[str]:
+    return str(args.out) if args.out else None
+
+
 def _emit_artifact(text: str, fmt: str, out: Optional[Path]):
     """Write to --out, or embed in the certificate witness when absent."""
     if out is not None:
@@ -196,7 +199,7 @@ def _handle_construct(args) -> io.Certificate:
             "q": args.q,
             "r": args.r,
             "strategy": args.strategy,
-            "out": str(args.out) if args.out else None,
+            "out": _out(args),
         }
         pattern = constructions.affine_coloring(args.q, args.r, args.strategy, args.seed)
         witness = _emit_artifact(io.dump_colored_graph(pattern), "cg", args.out)
@@ -205,7 +208,7 @@ def _handle_construct(args) -> io.Certificate:
             checked=pattern.n * (pattern.n - 1) // 2, seed=args.seed,
         )
     if args.command == "fq3":
-        params = {"q": args.q, "r": args.r, "out": str(args.out) if args.out else None}
+        params = {"q": args.q, "r": args.r, "out": _out(args)}
         pattern = constructions.fq3_coloring(args.q, args.r)
         witness = _emit_artifact(io.dump_colored_graph(pattern), "cg", args.out)
         return io.Certificate(
@@ -214,7 +217,7 @@ def _handle_construct(args) -> io.Certificate:
         )
     params = {
         "n": args.n, "p": args.p, "generator": constructions.GENERATOR_NAME,
-        "out": str(args.out) if args.out else None,
+        "out": _out(args),
     }
     g = constructions.sample_gnp(constructions.GnpParams(args.n, args.p, args.seed))
     witness = _emit_artifact(io.dump_simple_graph(g), "g", args.out)
@@ -224,91 +227,56 @@ def _handle_construct(args) -> io.Certificate:
     )
 
 
+_VERIFIERS = {
+    "ssat": lambda c, a: saturation.is_semisaturated(c, a.k, a.samples, a.seed),
+    "ssat-direct": lambda c, a: saturation.is_semisaturated_direct(c, a.k),
+    "observation": lambda c, a: saturation.check_observation(
+        c, a.k, a.r, a.threads, a.samples, a.seed
+    ),
+    "kkfree": lambda c, a: saturation.check_kkfree(c, a.k),
+    "saturated": lambda c, a: saturation.is_saturated(c, a.k),
+}
+
+
 def _handle_verify(args) -> io.Certificate:
     pattern = io.parse_colored_graph(args.infile.read_text())
     claim = f"verify-{args.command}"
     params = {"in": str(args.infile), "k": args.k, "n": pattern.n, "r": pattern.r}
-    if args.command == "ssat":
-        if args.samples is not None:
-            params["samples"] = args.samples
-        try:
-            v = saturation.is_semisaturated(pattern, args.k, args.samples, args.seed)
-        except BudgetError as err:
-            return _budget_unknown(claim, params, err, getattr(args, "seed", None))
-        verdict, params = _verdict_of(v, params)
-        return io.Certificate(claim, params, verdict, v.witness, v.checked,
-                              getattr(args, "seed", None))
-    if args.command == "ssat-direct":
-        try:
-            v = saturation.is_semisaturated_direct(pattern, args.k)
-        except BudgetError as err:
-            return _budget_unknown(claim, params, err)
-        verdict, params = _verdict_of(v, params)
-        return io.Certificate(claim, params, verdict, v.witness, v.checked)
     if args.command == "observation":
         params["r"] = args.r
         params["threads"] = args.threads
-        if args.samples is not None:
-            params["samples"] = args.samples
-        try:
-            v = saturation.check_observation(
-                pattern, args.k, args.r, args.threads, args.samples, args.seed
-            )
-        except BudgetError as err:
-            return _budget_unknown(claim, params, err, args.seed)
-        verdict, params = _verdict_of(v, params)
-        return io.Certificate(claim, params, verdict, v.witness, v.checked, args.seed)
-    if args.command == "kkfree":
-        full = (1 << pattern.n) - 1
-        for i, cls in enumerate(pattern.classes):
-            clique = find_clique_mask(cls.rows, full, args.k)
-            if clique is not None:
-                witness = {
-                    "kind": "monochromatic-clique",
-                    "color": i + 1,
-                    "vertices": list(iter_bits(clique)),
-                }
-                return io.Certificate(claim, params, "fails", witness, i + 1)
-        return io.Certificate(claim, params, "holds", None, pattern.r)
-    if args.command == "saturated":
-        try:
-            v = saturation.is_saturated(pattern, args.k)
-        except BudgetError as err:
-            return _budget_unknown(claim, params, err)
-        verdict, params = _verdict_of(v, params)
-        return io.Certificate(claim, params, verdict, v.witness, v.checked)
-    raise _UsageError(f"unknown verify command {args.command!r}")
+    if getattr(args, "samples", None) is not None:
+        params["samples"] = args.samples
+    seed = getattr(args, "seed", None)
+    try:
+        v = _VERIFIERS[args.command](pattern, args)
+    except BudgetError as err:
+        return _budget_unknown(claim, params, err, seed)
+    verdict, params = _verdict_of(v, params)
+    return io.Certificate(claim, params, verdict, v.witness, v.checked, seed)
 
 
 def _handle_oracle(args) -> io.Certificate:
-    if args.command == "g":
-        claim = "oracle-g"
-        params = {"n": args.n, "s": args.s, "t": args.t, "n_max": args.n_max}
-        try:
-            res = reduction.g_oracle(args.n, args.s, args.t, args.n_max)
-        except BudgetError as err:
-            return _budget_unknown(claim, params, err)
-        witness = {
-            "value": res.value,
-            "counterexample_n": res.witness_n,
-            "counterexample": io.dump_simple_graph(res.witness) if res.witness else None,
-        }
-        if res.value is None:
-            params = dict(params)
-            params["budget"] = f"no value up to n_max={args.n_max}"
-            return io.Certificate(claim, params, "unknown", witness, res.checked)
-        return io.Certificate(claim, params, "holds", witness, res.checked)
-    claim = "oracle-f"
-    params = {"n": args.n, "s": args.s, "t": args.t, "k": args.k, "n_max": args.n_max}
+    claim = f"oracle-{args.command}"
+    params = {"n": args.n, "s": args.s, "t": args.t, "n_max": args.n_max}
+    if args.command == "f":
+        params["k"] = args.k
     try:
-        rp = reduction.RamseyParams(args.n, args.s, args.t, args.k)
-        res = reduction.f_oracle(rp, args.n_max)
+        if args.command == "g":
+            res = reduction.g_oracle(args.n, args.s, args.t, args.n_max)
+        else:
+            rp = reduction.RamseyParams(args.n, args.s, args.t, args.k)
+            res = reduction.f_oracle(rp, args.n_max)
     except BudgetError as err:
         return _budget_unknown(claim, params, err)
-    witness = {
-        "value": res.value,
-        "counterexample": io.dump_ksubset_coloring(res.witness) if res.witness else None,
-    }
+    witness = {"value": res.value}
+    if args.command == "g":
+        witness["counterexample_n"] = res.witness_n
+        witness["counterexample"] = io.dump_simple_graph(res.witness) if res.witness else None
+    else:
+        witness["counterexample"] = (
+            io.dump_ksubset_coloring(res.witness) if res.witness else None
+        )
     if res.value is None:
         params = dict(params)
         params["budget"] = f"no value up to n_max={args.n_max}"
@@ -321,7 +289,7 @@ def _handle_reduce(args) -> io.Certificate:
         chi = io.parse_ksubset_coloring(args.infile.read_text())
         params = {
             "in": str(args.infile), "s": args.s, "t": args.t,
-            "tie_break": args.tie_break, "out": str(args.out) if args.out else None,
+            "tie_break": args.tie_break, "out": _out(args),
         }
         g = reduction.coloring_to_graph(chi, args.s, args.t, args.tie_break)
         witness = _emit_artifact(io.dump_simple_graph(g), "g", args.out)
@@ -330,7 +298,7 @@ def _handle_reduce(args) -> io.Certificate:
     chi_g = io.parse_simple_graph(args.infile.read_text())
     params = {
         "in": str(args.infile), "s": args.s, "t": args.t,
-        "default": args.default_color, "out": str(args.out) if args.out else None,
+        "default": args.default_color, "out": _out(args),
     }
     chi = reduction.graph_to_coloring(chi_g, args.s, args.t, args.default_color)
     witness = _emit_artifact(io.dump_ksubset_coloring(chi), "ksc", args.out)
@@ -388,14 +356,13 @@ def _handle_experiment(args) -> io.Certificate:
 
 def _handle_geom(args) -> io.Certificate:
     if args.command == "plane":
-        params = {"q": args.q, "out": str(args.out) if args.out else None}
+        params = {"q": args.q, "out": _out(args)}
         inc = geometry.build_affine_plane(args.q)
         witness = _emit_artifact(io.dump_incidence(inc), "inc", args.out)
         return io.Certificate("geom-plane", params, "holds", witness,
                               checked=len(inc.lines))
     if args.command == "fq3-family":
-        params = {"q": args.q, "lambda": args.lam,
-                  "out": str(args.out) if args.out else None}
+        params = {"q": args.q, "lambda": args.lam, "out": _out(args)}
         inc = geometry.fq3_line_family(args.q, args.lam)
         witness = _emit_artifact(io.dump_incidence(inc), "inc", args.out)
         return io.Certificate("geom-fq3-family", params, "holds", witness,

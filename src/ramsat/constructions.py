@@ -24,9 +24,7 @@ Cross-implementation bit-reproducibility is not promised.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb
 from typing import Optional
 
@@ -37,9 +35,11 @@ from .geometry import build_affine_plane, fq3_line_family, parallel_classes, Pri
 from .graphs import (
     ENUMERATION_CAP,
     SimpleGraph,
-    find_clique_mask,
+    balance_tests,
     iter_bits,
     mask_of,
+    scan_colex,
+    scan_subsets,
 )
 
 GENERATOR_NAME = "numpy-pcg64"
@@ -99,10 +99,6 @@ class ColoredCompleteGraph:
                     for v in iter_bits(hmask):
                         if hmask & ~(rows[v] | (1 << v)):
                             raise ValueError(f"hint mask not a clique in class {i}")
-
-    @cached_property
-    def class_masks(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(cls.rows for cls in self.classes)
 
     def color_of(self, u: int, v: int) -> Optional[int]:
         """0-based class index of pair {u, v}, or None if uncolored."""
@@ -238,18 +234,14 @@ def fq3_coloring(q: int, r: int) -> ColoredCompleteGraph:
     if not 1 <= r <= q:
         raise ValueError(f"need 1 <= r <= q, got r={r}")
     n = q**3
-    families = [fq3_line_family(q, lam) for lam in range(r)]
-    core_rows = [[0] * n for _ in range(r)]
-    hints: list[list[int]] = [[] for _ in range(r)]
-    for i, fam in enumerate(families):
-        for lmask in fam.line_masks:
-            hints[i].append(lmask)
-            for p in iter_bits(lmask):
-                core_rows[i][p] |= lmask & ~(1 << p)
-    core_classes = tuple(SimpleGraph(n, tuple(rs)) for rs in core_rows)
-    core = ColoredCompleteGraph(
-        n, r, core_classes, complete=False, clique_hints=tuple(tuple(h) for h in hints)
-    )
+    lines: list[tuple[int, ...]] = []
+    assignment: list[int] = []
+    for lam in range(r):
+        fam = fq3_line_family(q, lam)
+        lines.extend(fam.lines)
+        assignment.extend([lam] * len(fam.lines))
+    core_classes, hints = _lines_to_class_graphs(n, lines, assignment, r)
+    core = ColoredCompleteGraph(n, r, core_classes, complete=False, clique_hints=hints)
     full_rows = [list(cls.rows) for cls in core_classes]
     covered = [0] * n
     for cls in core_classes:
@@ -326,41 +318,6 @@ def random_complete_pattern(n: int, r: int, seed: int) -> ColoredCompleteGraph:
     return ColoredCompleteGraph(n, r, classes, complete=True)
 
 
-def _gosper_next(x: int) -> int:
-    u = x & -x
-    v = x + u
-    return v + (((v ^ x) // u) >> 2)
-
-
-def _is_bad_subset(rows, comp_rows, umask: int, s: int, t: int) -> bool:
-    """Bad = the induced subgraph misses K_s or misses an independent t-set."""
-    if find_clique_mask(rows, umask, s) is None:
-        return True
-    return find_clique_mask(comp_rows, umask, t) is None
-
-
-def _count_bad_range(rows, comp_rows, n, s, t, start_mask, count):
-    hits = 0
-    x = start_mask
-    for _ in range(count):
-        if _is_bad_subset(rows, comp_rows, x, s, t):
-            hits += 1
-        x = _gosper_next(x)
-    return hits
-
-
-def _unrank_colex_mask(rank: int, k: int) -> int:
-    mask = 0
-    r = rank
-    for i in range(k, 0, -1):
-        c = i - 1
-        while comb(c + 1, i) <= r:
-            c += 1
-        mask |= 1 << c
-        r -= comb(c, i)
-    return mask
-
-
 def count_bad_sets(
     g: SimpleGraph,
     n: int,
@@ -385,8 +342,7 @@ def count_bad_sets(
     if s < 2 or t < 2:
         raise ValueError("need s, t >= 2")
     space = comb(N, n)
-    rows = g.rows
-    comp_rows = g.complement.rows
+    tests = balance_tests(g, s, t)
     if mode == "exact":
         if N > ENUMERATION_CAP:
             raise ValueError(f"exact mode capped at {ENUMERATION_CAP} vertices")
@@ -394,25 +350,7 @@ def count_bad_sets(
             raise BudgetError(
                 f"C({N},{n}) = {space} exceeds exact budget {EXACT_SUBSET_BUDGET}"
             )
-        if threads > 1 and space >= 4 * threads:
-            chunk = space // threads
-            starts = [i * chunk for i in range(threads)]
-            counts = [chunk] * (threads - 1) + [space - chunk * (threads - 1)]
-            with ProcessPoolExecutor(max_workers=threads) as ex:
-                hits = sum(
-                    ex.map(
-                        _count_bad_range,
-                        [rows] * threads,
-                        [comp_rows] * threads,
-                        [n] * threads,
-                        [s] * threads,
-                        [t] * threads,
-                        [_unrank_colex_mask(st, n) for st in starts],
-                        counts,
-                    )
-                )
-        else:
-            hits = _count_bad_range(rows, comp_rows, n, s, t, (1 << n) - 1, space)
+        hits = sum(failures for _, failures, _ in scan_colex(tests, N, n, threads, False))
         return BadSetCount("exact", float(hits), space, space, hits)
     if mode == "sampled":
         if trials is None or trials < 1:
@@ -423,9 +361,7 @@ def count_bad_sets(
         hits = 0
         for _ in range(trials):
             pick = rng.choice(N, size=n, replace=False)
-            umask = mask_of(int(v) for v in pick)
-            if _is_bad_subset(rows, comp_rows, umask, s, t):
-                hits += 1
+            hits += scan_subsets(tests, mask_of(int(v) for v in pick), 1, False)[1]
         estimate = space * hits / trials
         return BadSetCount("sampled", estimate, trials, space, hits, seed)
     raise ValueError(f"unknown mode {mode!r}")

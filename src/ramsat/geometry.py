@@ -84,12 +84,20 @@ class IncidenceStructure:
     point_to_lines: tuple[tuple[int, ...], ...]
     lam: Optional[int] = None
 
+    @classmethod
+    def from_lines(
+        cls, kind: str, q: int, point_count: int, lines, lam: Optional[int] = None
+    ) -> "IncidenceStructure":
+        """The structure with these lines, its point -> lines index built here."""
+        p2l: list[list[int]] = [[] for _ in range(point_count)]
+        for i, line in enumerate(lines):
+            for p in line:
+                p2l[p].append(i)
+        return cls(kind, q, point_count, tuple(lines), tuple(tuple(ls) for ls in p2l), lam)
+
     @cached_property
     def line_masks(self) -> tuple[int, ...]:
         return tuple(mask_of(line) for line in self.lines)
-
-    def lines_through(self, p: int) -> tuple[int, ...]:
-        return self.point_to_lines[p]
 
     def common_lines(self, p1: int, p2: int) -> tuple[int, ...]:
         s2 = set(self.point_to_lines[p2])
@@ -142,7 +150,7 @@ def build_affine_plane(q: int) -> IncidenceStructure:
             lines.append(tuple(sorted(x * q + (m * x + b) % q for x in range(q))))
     for c in range(q):
         lines.append(tuple(c * q + y for y in range(q)))
-    return _with_index(AFFINE_PLANE, q, q * q, lines, None)
+    return IncidenceStructure.from_lines(AFFINE_PLANE, q, q * q, lines)
 
 
 def parallel_classes(plane: IncidenceStructure) -> list[list[int]]:
@@ -187,22 +195,7 @@ def fq3_line_family(q: int, lam: int) -> IncidenceStructure:
                 lines.append(pts)
     if len(lines) != q**3:
         raise ValueError(f"expected {q**3} distinct lines, got {len(lines)}")
-    return _with_index(FQ3_FAMILY, q, q**3, lines, lam)
-
-
-def _with_index(kind, q, point_count, lines, lam) -> IncidenceStructure:
-    p2l: list[list[int]] = [[] for _ in range(point_count)]
-    for i, line in enumerate(lines):
-        for p in line:
-            p2l[p].append(i)
-    return IncidenceStructure(
-        kind=kind,
-        q=q,
-        point_count=point_count,
-        lines=tuple(lines),
-        point_to_lines=tuple(tuple(ls) for ls in p2l),
-        lam=lam,
-    )
+    return IncidenceStructure.from_lines(FQ3_FAMILY, q, q**3, lines, lam)
 
 
 def incidence_sum(

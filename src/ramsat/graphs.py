@@ -4,6 +4,12 @@ Vertices are 0-indexed.  Adjacency is stored as one Python-int bit row per
 vertex, so "is there a clique of size m inside this vertex subset?" needs no
 induced-subgraph copies: the search simply intersects candidate masks.
 
+Subsets are ranked in colex order: rank(c_1 < ... < c_k) = sum of
+C(c_i, i).  ``scan_subsets`` walks a colex range of subset masks with one
+Gosper step per subset and asks each subset for cliques, and
+``scan_colex`` splits a whole C(n, m) scan over worker processes; every
+exhaustive subset scan in the package runs through these two.
+
 All types are immutable after construction and every operation is a pure
 function, so concurrent use from multiple threads or worker processes is
 safe.  Searches are deterministic by default and return the
@@ -12,8 +18,10 @@ lexicographically smallest witness, which keeps certificates reproducible.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import Iterator, NamedTuple, Optional
 
 # Hard caps.  Exhaustive subset/graph enumeration is only offered up to 64
@@ -237,10 +245,6 @@ def find_clique_mask(rows: tuple[int, ...], allowed: int, m: int) -> Optional[in
     return dfs(0, allowed, m)
 
 
-def mask_has_clique(rows: tuple[int, ...], allowed: int, m: int) -> bool:
-    return find_clique_mask(rows, allowed, m) is not None
-
-
 def _degree_order(g: SimpleGraph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-g.rows[v].bit_count(), v))
 
@@ -321,15 +325,20 @@ def ramsey_extract(g: SimpleGraph, a: int, b: int) -> Optional[HomogeneousSet]:
         raise ValueError("graph must have at least one vertex")
     if a < 1 or b < 1:
         raise ValueError("set sizes must be positive")
-    if a <= g.n:
-        clique = find_clique_mask(g.rows, g.full_mask, a)
-        if clique is not None:
-            return HomogeneousSet("clique", VertexSet.from_mask(clique))
-    if b <= g.n:
-        ind = find_clique_mask(g.complement.rows, g.full_mask, b)
-        if ind is not None:
-            return HomogeneousSet("independent", VertexSet.from_mask(ind))
-    return None
+    return _homogeneous_in(g, g.full_mask, a, b)
+
+
+def _homogeneous_in(
+    g: SimpleGraph, allowed: int, a: int, b: int
+) -> Optional[HomogeneousSet]:
+    """Smallest a-clique inside ``allowed``, else smallest independent b-set, else None."""
+    found = find_clique_mask(g.rows, allowed, a)
+    if found is not None:
+        return HomogeneousSet("clique", VertexSet.from_mask(found))
+    found = find_clique_mask(g.complement.rows, allowed, b)
+    if found is None:
+        return None
+    return HomogeneousSet("independent", VertexSet.from_mask(found))
 
 
 def extract_homogeneous_cover(
@@ -344,24 +353,122 @@ def extract_homogeneous_cover(
     if rounds < 1:
         raise ValueError("rounds must be positive")
     remaining = g.full_mask
-    comp_rows = g.complement.rows
     cliques: list[VertexSet] = []
     independents: list[VertexSet] = []
     stopped = False
     for _ in range(rounds):
-        found = None
-        if remaining.bit_count() >= a:
-            found = find_clique_mask(g.rows, remaining, a)
-        if found is not None:
-            cliques.append(VertexSet.from_mask(found))
-            remaining &= ~found
-            continue
-        if remaining.bit_count() >= b:
-            found = find_clique_mask(comp_rows, remaining, b)
-        if found is not None:
-            independents.append(VertexSet.from_mask(found))
-            remaining &= ~found
-            continue
-        stopped = True
-        break
+        found = _homogeneous_in(g, remaining, a, b)
+        if found is None:
+            stopped = True
+            break
+        (cliques if found.kind == "clique" else independents).append(found.vertices)
+        remaining &= ~found.vertices.mask
     return HomogeneousCover(tuple(cliques), tuple(independents), stopped)
+
+
+# -- colex ranking and subset scanning -------------------------------------
+
+
+def pair_rank(u: int, v: int) -> int:
+    """Colex rank of the pair {u, v}."""
+    if u > v:
+        u, v = v, u
+    if u == v:
+        raise ValueError("pair needs two distinct vertices")
+    return comb(v, 2) + u
+
+
+def subset_rank(subset) -> int:
+    """Colex rank of a sorted k-subset."""
+    return sum(comb(c, i + 1) for i, c in enumerate(subset))
+
+
+def subset_unrank(rank: int, k: int) -> tuple[int, ...]:
+    """Inverse of ``subset_rank``."""
+    out = []
+    r = rank
+    for i in range(k, 0, -1):
+        c = i - 1
+        while comb(c + 1, i) <= r:
+            c += 1
+        out.append(c)
+        r -= comb(c, i)
+    out.reverse()
+    return tuple(out)
+
+
+def gosper_next(x: int) -> int:
+    """The colex successor of the nonzero mask ``x`` among masks of its popcount."""
+    u = x & -x
+    v = x + u
+    return v + (((v ^ x) // u) >> 2)
+
+
+def iter_subsets_colex(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """All k-subsets of range(n) in colex order (= ascending rank)."""
+    x = (1 << k) - 1
+    for i in range(comb(n, k)):
+        if i:
+            x = gosper_next(x)
+        yield tuple(iter_bits(x))
+
+
+def scan_subsets(
+    tests, start: int, count: int, stop: bool = True
+) -> tuple[int, int, Optional[int]]:
+    """Check ``count`` colex-consecutive subsets, the first being mask ``start``.
+
+    A subset x passes a test ``(rows, need, hints)`` when some hint mask (a
+    known clique of ``rows``) meets x in at least ``need`` vertices or,
+    failing that, when ``find_clique_mask`` finds a ``need``-clique inside
+    x.  It fails when it fails any test; the tests run in order and stop at
+    the first one failed.  Returns ``(scanned, failures, first)``: subsets
+    examined, failing subsets among them, and the first failing mask (None
+    when all pass).  With ``stop`` the scan ends at the first failure.
+    """
+    x = start
+    failures = 0
+    first = None
+    for i in range(count):
+        for rows, need, hints in tests:
+            for h in hints:
+                if (h & x).bit_count() >= need:
+                    break
+            else:
+                if find_clique_mask(rows, x, need) is None:
+                    if stop:
+                        return i + 1, 1, x
+                    if first is None:
+                        first = x
+                    failures += 1
+                    break
+        x = gosper_next(x)
+    return count, failures, first
+
+
+def balance_tests(g: SimpleGraph, s: int, t: int):
+    """``scan_subsets`` tests failed by subsets missing a K_s or an independent t-set."""
+    return ((g.rows, s, ()), (g.complement.rows, t, ()))
+
+
+def scan_colex(
+    tests, n: int, m: int, threads: int = 1, stop: bool = True
+) -> list[tuple[int, int, Optional[int]]]:
+    """``scan_subsets`` over all m-subsets of range(n), sharded over processes.
+
+    The C(n, m) colex ranks are cut into ``threads`` consecutive ranges, one
+    per worker process, each starting from its unranked first subset.  With
+    one thread, or fewer than four subsets per worker, the scan runs in this
+    process.  Returns the per-range results in colex order; with ``stop``
+    each range ends at its own first failure.
+    """
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
+    space = comb(n, m)
+    if threads == 1 or space < 4 * threads:
+        return [scan_subsets(tests, (1 << m) - 1, space, stop)]
+    chunk = space // threads
+    starts = [mask_of(subset_unrank(j * chunk, m)) for j in range(threads)]
+    counts = [chunk] * (threads - 1) + [space - chunk * (threads - 1)]
+    with ProcessPoolExecutor(max_workers=threads) as ex:
+        return list(ex.map(scan_subsets, [tests] * threads, starts, counts, [stop] * threads))

@@ -43,15 +43,21 @@ def _tokens(text: str):
         yield i, line.split()
 
 
-# -- simple graphs ----------------------------------------------------------
-
-
-def parse_simple_graph(text: str) -> SimpleGraph:
+def _header(text: str, expected: str):
+    """The token stream of ``text`` after its first line, that line's number and tokens."""
     it = _tokens(text)
     try:
         lineno, head = next(it)
     except StopIteration:
-        raise ParseError(1, "empty input, expected 'g <n>' header") from None
+        raise ParseError(1, f"empty input, expected '{expected}' header") from None
+    return it, lineno, head
+
+
+# -- simple graphs ----------------------------------------------------------
+
+
+def parse_simple_graph(text: str) -> SimpleGraph:
+    it, lineno, head = _header(text, "g <n>")
     if len(head) != 2 or head[0] != "g":
         raise ParseError(lineno, "expected header 'g <n>'")
     try:
@@ -87,11 +93,7 @@ def dump_simple_graph(g: SimpleGraph) -> str:
 
 
 def parse_colored_graph(text: str) -> ColoredCompleteGraph:
-    it = _tokens(text)
-    try:
-        lineno, head = next(it)
-    except StopIteration:
-        raise ParseError(1, "empty input, expected 'cg <n> <r>' header") from None
+    it, lineno, head = _header(text, "cg <n> <r>")
     if len(head) != 3 or head[0] != "cg":
         raise ParseError(lineno, "expected header 'cg <n> <r>'")
     try:
@@ -134,11 +136,7 @@ def dump_colored_graph(c: ColoredCompleteGraph) -> str:
 
 
 def parse_ksubset_coloring(text: str) -> KSubsetColoring:
-    it = _tokens(text)
-    try:
-        lineno, head = next(it)
-    except StopIteration:
-        raise ParseError(1, "empty input, expected 'ksc <N> <k>' header") from None
+    it, lineno, head = _header(text, "ksc <N> <k>")
     if len(head) != 3 or head[0] != "ksc":
         raise ParseError(lineno, "expected header 'ksc <N> <k>'")
     try:
@@ -174,11 +172,7 @@ def dump_ksubset_coloring(chi: KSubsetColoring) -> str:
 
 
 def parse_incidence(text: str) -> IncidenceStructure:
-    it = _tokens(text)
-    try:
-        lineno, head = next(it)
-    except StopIteration:
-        raise ParseError(1, "empty input, expected 'inc <kind> <q>' header") from None
+    it, lineno, head = _header(text, "inc <kind> <q>")
     if head[0] != "inc" or len(head) not in (3, 4):
         raise ParseError(lineno, "expected header 'inc <kind> <q> [<lambda>]'")
     kind = head[1]
@@ -203,18 +197,7 @@ def parse_incidence(text: str) -> IncidenceStructure:
         if len(set(pts)) != len(pts):
             raise ParseError(lineno, "repeated point in line")
         lines.append(tuple(sorted(pts)))
-    p2l: list[list[int]] = [[] for _ in range(point_count)]
-    for i, line in enumerate(lines):
-        for p in line:
-            p2l[p].append(i)
-    return IncidenceStructure(
-        kind=kind,
-        q=q,
-        point_count=point_count,
-        lines=tuple(lines),
-        point_to_lines=tuple(tuple(ls) for ls in p2l),
-        lam=lam,
-    )
+    return IncidenceStructure.from_lines(kind, q, point_count, lines, lam)
 
 
 def dump_incidence(inc: IncidenceStructure) -> str:

@@ -17,8 +17,8 @@ graph whose unbalanced sets are good sets of the coloring, and
 unbalanced sets of the graph.  Each transform asserts its well-definedness
 condition (the two forcing rules can never both fire) at runtime.
 
-k-subsets are indexed by colex rank throughout: rank(c_1 < ... < c_k) =
-sum of C(c_i, i).  Edge bitmasks of graphs use the colex rank of pairs.
+k-subsets are indexed by colex rank throughout (the ranking lives in
+``ramsat.graphs``).  Edge bitmasks of graphs use the colex rank of pairs.
 """
 
 from __future__ import annotations
@@ -36,8 +36,13 @@ from .graphs import (
     ENUMERATION_CAP,
     SimpleGraph,
     VertexSet,
+    balance_tests,
     find_clique_mask,
+    iter_subsets_colex,
     mask_of,
+    pair_rank,
+    scan_subsets,
+    subset_rank,
 )
 
 RED = 0
@@ -46,43 +51,6 @@ BLUE = 1
 COLORING_BIT_CAP = 1 << 24
 G_ORACLE_VERTEX_CAP = 7
 F_ORACLE_SUBSET_CAP = 20
-
-
-# -- colex ranking ---------------------------------------------------------
-
-
-def pair_rank(u: int, v: int) -> int:
-    """Colex rank of the pair {u, v}."""
-    if u > v:
-        u, v = v, u
-    if u == v:
-        raise ValueError("pair needs two distinct vertices")
-    return comb(v, 2) + u
-
-
-def subset_rank(subset) -> int:
-    """Colex rank of a sorted k-subset."""
-    return sum(comb(c, i + 1) for i, c in enumerate(subset))
-
-
-def subset_unrank(rank: int, k: int) -> tuple[int, ...]:
-    """Inverse of ``subset_rank``."""
-    out = []
-    r = rank
-    for i in range(k, 0, -1):
-        c = i - 1
-        while comb(c + 1, i) <= r:
-            c += 1
-        out.append(c)
-        r -= comb(c, i)
-    out.reverse()
-    return tuple(out)
-
-
-def iter_subsets_colex(n: int, k: int):
-    """All k-subsets of range(n) in colex order (= ascending rank)."""
-    for rank in range(comb(n, k)):
-        yield subset_unrank(rank, k)
 
 
 # -- domain types ----------------------------------------------------------
@@ -141,9 +109,6 @@ class KSubsetColoring:
     def subset_count(self) -> int:
         return comb(self.N, self.k)
 
-    def color_of_rank(self, rank: int) -> int:
-        return (self.bits >> rank) & 1
-
     def color_of(self, subset) -> int:
         return (self.bits >> subset_rank(tuple(sorted(subset)))) & 1
 
@@ -196,16 +161,12 @@ def has_unbalanced_set(
         raise ValueError("need s, t >= 2")
     if g.n > ENUMERATION_CAP:
         raise ValueError(f"subset enumeration capped at {ENUMERATION_CAP} vertices")
-    rows = g.rows
-    comp_rows = g.complement.rows
-    x = (1 << n) - 1
-    for _ in range(comb(g.n, n)):
-        if find_clique_mask(rows, x, s) is None or find_clique_mask(comp_rows, x, t) is None:
-            return VertexSet.from_mask(x)
-        u = x & -x
-        v = x + u
-        x = v + (((v ^ x) // u) >> 2)
-    return None
+    first = _first_unbalanced(g, n, s, t)
+    return None if first is None else VertexSet.from_mask(first)
+
+
+def _first_unbalanced(g: SimpleGraph, n: int, s: int, t: int) -> Optional[int]:
+    return scan_subsets(balance_tests(g, s, t), (1 << n) - 1, comb(g.n, n))[2]
 
 
 @lru_cache(maxsize=None)
@@ -230,17 +191,6 @@ def graph_from_edge_mask(N: int, mask: int) -> SimpleGraph:
         rows[v] |= 1 << u
         m ^= low
     return SimpleGraph(N, tuple(rows))
-
-
-def _every_subset_balanced(rows, comp_rows, N, n, s, t) -> bool:
-    x = (1 << n) - 1
-    for _ in range(comb(N, n)):
-        if find_clique_mask(rows, x, s) is None or find_clique_mask(comp_rows, x, t) is None:
-            return False
-        u = x & -x
-        v = x + u
-        x = v + (((v ^ x) // u) >> 2)
-    return True
 
 
 def g_oracle(n: int, s: int, t: int, n_max: int) -> GOracleResult:
@@ -272,7 +222,7 @@ def g_oracle(n: int, s: int, t: int, n_max: int) -> GOracleResult:
                 continue
             checked += 1
             g = graph_from_edge_mask(N, mask)
-            if n > N or _every_subset_balanced(g.rows, g.complement.rows, N, n, s, t):
+            if n > N or _first_unbalanced(g, n, s, t) is None:
                 counterexample = g
                 break
         if counterexample is None:
@@ -293,30 +243,21 @@ def _good_set_tables(N: int, k: int, n: int, s: int, t: int):
     [N]; B does the same for t-subsets.  A condition holds when every inner
     list contains a subset of the right color.
     """
-    universe = set(range(N))
-    subsets = list(iter_subsets_colex(N, n))
-    table = []
-    for U in subsets:
-        a_lists = []
-        for S in combinations(U, s):
-            rest = sorted(universe - set(S))
-            a_lists.append(
-                tuple(
-                    subset_rank(tuple(sorted(S + extra)))
-                    for extra in combinations(rest, k - s)
-                )
-            )
-        b_lists = []
-        for T in combinations(U, t):
-            rest = sorted(universe - set(T))
-            b_lists.append(
-                tuple(
-                    subset_rank(tuple(sorted(T + extra)))
-                    for extra in combinations(rest, k - t)
-                )
-            )
-        table.append((U, tuple(a_lists), tuple(b_lists)))
-    return tuple(table)
+    return tuple(
+        (
+            U,
+            tuple(tuple(_superset_ranks(N, k, S)) for S in combinations(U, s)),
+            tuple(tuple(_superset_ranks(N, k, T)) for T in combinations(U, t)),
+        )
+        for U in iter_subsets_colex(N, n)
+    )
+
+
+def _superset_ranks(N: int, k: int, S: tuple[int, ...]):
+    """Colex ranks of the k-subsets of range(N) containing the subset S."""
+    rest = sorted(set(range(N)) - set(S))
+    for extra in combinations(rest, k - len(S)):
+        yield subset_rank(tuple(sorted(S + extra)))
 
 
 def _first_good_set(bits: int, table) -> Optional[tuple[int, ...]]:
@@ -419,31 +360,18 @@ def coloring_to_graph(
     if k > N:
         raise ValueError("need k <= N")
     bits = chi.bits
-    universe = set(range(N))
     rows = [0] * N
     for x in range(N):
         for y in range(x + 1, N):
-            rest = sorted(universe - {x, y})
-            forced_edge = False
-            for extra in combinations(rest, s - 2):
-                S = tuple(sorted((x, y) + extra))
-                others = sorted(universe - set(S))
-                if all(
-                    (bits >> subset_rank(tuple(sorted(S + more)))) & 1
-                    for more in combinations(others, k - s)
-                ):
-                    forced_edge = True
-                    break
-            forced_nonedge = False
-            for extra in combinations(rest, t - 2):
-                T = tuple(sorted((x, y) + extra))
-                others = sorted(universe - set(T))
-                if not any(
-                    (bits >> subset_rank(tuple(sorted(T + more)))) & 1
-                    for more in combinations(others, k - t)
-                ):
-                    forced_nonedge = True
-                    break
+            rest = sorted(set(range(N)) - {x, y})
+            forced_edge = any(
+                all(bits >> rank & 1 for rank in _superset_ranks(N, k, (x, y) + extra))
+                for extra in combinations(rest, s - 2)
+            )
+            forced_nonedge = any(
+                not any(bits >> rank & 1 for rank in _superset_ranks(N, k, (x, y) + extra))
+                for extra in combinations(rest, t - 2)
+            )
             if forced_edge and forced_nonedge:
                 raise ConsistencyError(
                     f"pair ({x},{y}) forced both ways; coloring transform is broken"

@@ -22,16 +22,18 @@ a K_{k-1} inside chi^{-1}(i).  So the pattern is semisaturated iff no
 subset of ceil(n/r) vertices spans a K_{k-1} in each of the first r
 classes; a new vertex has at least ceil(n/r) same-colored edges by
 pigeonhole, so this implies semisaturation.  (ceil, rather than exact n/r,
-keeps the implication sound when r does not divide n.)
+keeps the implication sound when r does not divide n.)  Its subset scan
+is ``graphs.scan_colex``.
 
 (r, K_k)-saturated additionally requires every class to be K_k-free right
-now.  ``ssat_search`` hunts for the smallest semisaturated patterns by
-backtracking over edge colorings.
+now, which ``check_kkfree`` decides.  ``ssat_search`` hunts for the
+smallest semisaturated patterns by backtracking over edge colorings; its
+doom check is the backtracking of ``is_semisaturated`` run on an
+optimistic completion.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
@@ -40,8 +42,16 @@ import numpy as np
 
 from .constructions import ColoredCompleteGraph
 from .errors import BudgetError
-from .graphs import ENUMERATION_CAP, SimpleGraph, find_clique_mask, iter_bits
-from .reduction import subset_unrank
+from .graphs import (
+    ENUMERATION_CAP,
+    SimpleGraph,
+    find_clique_mask,
+    iter_bits,
+    iter_subsets_colex,
+    mask_of,
+    scan_colex,
+    scan_subsets,
+)
 
 EXACT_COLORING_CAP = 10**9
 OBSERVATION_SUBSET_CAP = 10**8
@@ -97,10 +107,6 @@ def _require_complete(c: ColoredCompleteGraph):
         raise ValueError("need at least two colors")
 
 
-def _class_missing_clique(rows, mask: int, m: int) -> bool:
-    return find_clique_mask(rows, mask, m) is None
-
-
 def coloring_escapes(c: ColoredCompleteGraph, k: int, colors) -> bool:
     """True when the vertex coloring creates no monochromatic K_k.
 
@@ -117,7 +123,7 @@ def coloring_escapes(c: ColoredCompleteGraph, k: int, colors) -> bool:
             raise ValueError(f"color {col} outside [1, {c.r}]")
         masks[col - 1] |= 1 << v
     return all(
-        _class_missing_clique(c.classes[i].rows, masks[i], k - 1) for i in range(c.r)
+        find_clique_mask(c.classes[i].rows, masks[i], k - 1) is None for i in range(c.r)
     )
 
 
@@ -159,19 +165,38 @@ def is_semisaturated(
         raise BudgetError(
             f"{r}^{n} assignments exceed cap {EXACT_COLORING_CAP}; use samples="
         )
-    rows_per_class = [cls.rows for cls in c.classes]
-    target = k - 2  # a K_{k-1} through v = a K_{k-2} in its class neighbourhood
     masks = [0] * r
-    assignment = [0] * n
+    escaped, nodes = _escape_search([cls.rows for cls in c.classes], n, k, masks)
+    if escaped:
+        colors = [next(i + 1 for i in range(r) if masks[i] >> v & 1) for v in range(n)]
+        return Verdict(
+            holds=False,
+            witness={"kind": "escaping-coloring", "colors": colors},
+            checked=nodes,
+        )
+    return Verdict(holds=True, witness=None, checked=nodes)
+
+
+def _escape_search(rows_per_class, n: int, k: int, masks: list[int]) -> tuple[bool, int]:
+    """Backtrack for a coloring of vertices 0..n-1 that gives no class a K_{k-1}.
+
+    Vertices go in index order and colors ascending, so the first escaping
+    coloring found is the lexicographically smallest.  Class i of the
+    coloring is the bit mask ``masks[i]``, which the search extends in place
+    and, on success, leaves holding the escaping coloring.  Returns
+    ``(escaped, nodes)``, where nodes counts the colors tried.
+    """
+    r = len(rows_per_class)
+    target = k - 2  # a K_{k-1} through v = a K_{k-2} in its class neighbourhood
     nodes = 0
 
-    def escape_from(v: int) -> bool:
+    def esc(v: int) -> bool:
         nonlocal nodes
         if v == n:
             return True
+        nodes += r
         bit = 1 << v
         for i in range(r):
-            nodes += 1
             rows = rows_per_class[i]
             neigh = rows[v] & masks[i]
             created = (neigh != 0) if target == 1 else (
@@ -179,19 +204,13 @@ def is_semisaturated(
             )
             if not created:
                 masks[i] |= bit
-                assignment[v] = i + 1
-                if escape_from(v + 1):
+                if esc(v + 1):
+                    nodes -= r - 1 - i
                     return True
                 masks[i] ^= bit
         return False
 
-    if escape_from(0):
-        return Verdict(
-            holds=False,
-            witness={"kind": "escaping-coloring", "colors": list(assignment)},
-            checked=nodes,
-        )
-    return Verdict(holds=True, witness=None, checked=nodes)
+    return esc(0), nodes
 
 
 def is_semisaturated_direct(c: ColoredCompleteGraph, k: int) -> Verdict:
@@ -218,7 +237,7 @@ def is_semisaturated_direct(c: ColoredCompleteGraph, k: int) -> Verdict:
         for v, col in enumerate(assignment):
             masks[col] |= 1 << v
         if all(
-            _class_missing_clique(rows_per_class[i], masks[i], k - 1)
+            find_clique_mask(rows_per_class[i], masks[i], k - 1) is None
             for i in range(r)
         ):
             return Verdict(
@@ -237,32 +256,6 @@ def is_semisaturated_direct(c: ColoredCompleteGraph, k: int) -> Verdict:
         if pos < 0:
             return Verdict(holds=True, witness=None, checked=checked)
         assignment[pos] += 1
-
-
-def _scan_subsets_for_clique(rows, hints, m, target, start_mask, count):
-    """Scan ``count`` colex-consecutive m-subsets; return (fail_mask, scanned).
-
-    A subset passes when some hint mask meets it in >= target vertices
-    (hints are known cliques) or, failing that, when the generic search
-    finds a K_target inside it.  Stops at the first subset with neither.
-    """
-    x = start_mask
-    scanned = 0
-    for _ in range(count):
-        scanned += 1
-        ok = False
-        for h in hints:
-            if (h & x).bit_count() >= target:
-                ok = True
-                break
-        if not ok and find_clique_mask(rows, x, target) is not None:
-            ok = True
-        if not ok:
-            return x, scanned
-        u = x & -x
-        v = x + u
-        x = v + (((v ^ x) // u) >> 2)
-    return None, scanned
 
 
 def check_observation(
@@ -301,19 +294,14 @@ def check_observation(
             raise ValueError("sampled mode requires an explicit seed")
         rng = np.random.Generator(np.random.PCG64(seed))
         for i in range(r):
-            rows = c.classes[i].rows
-            hints = c.clique_hints[i] if c.clique_hints else ()
+            tests = _observation_tests(c, i, target)
             for _ in range(samples):
-                pick = rng.choice(n, size=m, replace=False)
-                x = 0
-                for v in pick:
-                    x |= 1 << int(v)
+                x = mask_of(int(v) for v in rng.choice(n, size=m, replace=False))
                 checked += 1
-                fail, _ = _scan_subsets_for_clique(rows, hints, m, target, x, 1)
-                if fail is not None:
+                if scan_subsets(tests, x, 1)[1]:
                     return Verdict(
                         holds=False,
-                        witness=_observation_witness(i, fail),
+                        witness=_observation_witness(i, x),
                         checked=checked,
                         exhaustive=False,
                     )
@@ -323,42 +311,19 @@ def check_observation(
             f"C({n},{m}) = {space} exceeds cap {OBSERVATION_SUBSET_CAP}; use samples="
         )
     for i in range(r):
-        rows = c.classes[i].rows
-        hints = c.clique_hints[i] if c.clique_hints else ()
-        if threads > 1 and space >= 4 * threads:
-            chunk = space // threads
-            starts = [j * chunk for j in range(threads)]
-            counts = [chunk] * (threads - 1) + [space - chunk * (threads - 1)]
-            start_masks = []
-            for st in starts:
-                mask = 0
-                for p in subset_unrank(st, m):
-                    mask |= 1 << p
-                start_masks.append(mask)
-            with ProcessPoolExecutor(max_workers=threads) as ex:
-                results = list(
-                    ex.map(
-                        _scan_subsets_for_clique,
-                        [rows] * threads,
-                        [hints] * threads,
-                        [m] * threads,
-                        [target] * threads,
-                        start_masks,
-                        counts,
-                    )
-                )
-            checked += sum(scanned for _, scanned in results)
-            fail = next((f for f, _ in results if f is not None), None)
-        else:
-            fail, scanned = _scan_subsets_for_clique(
-                rows, hints, m, target, (1 << m) - 1, space
-            )
-            checked += scanned
+        shards = scan_colex(_observation_tests(c, i, target), n, m, threads)
+        checked += sum(scanned for scanned, _, _ in shards)
+        fail = next((first for _, _, first in shards if first is not None), None)
         if fail is not None:
             return Verdict(
                 holds=False, witness=_observation_witness(i, fail), checked=checked
             )
     return Verdict(holds=True, witness=None, checked=checked)
+
+
+def _observation_tests(c: ColoredCompleteGraph, i: int, target: int):
+    hints = c.clique_hints[i] if c.clique_hints else ()
+    return ((c.classes[i].rows, target, hints),)
 
 
 def _observation_witness(class_index: int, mask: int) -> dict:
@@ -373,21 +338,18 @@ def observation_fails_at(
     c: ColoredCompleteGraph, k: int, color: int, vertices
 ) -> bool:
     """Confirm an observation witness: class ``color`` has no K_{k-1} on the set."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return find_clique_mask(c.classes[color - 1].rows, mask, k - 1) is None
+    return find_clique_mask(c.classes[color - 1].rows, mask_of(vertices), k - 1) is None
 
 
-def is_kkfree_pattern(c: ColoredCompleteGraph, k: int) -> bool:
-    """True when no color class contains a K_k."""
-    full = (1 << c.n) - 1
-    return all(find_clique_mask(cls.rows, full, k) is None for cls in c.classes)
+def check_kkfree(c: ColoredCompleteGraph, k: int) -> Verdict:
+    """Whether no color class contains a K_k (k >= 3).
 
-
-def is_saturated(c: ColoredCompleteGraph, k: int) -> Verdict:
-    """K_k-free in every class and semisaturated."""
-    _require_complete(c)
+    Classes are searched in order; a failing verdict carries the
+    lexicographically smallest K_k of the first class holding one.
+    ``checked`` counts the classes searched.
+    """
+    if k < 3:
+        raise ValueError("need k >= 3")
     full = (1 << c.n) - 1
     for i, cls in enumerate(c.classes):
         clique = find_clique_mask(cls.rows, full, k)
@@ -401,6 +363,20 @@ def is_saturated(c: ColoredCompleteGraph, k: int) -> Verdict:
                 },
                 checked=i + 1,
             )
+    return Verdict(holds=True, witness=None, checked=c.r)
+
+
+def is_kkfree_pattern(c: ColoredCompleteGraph, k: int) -> bool:
+    """True when no color class contains a K_k."""
+    return check_kkfree(c, k).holds
+
+
+def is_saturated(c: ColoredCompleteGraph, k: int) -> Verdict:
+    """K_k-free in every class and semisaturated."""
+    _require_complete(c)
+    free = check_kkfree(c, k)
+    if not free.holds:
+        return free
     semi = is_semisaturated(c, k)
     return Verdict(
         holds=semi.holds,
@@ -435,8 +411,9 @@ def ssat_recursion_floor(r: int, k: int) -> int:
 def ssat_upper_bound_reference(r: int, k: int) -> int:
     """(k-1)^r, the classical upper bound on ssat_r(K_k).
 
-    Together with ``ssat_lower_bound_formula`` this brackets the open small
-    cases, e.g. 6 <= ssat_3(K_3) <= 8.
+    Together with lower bounds it brackets the open small cases, e.g.
+    7 <= ssat_3(K_3) <= 8: ``ssat_search`` exhausts every n <= 6, one more
+    than ``ssat_lower_bound_formula(3, 3)`` = 6 gives.
     """
     if r < 2 or k < 2:
         raise ValueError("need r >= 2 and k >= 2")
@@ -469,36 +446,17 @@ def ssat_search(
         raise ValueError("need n >= 1")
     if n > 32:
         raise ValueError("search capped at 32 vertices")
-    num_pairs = comb(n, 2)
-    pairs = [subset_unrank(rank, 2) for rank in range(num_pairs)]
+    pairs = list(iter_subsets_colex(n, 2))
+    num_pairs = len(pairs)
     class_rows = [[0] * n for _ in range(r)]
     remaining = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
-    target = k - 2
     nodes = 0
 
     def doomed() -> bool:
         opt = [
             tuple(class_rows[i][x] | remaining[x] for x in range(n)) for i in range(r)
         ]
-        masks = [0] * r
-
-        def esc(v: int) -> bool:
-            if v == n:
-                return True
-            bit = 1 << v
-            for i in range(r):
-                neigh = opt[i][v] & masks[i]
-                created = (neigh != 0) if target == 1 else (
-                    find_clique_mask(opt[i], neigh, target) is not None
-                )
-                if not created:
-                    masks[i] |= bit
-                    if esc(v + 1):
-                        return True
-                    masks[i] ^= bit
-            return False
-
-        return esc(0)
+        return _escape_search(opt, n, k, [0] * r)[0]
 
     def snapshot() -> ColoredCompleteGraph:
         classes = tuple(SimpleGraph(n, tuple(rows)) for rows in class_rows)

@@ -67,6 +67,16 @@ def all_patterns(n: int, r: int):
 
 
 @pytest.fixture
+def no_worker_processes(monkeypatch):
+    """Fail the test if it tries to start a worker process pool."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no worker process may start")
+
+    monkeypatch.setattr(rs.graphs, "ProcessPoolExecutor", refuse)
+
+
+@pytest.fixture
 def c4_diagonals() -> rs.ColoredCompleteGraph:
     """The 4-cycle / diagonals 2-coloring of K_4."""
     c4 = rs.SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])

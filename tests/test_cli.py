@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import ramsat as rs
 from ramsat.cli import run
 
@@ -228,3 +230,20 @@ def test_sampled_verify_requires_seed(tmp_path, capsys):
     code = run(["verify", "ssat", "--in", str(path), "--k", "3", "--samples", "10"])
     assert code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["kkfree", "saturated"])
+@pytest.mark.parametrize("k", [-1, 0, 1, 2])
+def test_verify_rejects_k_below_3(tmp_path, capsys, c4_diagonals, command, k):
+    path = tmp_path / "c4diag.cg"
+    path.write_text(rs.dump_colored_graph(c4_diagonals))
+    assert run(["verify", command, "--in", str(path), "--k", str(k)]) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_1_rejected(no_worker_processes, capsys, threads):
+    argv = ["experiment", "bad-sets", "--gnp-n", "10", "--gnp-p", "0.5", "--gnp-seed", "1",
+            "--n", "4", "--s", "3", "--t", "3", "--threads", str(threads)]
+    assert run(argv) == 3
+    assert capsys.readouterr().out == ""

@@ -199,6 +199,12 @@ def test_count_bad_sets_threads_match():
     assert solo.checked == sharded.checked == comb(11, 4)
 
 
+def test_count_bad_sets_rejects_threads_below_1(no_worker_processes):
+    g = rs.sample_gnp(rs.GnpParams(11, 0.4, 2))
+    with pytest.raises(ValueError, match="threads"):
+        rs.count_bad_sets(g, 4, 3, 3, threads=-3)
+
+
 def test_count_bad_sets_budget():
     g = rs.SimpleGraph.empty(40)
     with pytest.raises(BudgetError):

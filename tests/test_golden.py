@@ -1,0 +1,43 @@
+"""Golden certificate replay.
+
+``golden/certificates.jsonl`` holds one recorded command per line: its
+argv, its exit code and its certificate body (the canonical JSON without
+``wall_time_ms``).  ``golden/inputs/`` holds the files the commands read,
+which are also the files the ``--out`` commands must write.  Each case runs
+in a fresh directory holding a copy of the inputs, with relative paths, and
+must reproduce the recorded body and every file it writes byte for byte.
+
+The cases cover the README commands (except the 10.4M-subset observation
+scan of ``a.cg``), sharded and serial observation scans with failing
+witnesses, exact and sampled bad-set counts, sampled verification, failing
+verdicts of every verify command, and a budget-limited search.
+"""
+
+import contextlib
+import io
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from ramsat import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = [json.loads(line) for line in (GOLDEN / "certificates.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+def test_certificate_body_replays(case, tmp_path, monkeypatch):
+    shutil.copytree(GOLDEN / "inputs", tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    argv = case["argv"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.run(argv)
+    assert code == case["exit"]
+    cert = json.loads(out.getvalue())
+    cert.pop("wall_time_ms")
+    assert json.dumps(cert, sort_keys=True, separators=(",", ":")) == case["body"]
+    if "--out" in argv:
+        name = argv[argv.index("--out") + 1]
+        assert (tmp_path / name).read_bytes() == (GOLDEN / "inputs" / name).read_bytes()

@@ -139,6 +139,11 @@ def test_check_observation_threads_match():
     assert solo.checked == sharded.checked
 
 
+def test_check_observation_rejects_threads_below_1(no_worker_processes):
+    with pytest.raises(ValueError, match="threads"):
+        rs.check_observation(rs.affine_coloring(3, 2), 3, 2, threads=0)
+
+
 def test_check_observation_sampled():
     pat = rs.affine_coloring(3, 2)
     v = rs.check_observation(pat, 3, 2, samples=100, seed=5)
@@ -192,7 +197,7 @@ def test_ssat_upper_bound_reference():
     assert rs.ssat_upper_bound_reference(2, 3) == 4  # tight: equals ssat_2(K_3)
     assert rs.ssat_upper_bound_reference(3, 3) == 8
     assert rs.ssat_upper_bound_reference(2, 4) == 9
-    # the open bracket: 6 <= ssat_3(K_3) <= 8
+    # the open bracket: 7 <= ssat_3(K_3) <= 8, the 7 from test_ssat3_k3_exhausted_up_to_6
     assert rs.ssat_lower_bound_formula(3, 3) <= rs.ssat_upper_bound_reference(3, 3)
 
 
@@ -202,6 +207,12 @@ def test_ssat_search_small_instances():
     assert found.status == "found"
     assert rs.is_semisaturated_direct(found.pattern, 3).holds
     assert rs.ssat_search(3, 3, 5).status == "exhausted"  # floor is 6
+
+
+def test_ssat3_k3_exhausted_up_to_6():
+    # no semisaturated 3-colouring of K_n for n <= 6, so ssat_3(K_3) >= 7
+    for n in range(1, 7):
+        assert rs.ssat_search(3, 3, n).status == "exhausted"
 
 
 def test_ssat_search_matches_brute_enumeration():
