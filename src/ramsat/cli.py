@@ -2,9 +2,11 @@
 
 Every command prints one canonical-JSON certificate on stdout and exits
 with 0 (claim holds), 1 (fails, witness embedded), 2 (unknown: a budget ran
-out or only sampled evidence was gathered), or >= 3 (usage / IO errors, no
-certificate).  Randomized commands refuse to run without an explicit
-``--seed`` so certificates never depend on hidden entropy.
+out or only sampled evidence was gathered), or, with no certificate, 3
+(usage or parameter error), 4 (input error) or 5 (internal error: an
+unexpected exception, such as a recursion too deep for the interpreter).
+Randomized commands refuse to run without an explicit ``--seed`` so
+certificates never depend on hidden entropy.
 
 Subcommands::
 
@@ -411,6 +413,9 @@ def run(argv) -> int:
     except ValueError as err:
         print(f"parameter error: {err}", file=sys.stderr)
         return 3
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 5
     cert.wall_time_ms = int((time.perf_counter() - start) * 1000)
     print(cert.to_json())
     return _EXIT_CODES[cert.verdict]

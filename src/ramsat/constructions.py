@@ -341,6 +341,8 @@ def count_bad_sets(
         raise ValueError(f"subset size {n} outside [1, {N}]")
     if s < 2 or t < 2:
         raise ValueError("need s, t >= 2")
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
     space = comb(N, n)
     tests = balance_tests(g, s, t)
     if mode == "exact":

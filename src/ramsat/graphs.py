@@ -3,6 +3,9 @@
 Vertices are 0-indexed.  Adjacency is stored as one Python-int bit row per
 vertex, so "is there a clique of size m inside this vertex subset?" needs no
 induced-subgraph copies: the search simply intersects candidate masks.
+``find_clique_mask`` answers it for m <= 3 with plain loops over bit masks
+(the scans ask for triangles) and for m >= 4 with a depth-first search that
+prunes with the greedy colour bound at every level of 4 or more.
 
 Subsets are ranked in colex order: rank(c_1 < ... < c_k) = sum of
 C(c_i, i).  ``scan_subsets`` walks a colex range of subset masks with one
@@ -212,37 +215,68 @@ def _color_bound_reaches(rows: tuple[int, ...], cand: int, need: int) -> bool:
     return len(classes) >= need
 
 
+def _triangle_mask(rows: tuple[int, ...], cand: int) -> Optional[int]:
+    """Lexicographically smallest triangle inside ``cand``, or None.
+
+    Takes the lowest vertex v, then its lowest later neighbour u, then the
+    lowest later common neighbour w: the depth-first order, unrolled.
+    """
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        nbrs = cand & rows[low.bit_length() - 1]
+        while nbrs:
+            mid = nbrs & -nbrs
+            nbrs ^= mid
+            common = nbrs & rows[mid.bit_length() - 1]
+            if common:
+                return low | mid | (common & -common)
+    return None
+
+
+def _clique_search(rows: tuple[int, ...], cand: int, need: int) -> Optional[int]:
+    """``find_clique_mask`` for need >= 4, recursing down to ``_triangle_mask``."""
+    if cand.bit_count() < need or not _color_bound_reaches(rows, cand, need):
+        return None
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        nxt = cand & rows[low.bit_length() - 1]
+        if need == 4:
+            res = _triangle_mask(rows, nxt)
+        else:
+            res = _clique_search(rows, nxt, need - 1)
+        if res is not None:
+            return res | low
+        if cand.bit_count() < need:
+            return None
+    return None
+
+
 def find_clique_mask(rows: tuple[int, ...], allowed: int, m: int) -> Optional[int]:
     """Lexicographically smallest m-clique inside ``allowed``, as a bit mask.
 
     ``rows`` is any bit-row adjacency; vertices outside ``allowed`` are
     ignored, which makes this the induced-subgraph clique test.  Returns
-    None when no m-clique exists.
+    None when no m-clique exists.  Sizes up to 3 run as plain loops over
+    bit masks; from 4 on the search is depth-first with the greedy colour
+    bound at every level of 4 or more, ending in the triangle loop.
     """
-    if m == 0:
-        return 0
+    if m == 3:
+        return _triangle_mask(rows, allowed)
+    if m == 2:
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            nbrs = allowed & rows[low.bit_length() - 1]
+            if nbrs:
+                return low | (nbrs & -nbrs)
+        return None
     if m == 1:
         return (allowed & -allowed) or None
-
-    def dfs(chosen: int, cand: int, need: int) -> Optional[int]:
-        if cand.bit_count() < need:
-            return None
-        if need >= 3 and not _color_bound_reaches(rows, cand, need):
-            return None
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            if need == 1:
-                return chosen | low
-            nxt = cand & rows[low.bit_length() - 1]
-            res = dfs(chosen | low, nxt, need - 1)
-            if res is not None:
-                return res
-            if cand.bit_count() < need:
-                return None
-        return None
-
-    return dfs(0, allowed, m)
+    if m == 0:
+        return 0
+    return _clique_search(rows, allowed, m)
 
 
 def _degree_order(g: SimpleGraph) -> list[int]:

@@ -280,6 +280,8 @@ def check_observation(
         raise ValueError("need r >= 2")
     if k < 3:
         raise ValueError("need k >= 3")
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
     if len(c.classes) < r:
         raise ValueError(f"pattern has {len(c.classes)} classes, need >= {r}")
     n = c.n

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import ramsat as rs
+from ramsat import cli
 from ramsat.cli import run
 
 
@@ -247,3 +248,33 @@ def test_threads_below_1_rejected(no_worker_processes, capsys, threads):
             "--n", "4", "--s", "3", "--t", "3", "--threads", str(threads)]
     assert run(argv) == 3
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "observation", "--in", "c4diag.cg", "--k", "3", "--r", "2",
+     "--samples", "5", "--seed", "1", "--threads", "0"],
+    ["experiment", "bad-sets", "--gnp-n", "12", "--gnp-p", "0.5", "--gnp-seed", "1",
+     "--n", "4", "--s", "3", "--t", "3", "--mode", "sampled", "--trials", "5", "--seed", "1",
+     "--threads", "-2"],
+    # C(49, 25) subsets exceed the exact budget, which is checked after threads
+    ["verify", "observation", "--in", "a7.cg", "--k", "4", "--r", "2", "--threads", "0"],
+], ids=["observation-sampled", "bad-sets-sampled", "observation-over-budget"])
+def test_threads_below_1_rejected_on_every_path(
+    no_worker_processes, tmp_path, monkeypatch, capsys, c4_diagonals, argv
+):
+    (tmp_path / "c4diag.cg").write_text(rs.dump_colored_graph(c4_diagonals))
+    (tmp_path / "a7.cg").write_text(rs.dump_colored_graph(rs.affine_coloring(7, 2)))
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_internal_error_exits_5_without_certificate(monkeypatch, capsys):
+    def overflow(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli._HANDLERS, "geom", overflow)
+    assert run(["geom", "plane", "--q", "3"]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"

@@ -10,7 +10,8 @@ must reproduce the recorded body and every file it writes byte for byte.
 The cases cover the README commands (except the 10.4M-subset observation
 scan of ``a.cg``), sharded and serial observation scans with failing
 witnesses, exact and sampled bad-set counts, sampled verification, failing
-verdicts of every verify command, and a budget-limited search.
+verdicts of every verify command, K_4 to K_6 checks that take the clique
+search below depth 3, and a budget-limited search.
 """
 
 import contextlib

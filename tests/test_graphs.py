@@ -1,8 +1,12 @@
 """Graph core: clique/independent-set search, greedy bound, homogeneous extraction."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 import ramsat as rs
+from ramsat.graphs import find_clique_mask, iter_bits, mask_of
 
 from conftest import (
     all_graphs,
@@ -58,6 +62,39 @@ def test_find_clique_matches_naive_seeded():
             want = naive_find_clique(g, m)
             assert (None if got is None else got.members) == want
 
+
+
+def naive_clique_mask(g: rs.SimpleGraph, allowed: int, m: int):
+    """Mask of the lexicographically first m-clique among the allowed vertices."""
+    for cand in combinations(iter_bits(allowed), m):
+        if is_clique(g, cand):
+            return mask_of(cand)
+    return None
+
+
+def test_find_clique_mask_inside_allowed_matches_naive():
+    # the scans ask about a restricted vertex set, never the whole graph
+    rng = random.Random(2024)
+    for seed in range(120):
+        n = rng.randint(1, 14)
+        g = rs.sample_gnp(rs.GnpParams(n, rng.uniform(0.1, 0.9), seed))
+        for _ in range(4):
+            allowed = rng.getrandbits(n)
+            for m in range(7):
+                assert find_clique_mask(g.rows, allowed, m) == naive_clique_mask(g, allowed, m)
+
+
+@pytest.mark.parametrize("g", [
+    rs.SimpleGraph.from_edges(12, [(u, v) for u in range(6) for v in range(6, 12)]),
+    rs.SimpleGraph.complete(12),
+    rs.SimpleGraph.empty(12),
+], ids=["K6,6", "K12", "empty12"])
+def test_find_clique_mask_extreme_graphs(g):
+    # dense but triangle-free, complete and edgeless: the clique test's worst cases
+    rng = random.Random(7)
+    for allowed in [g.full_mask, 0, 1, 0b100000100001] + [rng.getrandbits(12) for _ in range(20)]:
+        for m in range(7):
+            assert find_clique_mask(g.rows, allowed, m) == naive_clique_mask(g, allowed, m)
 
 def test_find_clique_nondeterministic_mode_valid():
     for seed in range(20):
