@@ -76,7 +76,6 @@ from .reduction import (
     has_unbalanced_set,
 )
 from .saturation import (
-    PatternParams,
     SsatSearchResult,
     Verdict,
     check_kkfree,

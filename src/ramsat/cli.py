@@ -176,20 +176,10 @@ def _emit_artifact(text: str, fmt: str, out: Optional[Path]):
     return {"format": fmt, "text": text}
 
 
-def _budget_unknown(claim, params, err, seed=None):
-    params = dict(params)
-    params["budget"] = str(err)
-    return io.Certificate(claim, params, "unknown", None, 0, seed)
-
-
-def _verdict_of(v: saturation.Verdict, params: dict) -> tuple[str, dict]:
-    if v.holds and v.exhaustive:
-        return "holds", params
-    if not v.holds:
-        return "fails", params
-    params = dict(params)
-    params["budget"] = f"sampled evidence only ({v.checked} samples)"
-    return "unknown", params
+def _unknown(claim, params, budget, witness=None, checked=0, seed=None) -> io.Certificate:
+    """An "unknown" certificate recording in its params the budget that ran out."""
+    params = {**params, "budget": str(budget)}
+    return io.Certificate(claim, params, "unknown", witness, checked, seed)
 
 
 # -- handlers -----------------------------------------------------------------
@@ -253,8 +243,11 @@ def _handle_verify(args) -> io.Certificate:
     try:
         v = _VERIFIERS[args.command](pattern, args)
     except BudgetError as err:
-        return _budget_unknown(claim, params, err, seed)
-    verdict, params = _verdict_of(v, params)
+        return _unknown(claim, params, err, seed=seed)
+    if v.holds and not v.exhaustive:
+        budget = f"sampled evidence only ({v.checked} samples)"
+        return _unknown(claim, params, budget, checked=v.checked, seed=seed)
+    verdict = "holds" if v.holds else "fails"
     return io.Certificate(claim, params, verdict, v.witness, v.checked, seed)
 
 
@@ -270,7 +263,7 @@ def _handle_oracle(args) -> io.Certificate:
             rp = reduction.RamseyParams(args.n, args.s, args.t, args.k)
             res = reduction.f_oracle(rp, args.n_max)
     except BudgetError as err:
-        return _budget_unknown(claim, params, err)
+        return _unknown(claim, params, err)
     witness = {"value": res.value}
     if args.command == "g":
         witness["counterexample_n"] = res.witness_n
@@ -280,9 +273,7 @@ def _handle_oracle(args) -> io.Certificate:
             io.dump_ksubset_coloring(res.witness) if res.witness else None
         )
     if res.value is None:
-        params = dict(params)
-        params["budget"] = f"no value up to n_max={args.n_max}"
-        return io.Certificate(claim, params, "unknown", witness, res.checked)
+        return _unknown(claim, params, f"no value up to n_max={args.n_max}", witness, res.checked)
     return io.Certificate(claim, params, "holds", witness, res.checked)
 
 
@@ -319,9 +310,7 @@ def _handle_search(args) -> io.Certificate:
     if res.status == "exhausted":
         witness = {"kind": "exhausted-search-space", "nodes": res.nodes}
         return io.Certificate(claim, params, "fails", witness, res.nodes)
-    params = dict(params)
-    params["budget"] = f"node budget {args.node_budget} exhausted"
-    return io.Certificate(claim, params, "unknown", None, res.nodes)
+    return _unknown(claim, params, f"node budget {args.node_budget} exhausted", checked=res.nodes)
 
 
 def _handle_experiment(args) -> io.Certificate:
@@ -350,7 +339,7 @@ def _handle_experiment(args) -> io.Certificate:
             g, args.n, args.s, args.t, args.mode, args.trials, args.seed, args.threads
         )
     except BudgetError as err:
-        return _budget_unknown(claim, params, err, args.seed)
+        return _unknown(claim, params, err, seed=args.seed)
     witness = {"mode": res.mode, "value": res.value, "hits": res.hits,
                "space": res.space}
     return io.Certificate(claim, params, "holds", witness, res.checked, args.seed)

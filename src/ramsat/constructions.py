@@ -15,9 +15,11 @@ of the complete graph.  Two deterministic constructions live here:
   r) are completed round-robin; the untouched core pattern stays available
   on the result for inspection.
 
-Randomness is always explicit: the generator is numpy's PCG64 seeded with a
-caller-supplied 64-bit seed, and pair ordering is documented per function,
-so a given seed reproduces the same object within this implementation.
+Randomness is always explicit: every random draw in the package comes from
+``seeded_rng``, numpy's permuted congruential generator (``GENERATOR_NAME``)
+seeded with a caller-supplied 64-bit seed, None refused.  Pair ordering is
+documented per function, so a given seed reproduces the same object within
+this implementation.
 Cross-implementation bit-reproducibility is not promised.
 """
 
@@ -34,6 +36,7 @@ from .errors import BudgetError
 from .geometry import build_affine_plane, fq3_line_family, parallel_classes, PrimeField
 from .graphs import (
     ENUMERATION_CAP,
+    THREAD_CAP,
     SimpleGraph,
     balance_tests,
     iter_bits,
@@ -48,6 +51,13 @@ EXACT_SUBSET_BUDGET = 10**7
 
 PARALLEL_BALANCED = "parallel-balanced"
 ROUND_ROBIN = "round-robin"
+
+
+def seeded_rng(seed: Optional[int]) -> np.random.Generator:
+    """The ``GENERATOR_NAME`` generator seeded with ``seed``; None is refused."""
+    if seed is None:
+        raise ValueError("randomized operation requires an explicit seed")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 @dataclass(frozen=True)
@@ -205,10 +215,7 @@ def affine_coloring(
     elif strategy == ROUND_ROBIN:
         if not 1 <= r <= line_count:
             raise ValueError(f"round-robin needs r <= q^2+q, got r={r}")
-        if seed is None:
-            raise ValueError("round-robin strategy requires an explicit seed")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        order = rng.permutation(line_count)
+        order = seeded_rng(seed).permutation(line_count)
         assignment = [0] * line_count
         for pos, idx in enumerate(order):
             assignment[int(idx)] = pos % r
@@ -284,13 +291,12 @@ def sample_gnp(params: GnpParams) -> SimpleGraph:
     """Seeded G(N, p) sample.
 
     Pairs are enumerated (0,1), (0,2), ..., (N-2,N-1) in lexicographic
-    order; one uniform variate is drawn per pair from PCG64(seed) and the
-    pair becomes an edge when the variate is < p.  Same seed, same graph.
+    order; one uniform variate is drawn per pair from ``seeded_rng(seed)``
+    and the pair becomes an edge when the variate is < p.  Same seed, same
+    graph.
     """
     n = params.N
-    rng = np.random.Generator(np.random.PCG64(params.seed))
-    m = comb(n, 2)
-    draws = rng.random(m)
+    draws = seeded_rng(params.seed).random(comb(n, 2))
     rows = [0] * n
     i = 0
     for u in range(n):
@@ -303,9 +309,8 @@ def sample_gnp(params: GnpParams) -> SimpleGraph:
 
 
 def random_complete_pattern(n: int, r: int, seed: int) -> ColoredCompleteGraph:
-    """Uniform random complete r-coloring of K_n (one PCG64 draw per pair)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    colors = rng.integers(0, r, size=comb(n, 2))
+    """Uniform random complete r-coloring of K_n (one ``seeded_rng`` draw per pair)."""
+    colors = seeded_rng(seed).integers(0, r, size=comb(n, 2))
     rows = [[0] * n for _ in range(r)]
     i = 0
     for u in range(n):
@@ -341,8 +346,8 @@ def count_bad_sets(
         raise ValueError(f"subset size {n} outside [1, {N}]")
     if s < 2 or t < 2:
         raise ValueError("need s, t >= 2")
-    if threads < 1:
-        raise ValueError(f"need threads >= 1, got {threads}")
+    if not 1 <= threads <= THREAD_CAP:
+        raise ValueError(f"need 1 <= threads <= {THREAD_CAP}, got {threads}")
     space = comb(N, n)
     tests = balance_tests(g, s, t)
     if mode == "exact":
@@ -357,9 +362,7 @@ def count_bad_sets(
     if mode == "sampled":
         if trials is None or trials < 1:
             raise ValueError("sampled mode requires a positive trial count")
-        if seed is None:
-            raise ValueError("sampled mode requires an explicit seed")
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = seeded_rng(seed)
         hits = 0
         for _ in range(trials):
             pick = rng.choice(N, size=n, replace=False)

@@ -15,8 +15,8 @@ exhaustive subset scan in the package runs through these two.
 
 All types are immutable after construction and every operation is a pure
 function, so concurrent use from multiple threads or worker processes is
-safe.  Searches are deterministic by default and return the
-lexicographically smallest witness, which keeps certificates reproducible.
+safe.  Searches are deterministic and return the lexicographically
+smallest witness, which keeps certificates reproducible.
 """
 
 from __future__ import annotations
@@ -28,9 +28,12 @@ from math import comb
 from typing import Iterator, NamedTuple, Optional
 
 # Hard caps.  Exhaustive subset/graph enumeration is only offered up to 64
-# vertices; general search works up to 4096.
+# vertices; general search works up to 4096.  A sharded scan starts at most
+# THREAD_CAP worker processes: a constant, so that a certificate recording
+# its thread count reproduces on any machine.
 ENUMERATION_CAP = 64
 VERTEX_CAP = 4096
+THREAD_CAP = 64
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -279,38 +282,17 @@ def find_clique_mask(rows: tuple[int, ...], allowed: int, m: int) -> Optional[in
     return _clique_search(rows, allowed, m)
 
 
-def _degree_order(g: SimpleGraph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-g.rows[v].bit_count(), v))
-
-
-def find_clique(g: SimpleGraph, m: int, deterministic: bool = True) -> Optional[VertexSet]:
-    """Find an m-clique of ``g``, or None.
-
-    In deterministic mode (the default) the witness is the lexicographically
-    smallest m-clique.  With ``deterministic=False`` the search reorders
-    vertices by degree for speed, and any valid witness may come back.
-    """
+def find_clique(g: SimpleGraph, m: int) -> Optional[VertexSet]:
+    """The lexicographically smallest m-clique of ``g``, or None."""
     if not 1 <= m <= g.n:
         raise ValueError(f"clique size {m} outside [1, {g.n}]")
-    if deterministic:
-        mask = find_clique_mask(g.rows, g.full_mask, m)
-        return None if mask is None else VertexSet.from_mask(mask)
-    order = _degree_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    rows = tuple(
-        mask_of(pos[u] for u in iter_bits(g.rows[v])) for v in order
-    )
-    mask = find_clique_mask(rows, g.full_mask, m)
-    if mask is None:
-        return None
-    return VertexSet.of(order[i] for i in iter_bits(mask))
+    mask = find_clique_mask(g.rows, g.full_mask, m)
+    return None if mask is None else VertexSet.from_mask(mask)
 
 
-def find_independent_set(
-    g: SimpleGraph, m: int, deterministic: bool = True
-) -> Optional[VertexSet]:
+def find_independent_set(g: SimpleGraph, m: int) -> Optional[VertexSet]:
     """Find an independent set of size m (a clique of the complement)."""
-    return find_clique(g.complement, m, deterministic)
+    return find_clique(g.complement, m)
 
 
 def turan_bound(n: int, edge_count: int) -> int:
@@ -322,29 +304,29 @@ def turan_bound(n: int, edge_count: int) -> int:
 def turan_independent_set(g: SimpleGraph) -> VertexSet:
     """Greedy minimum-degree independent set.
 
-    Repeatedly takes a remaining vertex of minimum residual degree (smallest
+    Repeatedly takes a live vertex of minimum residual degree (smallest
     index on ties) and discards its neighbourhood.  The result has size at
     least sum_v 1/(d(v)+1), hence at least ``turan_bound(n, e)``.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    remaining = g.full_mask
+    alive = g.full_mask
     chosen = []
-    while remaining:
+    while alive:
         best_v = -1
         best_d = g.n + 1
-        m = remaining
+        m = alive
         while m:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
-            d = (g.rows[v] & remaining).bit_count()
+            d = (g.rows[v] & alive).bit_count()
             if d < best_d:
                 best_d, best_v = d, v
                 if d == 0:
                     break
         chosen.append(best_v)
-        remaining &= ~(g.rows[best_v] | (1 << best_v))
+        alive &= ~(g.rows[best_v] | (1 << best_v))
     return VertexSet.of(chosen)
 
 
@@ -386,17 +368,17 @@ def extract_homogeneous_cover(
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
-    remaining = g.full_mask
+    alive = g.full_mask
     cliques: list[VertexSet] = []
     independents: list[VertexSet] = []
     stopped = False
     for _ in range(rounds):
-        found = _homogeneous_in(g, remaining, a, b)
+        found = _homogeneous_in(g, alive, a, b)
         if found is None:
             stopped = True
             break
         (cliques if found.kind == "clique" else independents).append(found.vertices)
-        remaining &= ~found.vertices.mask
+        alive &= ~found.vertices.mask
     return HomogeneousCover(tuple(cliques), tuple(independents), stopped)
 
 
@@ -496,8 +478,8 @@ def scan_colex(
     process.  Returns the per-range results in colex order; with ``stop``
     each range ends at its own first failure.
     """
-    if threads < 1:
-        raise ValueError(f"need threads >= 1, got {threads}")
+    if not 1 <= threads <= THREAD_CAP:
+        raise ValueError(f"need 1 <= threads <= {THREAD_CAP}, got {threads}")
     space = comb(n, m)
     if threads == 1 or space < 4 * threads:
         return [scan_subsets(tests, (1 << m) - 1, space, stop)]

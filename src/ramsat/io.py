@@ -13,7 +13,10 @@ Four line-oriented formats, each with a one-line header:
 * incidence         — ``inc <kind> <q> [<lambda>]`` then one line of point
   indices per geometric line.
 
-Parsers reject malformed constructs with the 1-based line number.
+Parsers reject malformed constructs with the 1-based line number, and
+check a header's sizes against the package caps (``VERTEX_CAP`` vertices
+or points, ``COLOR_CAP`` colors, ``COLORING_BIT_CAP`` subset bits) before
+allocating anything for the body.
 Certificates serialize to canonical JSON (sorted keys, compact separators)
 so that re-running a recorded command reproduces the byte-identical body;
 only ``wall_time_ms`` is excluded from the body.
@@ -26,11 +29,11 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .constructions import ColoredCompleteGraph
+from .constructions import COLOR_CAP, ColoredCompleteGraph
 from .errors import ParseError
 from .geometry import AFFINE_PLANE, FQ3_FAMILY, IncidenceStructure
-from .graphs import SimpleGraph
-from .reduction import KSubsetColoring
+from .graphs import VERTEX_CAP, SimpleGraph
+from .reduction import KSubsetColoring, coloring_bit_count
 
 TOOL_VERSION = "0.1.0"
 
@@ -53,6 +56,29 @@ def _header(text: str, expected: str):
     return it, lineno, head
 
 
+def _pair_lines(it, n: int, shape: str):
+    """Yield ``(lineno, entries)`` for each body line of ``shape``, e.g. ``'u v c'``.
+
+    Checks the field count, integer entries, 0 <= u < v < n for the first
+    two entries, and that no pair comes twice.
+    """
+    seen = set()
+    for lineno, parts in it:
+        if len(parts) != len(shape.split()):
+            raise ParseError(lineno, f"expected '{shape}'")
+        try:
+            entries = [int(p) for p in parts]
+        except ValueError:
+            raise ParseError(lineno, "entries must be integers") from None
+        u, v = entries[0], entries[1]
+        if not 0 <= u < v < n:
+            raise ParseError(lineno, f"need 0 <= u < v < {n}, got {u} {v}")
+        if (u, v) in seen:
+            raise ParseError(lineno, f"duplicate pair {u} {v}")
+        seen.add((u, v))
+        yield lineno, entries
+
+
 # -- simple graphs ----------------------------------------------------------
 
 
@@ -64,20 +90,10 @@ def parse_simple_graph(text: str) -> SimpleGraph:
         n = int(head[1])
     except ValueError:
         raise ParseError(lineno, f"bad vertex count {head[1]!r}") from None
+    if not 0 <= n <= VERTEX_CAP:
+        raise ParseError(lineno, f"vertex count {n} outside [0, {VERTEX_CAP}]")
     rows = [0] * n
-    seen = set()
-    for lineno, parts in it:
-        if len(parts) != 2:
-            raise ParseError(lineno, "expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(lineno, "vertex indices must be integers") from None
-        if not 0 <= u < v < n:
-            raise ParseError(lineno, f"need 0 <= u < v < {n}, got {u} {v}")
-        if (u, v) in seen:
-            raise ParseError(lineno, f"duplicate edge {u} {v}")
-        seen.add((u, v))
+    for _, (u, v) in _pair_lines(it, n, "u v"):
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return SimpleGraph(n, tuple(rows))
@@ -100,25 +116,15 @@ def parse_colored_graph(text: str) -> ColoredCompleteGraph:
         n, r = int(head[1]), int(head[2])
     except ValueError:
         raise ParseError(lineno, "vertex and color counts must be integers") from None
-    if n < 0 or r < 1:
-        raise ParseError(lineno, f"bad sizes n={n}, r={r}")
+    if not (0 <= n <= VERTEX_CAP and 1 <= r <= COLOR_CAP):
+        raise ParseError(
+            lineno, f"sizes n={n}, r={r} outside [0, {VERTEX_CAP}] x [1, {COLOR_CAP}]"
+        )
     rows = [[0] * n for _ in range(r)]
-    seen = set()
     count = 0
-    for lineno, parts in it:
-        if len(parts) != 3:
-            raise ParseError(lineno, "expected 'u v c'")
-        try:
-            u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(lineno, "entries must be integers") from None
-        if not 0 <= u < v < n:
-            raise ParseError(lineno, f"need 0 <= u < v < {n}, got {u} {v}")
+    for lineno, (u, v, c) in _pair_lines(it, n, "u v c"):
         if not 1 <= c <= r:
             raise ParseError(lineno, f"color {c} outside [1, {r}]")
-        if (u, v) in seen:
-            raise ParseError(lineno, f"duplicate pair {u} {v}")
-        seen.add((u, v))
         count += 1
         rows[c - 1][u] |= 1 << v
         rows[c - 1][v] |= 1 << u
@@ -143,7 +149,10 @@ def parse_ksubset_coloring(text: str) -> KSubsetColoring:
         N, k = int(head[1]), int(head[2])
     except ValueError:
         raise ParseError(lineno, "N and k must be integers") from None
-    m = comb(N, k)
+    try:
+        m = coloring_bit_count(N, k)
+    except ValueError as err:
+        raise ParseError(lineno, str(err)) from None
     digits = -(-m // 4) if m else 1
     try:
         lineno, body = next(it)
@@ -186,6 +195,8 @@ def parse_incidence(text: str) -> IncidenceStructure:
     if kind == FQ3_FAMILY and lam is None:
         raise ParseError(lineno, "fq3-family header needs a lambda")
     point_count = q * q if kind == AFFINE_PLANE else q**3
+    if point_count > VERTEX_CAP:
+        raise ParseError(lineno, f"{point_count} points exceed cap {VERTEX_CAP}")
     lines = []
     for lineno, parts in it:
         try:

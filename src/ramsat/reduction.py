@@ -29,8 +29,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-import numpy as np
-
+from .constructions import seeded_rng
 from .errors import BudgetError, ConsistencyError
 from .graphs import (
     ENUMERATION_CAP,
@@ -40,7 +39,6 @@ from .graphs import (
     find_clique_mask,
     iter_subsets_colex,
     mask_of,
-    pair_rank,
     scan_subsets,
     subset_rank,
 )
@@ -54,6 +52,24 @@ F_ORACLE_SUBSET_CAP = 20
 
 
 # -- domain types ----------------------------------------------------------
+
+
+def coloring_bit_count(N: int, k: int) -> int:
+    """C(N, k), the bit count of a k-subset coloring of [N], capped.
+
+    Raises ValueError when it exceeds ``COLORING_BIT_CAP``, without ever
+    computing a larger binomial: with j = min(k, N - k) the partial
+    products C(N - j + i, i), i = 1..j, at least double at each step.
+    """
+    if k < 0 or N < 0:
+        raise ValueError("N and k must be non-negative")
+    j = min(k, N - k)
+    m = int(j >= 0)
+    for i in range(1, j + 1):
+        m = m * (N - j + i) // i
+        if m > COLORING_BIT_CAP:
+            raise ValueError(f"C({N},{k}) exceeds cap {COLORING_BIT_CAP}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -97,12 +113,7 @@ class KSubsetColoring:
     bits: int
 
     def __post_init__(self):
-        if self.k < 0 or self.N < 0:
-            raise ValueError("N and k must be non-negative")
-        m = comb(self.N, self.k)
-        if m > COLORING_BIT_CAP:
-            raise ValueError(f"C({self.N},{self.k}) = {m} exceeds cap {COLORING_BIT_CAP}")
-        if self.bits >> m:
+        if self.bits >> coloring_bit_count(self.N, self.k):
             raise ValueError("color bits extend past C(N, k)")
 
     @property
@@ -122,12 +133,8 @@ class KSubsetColoring:
 
     @classmethod
     def random(cls, N: int, k: int, seed: int) -> "KSubsetColoring":
-        m = comb(N, k)
-        rng = np.random.Generator(np.random.PCG64(seed))
-        bits = 0
-        for i, b in enumerate(rng.integers(0, 2, size=m)):
-            bits |= int(b) << i
-        return cls(N, k, bits)
+        draws = seeded_rng(seed).integers(0, 2, size=coloring_bit_count(N, k))
+        return cls(N, k, sum(int(b) << i for i, b in enumerate(draws)))
 
 
 @dataclass(frozen=True)
@@ -172,11 +179,7 @@ def _first_unbalanced(g: SimpleGraph, n: int, s: int, t: int) -> Optional[int]:
 @lru_cache(maxsize=None)
 def _pairs_of(N: int) -> tuple[tuple[int, int], ...]:
     """Pairs of range(N) ordered by colex rank."""
-    pairs = [None] * comb(N, 2)
-    for u in range(N):
-        for v in range(u + 1, N):
-            pairs[pair_rank(u, v)] = (u, v)
-    return tuple(pairs)
+    return tuple(iter_subsets_colex(N, 2))
 
 
 def graph_from_edge_mask(N: int, mask: int) -> SimpleGraph:

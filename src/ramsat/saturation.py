@@ -35,15 +35,15 @@ optimistic completion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 from typing import Optional
 
-import numpy as np
-
-from .constructions import ColoredCompleteGraph
+from .constructions import ColoredCompleteGraph, seeded_rng
 from .errors import BudgetError
 from .graphs import (
     ENUMERATION_CAP,
+    THREAD_CAP,
     SimpleGraph,
     find_clique_mask,
     iter_bits,
@@ -55,20 +55,6 @@ from .graphs import (
 
 EXACT_COLORING_CAP = 10**9
 OBSERVATION_SUBSET_CAP = 10**8
-
-
-@dataclass(frozen=True)
-class PatternParams:
-    """Color count and clique size, with the caps the exhaustive checks assume."""
-
-    r: int
-    k: int
-
-    def __post_init__(self):
-        if not 2 <= self.r <= 8:
-            raise ValueError(f"color count {self.r} outside [2, 8]")
-        if not 3 <= self.k <= 8:
-            raise ValueError(f"clique size {self.k} outside [3, 8]")
 
 
 @dataclass(frozen=True)
@@ -148,9 +134,7 @@ def is_semisaturated(
         raise ValueError("need k >= 3")
     n, r = c.n, c.r
     if samples is not None:
-        if seed is None:
-            raise ValueError("sampled mode requires an explicit seed")
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = seeded_rng(seed)
         for trial in range(samples):
             colors = [int(x) + 1 for x in rng.integers(0, r, size=n)]
             if coloring_escapes(c, k, colors):
@@ -217,7 +201,7 @@ def is_semisaturated_direct(c: ColoredCompleteGraph, k: int) -> Verdict:
     """Literal single-vertex-extension enumeration; the oracle for the above.
 
     Walks all r^n edge-color assignments to the new vertex in lexicographic
-    order and checks that each one creates a monochromatic K_k through it.
+    order and asks ``coloring_escapes`` of each; it never backtracks.
     ``checked`` counts assignments examined.
     """
     _require_complete(c)
@@ -226,36 +210,15 @@ def is_semisaturated_direct(c: ColoredCompleteGraph, k: int) -> Verdict:
     n, r = c.n, c.r
     if r**n > EXACT_COLORING_CAP:
         raise BudgetError(f"{r}^{n} assignments exceed cap {EXACT_COLORING_CAP}")
-    rows_per_class = [cls.rows for cls in c.classes]
-    assignment = [0] * n
-    masks = [0] * r
     checked = 0
-    while True:
-        checked += 1
-        for i in range(r):
-            masks[i] = 0
-        for v, col in enumerate(assignment):
-            masks[col] |= 1 << v
-        if all(
-            find_clique_mask(rows_per_class[i], masks[i], k - 1) is None
-            for i in range(r)
-        ):
+    for checked, colors in enumerate(product(range(1, r + 1), repeat=n), 1):
+        if coloring_escapes(c, k, colors):
             return Verdict(
                 holds=False,
-                witness={
-                    "kind": "escaping-coloring",
-                    "colors": [col + 1 for col in assignment],
-                },
+                witness={"kind": "escaping-coloring", "colors": list(colors)},
                 checked=checked,
             )
-        # next assignment in lexicographic order (last position fastest)
-        pos = n - 1
-        while pos >= 0 and assignment[pos] == r - 1:
-            assignment[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return Verdict(holds=True, witness=None, checked=checked)
-        assignment[pos] += 1
+    return Verdict(holds=True, witness=None, checked=checked)
 
 
 def check_observation(
@@ -280,8 +243,8 @@ def check_observation(
         raise ValueError("need r >= 2")
     if k < 3:
         raise ValueError("need k >= 3")
-    if threads < 1:
-        raise ValueError(f"need threads >= 1, got {threads}")
+    if not 1 <= threads <= THREAD_CAP:
+        raise ValueError(f"need 1 <= threads <= {THREAD_CAP}, got {threads}")
     if len(c.classes) < r:
         raise ValueError(f"pattern has {len(c.classes)} classes, need >= {r}")
     n = c.n
@@ -292,9 +255,7 @@ def check_observation(
     space = comb(n, m)
     checked = 0
     if samples is not None:
-        if seed is None:
-            raise ValueError("sampled mode requires an explicit seed")
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = seeded_rng(seed)
         for i in range(r):
             tests = _observation_tests(c, i, target)
             for _ in range(samples):
@@ -441,52 +402,49 @@ def ssat_search(
     any true completion.  At full depth the optimistic check is the exact
     one, so reaching it yields a semisaturated witness.
 
+    The search keeps only the optimistic graphs: ``opt[i]`` is class i plus
+    every uncolored pair.  Coloring {u, v} with color c removes the pair
+    from every class but c, so along a branch these graphs only lose edges;
+    at full depth nothing is uncolored and ``opt`` is the pattern itself.
+
     Returns found / exhausted / budget; ``nodes`` counts search nodes.
     """
-    PatternParams(r, k)
+    if not 2 <= r <= 8:
+        raise ValueError(f"color count {r} outside [2, 8]")
+    if not 3 <= k <= 8:
+        raise ValueError(f"clique size {k} outside [3, 8]")
     if n < 1:
         raise ValueError("need n >= 1")
     if n > 32:
         raise ValueError("search capped at 32 vertices")
     pairs = list(iter_subsets_colex(n, 2))
-    num_pairs = len(pairs)
-    class_rows = [[0] * n for _ in range(r)]
-    remaining = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
+    opt = [[((1 << n) - 1) & ~(1 << x) for x in range(n)] for _ in range(r)]
     nodes = 0
 
-    def doomed() -> bool:
-        opt = [
-            tuple(class_rows[i][x] | remaining[x] for x in range(n)) for i in range(r)
-        ]
-        return _escape_search(opt, n, k, [0] * r)[0]
-
-    def snapshot() -> ColoredCompleteGraph:
-        classes = tuple(SimpleGraph(n, tuple(rows)) for rows in class_rows)
-        return ColoredCompleteGraph(n, r, classes, complete=True)
+    def flip(u: int, v: int, color: int) -> None:
+        """Toggle {u, v} in every class but ``color``: color the pair, or undo that."""
+        for i in range(r):
+            if i != color:
+                opt[i][u] ^= 1 << v
+                opt[i][v] ^= 1 << u
 
     def dfs(d: int, used: int) -> Optional[ColoredCompleteGraph]:
         nonlocal nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise _BudgetHit
-        if doomed():
+        if _escape_search(opt, n, k, [0] * r)[0]:
             return None
-        if d == num_pairs:
-            return snapshot()
+        if d == len(pairs):
+            classes = tuple(SimpleGraph(n, tuple(rows)) for rows in opt)
+            return ColoredCompleteGraph(n, r, classes, complete=True)
         u, v = pairs[d]
-        ubit, vbit = 1 << u, 1 << v
-        remaining[u] &= ~vbit
-        remaining[v] &= ~ubit
         for color in range(min(used + 1, r)):
-            class_rows[color][u] |= vbit
-            class_rows[color][v] |= ubit
+            flip(u, v, color)
             res = dfs(d + 1, max(used, color + 1))
             if res is not None:
                 return res
-            class_rows[color][u] &= ~vbit
-            class_rows[color][v] &= ~ubit
-        remaining[u] |= vbit
-        remaining[v] |= ubit
+            flip(u, v, color)
         return None
 
     try:

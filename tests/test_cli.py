@@ -1,6 +1,7 @@
 """CLI: exit codes, certificates, witness feedback, reproducibility."""
 
 import json
+import time
 
 import pytest
 
@@ -278,3 +279,31 @@ def test_internal_error_exits_5_without_certificate(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+@pytest.mark.parametrize("header, argv", [
+    ("g 10000000000000000000", ["experiment", "bad-sets", "--n", "3", "--s", "2", "--t", "2"]),
+    ("cg 10000000000000000000 2", ["verify", "ssat", "--k", "3"]),
+    ("cg 3 100000000000000000000", ["verify", "ssat", "--k", "3"]),
+    ("ksc 400000 200000\n0", ["reduce", "chi-to-graph", "--s", "2", "--t", "2"]),
+    ("inc affine-plane 100003", ["geom", "incidence", "--lines", "0", "--points", "0"]),
+], ids=["g-vertices", "cg-vertices", "cg-colors", "ksc-bits", "inc-points"])
+def test_oversized_header_exits_4_before_allocating(tmp_path, capsys, header, argv):
+    path = tmp_path / "big"
+    path.write_text(header + "\n")
+    start = time.perf_counter()
+    assert run(argv + ["--in", str(path)]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "observation", "--in", "a.cg", "--k", "4", "--r", "2", "--threads", "100000"],
+    ["experiment", "bad-sets", "--gnp-n", "12", "--gnp-p", "0.5", "--gnp-seed", "1",
+     "--n", "4", "--s", "3", "--t", "3", "--threads", "65"],
+], ids=["observation", "bad-sets"])
+def test_threads_above_cap_rejected(no_worker_processes, tmp_path, monkeypatch, capsys, argv):
+    (tmp_path / "a.cg").write_text(rs.dump_colored_graph(rs.affine_coloring(5, 2)))
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 3
+    assert capsys.readouterr().out == ""

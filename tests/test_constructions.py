@@ -205,6 +205,23 @@ def test_count_bad_sets_rejects_threads_below_1(no_worker_processes):
         rs.count_bad_sets(g, 4, 3, 3, threads=-3)
 
 
+def test_count_bad_sets_rejects_threads_above_cap(no_worker_processes):
+    g = rs.sample_gnp(rs.GnpParams(11, 0.4, 2))
+    with pytest.raises(ValueError, match="threads"):
+        rs.count_bad_sets(g, 4, 3, 3, threads=rs.graphs.THREAD_CAP + 1)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: rs.sample_gnp(rs.GnpParams(5, 0.5, None)),
+    lambda: rs.random_complete_pattern(4, 2, None),
+    lambda: rs.KSubsetColoring.random(5, 2, None),
+    lambda: rs.affine_coloring(3, 4, rs.constructions.ROUND_ROBIN, None),
+], ids=["sample_gnp", "random_complete_pattern", "KSubsetColoring.random", "affine_round_robin"])
+def test_random_objects_refuse_a_missing_seed(draw):
+    with pytest.raises(ValueError, match="seed"):
+        draw()
+
+
 def test_count_bad_sets_budget():
     g = rs.SimpleGraph.empty(40)
     with pytest.raises(BudgetError):

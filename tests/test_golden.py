@@ -11,7 +11,13 @@ The cases cover the README commands (except the 10.4M-subset observation
 scan of ``a.cg``), sharded and serial observation scans with failing
 witnesses, exact and sampled bad-set counts, sampled verification, failing
 verdicts of every verify command, K_4 to K_6 checks that take the clique
-search below depth 3, and a budget-limited search.
+search below depth 3, budget-limited searches, exhausted searches of up
+to 738 nodes and a found pattern, every "unknown" certificate path (oracle
+without a value up to ``--n-max``, oracle and bad-set budgets) and the
+seeded round-robin affine coloring.
+
+Record a new case, before the change it guards, with
+``python tests/golden/record.py ARGV...`` (see that script).
 """
 
 import contextlib

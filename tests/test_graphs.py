@@ -96,16 +96,6 @@ def test_find_clique_mask_extreme_graphs(g):
         for m in range(7):
             assert find_clique_mask(g.rows, allowed, m) == naive_clique_mask(g, allowed, m)
 
-def test_find_clique_nondeterministic_mode_valid():
-    for seed in range(20):
-        g = rs.sample_gnp(rs.GnpParams(14, 0.5, seed))
-        for m in (2, 3, 4):
-            got = rs.find_clique(g, m, deterministic=False)
-            want = naive_find_clique(g, m)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert is_clique(g, got)
-
 
 def test_turan_independent_set_examples():
     assert len(rs.turan_independent_set(rs.SimpleGraph.empty(5))) == 5
@@ -237,3 +227,10 @@ def test_complement_involution():
         g = rs.sample_gnp(rs.GnpParams(12, 0.4, seed))
         assert g.complement.complement == g
         assert g.edge_count + g.complement.edge_count == 12 * 11 // 2
+
+
+def test_scan_colex_rejects_threads_above_cap(no_worker_processes):
+    tests = rs.graphs.balance_tests(rs.SimpleGraph.complete(20), 3, 3)
+    for threads in (rs.graphs.THREAD_CAP + 1, 100000):
+        with pytest.raises(ValueError, match="threads"):
+            rs.graphs.scan_colex(tests, 20, 10, threads)

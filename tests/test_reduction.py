@@ -38,6 +38,20 @@ def test_pair_rank_consistent():
 # -- ksubset colorings -------------------------------------------------------
 
 
+def test_coloring_bit_count_matches_comb_within_cap():
+    cap = rs.reduction.COLORING_BIT_CAP
+    for N in range(40):
+        for k in range(N + 3):
+            if comb(N, k) <= cap:
+                assert rs.reduction.coloring_bit_count(N, k) == comb(N, k)
+            else:
+                with pytest.raises(ValueError, match="exceeds cap"):
+                    rs.reduction.coloring_bit_count(N, k)
+    for N, k in [(400000, 200000), (10**20, 1), (10**20, 10**19)]:
+        with pytest.raises(ValueError, match="exceeds cap"):
+            rs.KSubsetColoring(N, k, 0)
+
+
 def test_ksubset_coloring_basics():
     chi = rs.KSubsetColoring.all_blue(5, 3)
     assert chi.color_of((0, 1, 2)) == 1

@@ -144,6 +144,11 @@ def test_check_observation_rejects_threads_below_1(no_worker_processes):
         rs.check_observation(rs.affine_coloring(3, 2), 3, 2, threads=0)
 
 
+def test_check_observation_rejects_threads_above_cap(no_worker_processes):
+    with pytest.raises(ValueError, match="threads"):
+        rs.check_observation(rs.affine_coloring(5, 2), 4, 2, threads=rs.graphs.THREAD_CAP + 1)
+
+
 def test_check_observation_sampled():
     pat = rs.affine_coloring(3, 2)
     v = rs.check_observation(pat, 3, 2, samples=100, seed=5)
