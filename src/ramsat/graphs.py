@@ -30,10 +30,13 @@ from typing import Iterator, NamedTuple, Optional
 # Hard caps.  Exhaustive subset/graph enumeration is only offered up to 64
 # vertices; general search works up to 4096.  A sharded scan starts at most
 # THREAD_CAP worker processes: a constant, so that a certificate recording
-# its thread count reproduces on any machine.
+# its thread count reproduces on any machine.  The clique search recurses
+# once per vertex above size 3, so it stops at CLIQUE_DEPTH_CAP vertices,
+# well inside Python's default recursion limit.
 ENUMERATION_CAP = 64
 VERTEX_CAP = 4096
 THREAD_CAP = 64
+CLIQUE_DEPTH_CAP = 512
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -263,7 +266,8 @@ def find_clique_mask(rows: tuple[int, ...], allowed: int, m: int) -> Optional[in
     ignored, which makes this the induced-subgraph clique test.  Returns
     None when no m-clique exists.  Sizes up to 3 run as plain loops over
     bit masks; from 4 on the search is depth-first with the greedy colour
-    bound at every level of 4 or more, ending in the triangle loop.
+    bound at every level of 4 or more, ending in the triangle loop, and
+    raises ValueError past ``CLIQUE_DEPTH_CAP``.
     """
     if m == 3:
         return _triangle_mask(rows, allowed)
@@ -279,6 +283,8 @@ def find_clique_mask(rows: tuple[int, ...], allowed: int, m: int) -> Optional[in
         return (allowed & -allowed) or None
     if m == 0:
         return 0
+    if m > CLIQUE_DEPTH_CAP:
+        raise ValueError(f"clique size {m} exceeds cap {CLIQUE_DEPTH_CAP}")
     return _clique_search(rows, allowed, m)
 
 

@@ -18,7 +18,11 @@ unbalanced sets of the graph.  Each transform asserts its well-definedness
 condition (the two forcing rules can never both fire) at runtime.
 
 k-subsets are indexed by colex rank throughout (the ranking lives in
-``ramsat.graphs``).  Edge bitmasks of graphs use the colex rank of pairs.
+``ramsat.graphs``), and a family of k-subsets of [N] is an int whose bit i
+is the k-subset of rank i: the layout of ``KSubsetColoring.bits``.  The
+superset mask of a set S is the family of k-subsets containing S, so S lies
+in a red k-superset when ``~bits & mask`` is nonzero and in a blue one when
+``bits & mask`` is.  Edge bitmasks of graphs use the colex rank of pairs.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .graphs import (
     VertexSet,
     balance_tests,
     find_clique_mask,
+    iter_bits,
     iter_subsets_colex,
     mask_of,
     scan_subsets,
@@ -134,7 +139,8 @@ class KSubsetColoring:
     @classmethod
     def random(cls, N: int, k: int, seed: int) -> "KSubsetColoring":
         draws = seeded_rng(seed).integers(0, 2, size=coloring_bit_count(N, k))
-        return cls(N, k, sum(int(b) << i for i, b in enumerate(draws)))
+        digits = (draws[::-1] + ord("0")).astype("u1").tobytes()  # draw i is bit i
+        return cls(N, k, int(digits or b"0", 2))
 
 
 @dataclass(frozen=True)
@@ -225,7 +231,7 @@ def g_oracle(n: int, s: int, t: int, n_max: int) -> GOracleResult:
                 continue
             checked += 1
             g = graph_from_edge_mask(N, mask)
-            if n > N or _first_unbalanced(g, n, s, t) is None:
+            if _first_unbalanced(g, n, s, t) is None:
                 counterexample = g
                 break
         if counterexample is None:
@@ -238,46 +244,42 @@ def g_oracle(n: int, s: int, t: int, n_max: int) -> GOracleResult:
 
 
 @lru_cache(maxsize=None)
-def _good_set_tables(N: int, k: int, n: int, s: int, t: int):
-    """Per n-subset, the superset-rank lists feeding the two good conditions.
+def _vertex_masks(N: int, k: int) -> tuple[int, ...]:
+    """Per vertex v of range(N), the mask of the k-subsets containing v."""
+    rows = [bytearray((comb(N, k) + 7) >> 3) for _ in range(N)]
+    for rank, K in enumerate(iter_subsets_colex(N, k)):
+        for v in K:
+            rows[v][rank >> 3] |= 1 << (rank & 7)
+    return tuple(int.from_bytes(row, "little") for row in rows)
 
-    Entry u of the result is a pair (A, B): A lists, for each s-subset of
-    the u-th (colex) n-subset, the colex ranks of its k-supersets within
-    [N]; B does the same for t-subsets.  A condition holds when every inner
-    list contains a subset of the right color.
+
+def _superset_mask(N: int, k: int, S: tuple[int, ...]) -> int:
+    """Mask of the k-subsets of range(N) containing the subset S."""
+    mask, vertex_masks = (1 << comb(N, k)) - 1, _vertex_masks(N, k)
+    for v in S:
+        mask &= vertex_masks[v]
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _good_set_tables(N: int, k: int, n: int, s: int, t: int):
+    """(U, A, B) per n-subset U in colex order: A and B hold the superset masks
+    of the s- and of the t-subsets of U.  U is good when every mask of A meets
+    a red bit or every mask of B meets a blue bit.
     """
     return tuple(
         (
             U,
-            tuple(tuple(_superset_ranks(N, k, S)) for S in combinations(U, s)),
-            tuple(tuple(_superset_ranks(N, k, T)) for T in combinations(U, t)),
+            tuple(_superset_mask(N, k, S) for S in combinations(U, s)),
+            tuple(_superset_mask(N, k, T) for T in combinations(U, t)),
         )
         for U in iter_subsets_colex(N, n)
     )
 
 
-def _superset_ranks(N: int, k: int, S: tuple[int, ...]):
-    """Colex ranks of the k-subsets of range(N) containing the subset S."""
-    rest = sorted(set(range(N)) - set(S))
-    for extra in combinations(rest, k - len(S)):
-        yield subset_rank(tuple(sorted(S + extra)))
-
-
 def _first_good_set(bits: int, table) -> Optional[tuple[int, ...]]:
-    for U, a_lists, b_lists in table:
-        good = True
-        for ranks in a_lists:
-            if all((bits >> r) & 1 for r in ranks):  # no red superset
-                good = False
-                break
-        if good:
-            return U
-        good = True
-        for ranks in b_lists:
-            if not any((bits >> r) & 1 for r in ranks):  # no blue superset
-                good = False
-                break
-        if good:
+    for U, a_masks, b_masks in table:
+        if all(~bits & m for m in a_masks) or all(bits & m for m in b_masks):
             return U
     return None
 
@@ -319,18 +321,13 @@ def f_oracle(params: RamseyParams, n_max: int) -> FOracleResult:
     checked = 0
     witness = None
     for N in range(max(1, n - 1), n_max + 1):
-        bit_count = comb(N, k)
+        table = _good_set_tables(N, k, n, s, t)
         counterexample = None
-        if n > N:
+        for bits in range(1 << comb(N, k)):
             checked += 1
-            counterexample = KSubsetColoring(N, k, 0)
-        else:
-            table = _good_set_tables(N, k, n, s, t)
-            for bits in range(1 << bit_count):
-                checked += 1
-                if _first_good_set(bits, table) is None:
-                    counterexample = KSubsetColoring(N, k, bits)
-                    break
+            if _first_good_set(bits, table) is None:
+                counterexample = KSubsetColoring(N, k, bits)
+                break
         if counterexample is None:
             return FOracleResult(N, witness, checked)
         witness = counterexample
@@ -347,10 +344,11 @@ def coloring_to_graph(
 
     A pair {x, y} is forced to be an edge when some s-superset S of it has
     all its k-supersets blue, and forced to be a non-edge when some
-    t-superset T has all its k-supersets red.  Since |S ∪ T| <= s+t-2 = k,
-    a k-superset of S ∪ T would have to be both colors, so the two forcing
-    rules are mutually exclusive — this is asserted per pair and a failure
-    raises ConsistencyError (an implementation bug, not an input error).
+    t-superset T has all its k-supersets red; each such S or T marks all
+    its pairs at once.  Since |S ∪ T| <= s+t-2 = k, a k-superset of S ∪ T
+    would have to be both colors, so the two forcing rules are mutually
+    exclusive — this is asserted per pair and a failure raises
+    ConsistencyError (an implementation bug, not an input error).
     Unforced pairs follow ``tie_break`` ("nonedge" by default).
     """
     if s < 2 or t < 2:
@@ -363,26 +361,23 @@ def coloring_to_graph(
     if k > N:
         raise ValueError("need k <= N")
     bits = chi.bits
-    rows = [0] * N
+    edge, nonedge = [0] * N, [0] * N
+    # S forces its pairs when no k-superset of S meets ``hit``: all blue
+    # for the edge rule, all red for the non-edge rule
+    for rows, size, hit in ((edge, s, ~bits), (nonedge, t, bits)):
+        for S in combinations(range(N), size):
+            if not hit & _superset_mask(N, k, S):
+                m = mask_of(S)
+                for v in S:
+                    rows[v] |= m ^ (1 << v)
     for x in range(N):
-        for y in range(x + 1, N):
-            rest = sorted(set(range(N)) - {x, y})
-            forced_edge = any(
-                all(bits >> rank & 1 for rank in _superset_ranks(N, k, (x, y) + extra))
-                for extra in combinations(rest, s - 2)
+        for y in iter_bits(edge[x] & nonedge[x]):  # raises on the first clash, y > x
+            raise ConsistencyError(
+                f"pair ({x},{y}) forced both ways; coloring transform is broken"
             )
-            forced_nonedge = any(
-                not any(bits >> rank & 1 for rank in _superset_ranks(N, k, (x, y) + extra))
-                for extra in combinations(rest, t - 2)
-            )
-            if forced_edge and forced_nonedge:
-                raise ConsistencyError(
-                    f"pair ({x},{y}) forced both ways; coloring transform is broken"
-                )
-            if forced_edge or (not forced_nonedge and tie_break == "edge"):
-                rows[x] |= 1 << y
-                rows[y] |= 1 << x
-    return SimpleGraph(N, tuple(rows))
+    if tie_break == "edge":
+        edge = [((1 << N) - 1) ^ (1 << x) ^ nonedge[x] for x in range(N)]
+    return SimpleGraph(N, tuple(edge))
 
 
 def graph_to_coloring(

@@ -237,7 +237,8 @@ def check_observation(
     (color, subset) pair, deterministic for a fixed thread count.
     ``checked`` counts subset inspections.  Subset enumeration may be
     sharded over processes with ``threads``; sampled mode draws seeded
-    random subsets instead when C(n, ceil(n/r)) is beyond the 10^8 budget.
+    random subsets instead, for patterns past the 64-vertex enumeration cap
+    or the 10^8 budget on C(n, ceil(n/r)).
     """
     if r < 2:
         raise ValueError("need r >= 2")
@@ -248,11 +249,8 @@ def check_observation(
     if len(c.classes) < r:
         raise ValueError(f"pattern has {len(c.classes)} classes, need >= {r}")
     n = c.n
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"subset enumeration capped at {ENUMERATION_CAP} vertices")
     m = -(-n // r)  # ceil(n/r)
     target = k - 1
-    space = comb(n, m)
     checked = 0
     if samples is not None:
         rng = seeded_rng(seed)
@@ -269,6 +267,9 @@ def check_observation(
                         exhaustive=False,
                     )
         return Verdict(holds=True, witness=None, checked=checked, exhaustive=False)
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"subset enumeration capped at {ENUMERATION_CAP} vertices")
+    space = comb(n, m)
     if space > OBSERVATION_SUBSET_CAP:
         raise BudgetError(
             f"C({n},{m}) = {space} exceeds cap {OBSERVATION_SUBSET_CAP}; use samples="

@@ -307,3 +307,27 @@ def test_threads_above_cap_rejected(no_worker_processes, tmp_path, monkeypatch, 
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 3
     assert capsys.readouterr().out == ""
+
+
+def test_sampled_bad_sets_past_clique_depth_cap_exits_3(capsys):
+    cap = rs.graphs.CLIQUE_DEPTH_CAP
+    argv = ["experiment", "bad-sets", "--gnp-n", str(cap + 1), "--gnp-p", "1.0",
+            "--gnp-seed", "1", "--n", str(cap + 1), "--s", str(cap + 1), "--t", "2",
+            "--mode", "sampled", "--trials", "1", "--seed", "1"]
+    assert run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "clique" in err
+
+
+def test_sampled_observation_past_enumeration_cap(tmp_path, monkeypatch, capsys):
+    # a 125-vertex pattern: sampling enumerates nothing, so the 64-vertex
+    # enumeration cap applies only to the exact scan
+    monkeypatch.chdir(tmp_path)
+    assert run(["construct", "fq3", "--q", "5", "--r", "3", "--out", "fq3.cg"]) == 0
+    capsys.readouterr()
+    code, cert = _run(capsys, ["verify", "observation", "--in", "fq3.cg", "--k", "4",
+                               "--r", "3", "--samples", "50", "--seed", "1"])
+    assert code == 2 and cert["checked"] == 150
+    assert run(["verify", "observation", "--in", "fq3.cg", "--k", "4", "--r", "3"]) == 3
+    assert "capped at 64 vertices" in capsys.readouterr().err
+

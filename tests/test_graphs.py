@@ -1,6 +1,7 @@
 """Graph core: clique/independent-set search, greedy bound, homogeneous extraction."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -234,3 +235,20 @@ def test_scan_colex_rejects_threads_above_cap(no_worker_processes):
     for threads in (rs.graphs.THREAD_CAP + 1, 100000):
         with pytest.raises(ValueError, match="threads"):
             rs.graphs.scan_colex(tests, 20, 10, threads)
+
+
+def test_find_clique_at_depth_cap():
+    cap = rs.graphs.CLIQUE_DEPTH_CAP
+    k = rs.SimpleGraph.complete(cap)
+    assert rs.find_clique(k, cap).members == tuple(range(cap))
+
+
+def test_find_clique_past_depth_cap_raises_at_once():
+    cap = rs.graphs.CLIQUE_DEPTH_CAP
+    k = rs.SimpleGraph.complete(cap + 1)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="clique"):
+        rs.find_clique(k, cap + 1)
+    with pytest.raises(ValueError, match="clique"):
+        rs.graphs.find_clique_mask(k.rows, 0, cap + 1)
+    assert time.perf_counter() - start < 0.5

@@ -1,5 +1,6 @@
 """Colex ranking, the two oracles, and both directions of the reduction."""
 
+import time
 from itertools import combinations
 from math import comb
 
@@ -60,6 +61,22 @@ def test_ksubset_coloring_basics():
     a = rs.KSubsetColoring.random(6, 3, 17)
     assert a == rs.KSubsetColoring.random(6, 3, 17)
     assert a != rs.KSubsetColoring.random(6, 3, 18)
+
+
+@pytest.mark.parametrize("N, k, seed", [(0, 0, 1), (5, 2, 0), (6, 3, 17), (9, 4, 3), (12, 5, 8)])
+def test_ksubset_coloring_random_matches_shifted_draws(N, k, seed):
+    draws = rs.constructions.seeded_rng(seed).integers(0, 2, size=comb(N, k))
+    want = 0
+    for i, b in enumerate(draws):
+        want |= int(b) << i
+    assert rs.KSubsetColoring.random(N, k, seed).bits == want
+
+
+def test_ksubset_coloring_random_is_linear():
+    start = time.perf_counter()
+    chi = rs.KSubsetColoring.random(22, 11, 1)
+    assert time.perf_counter() - start < 2.0
+    assert chi.bits >> (comb(22, 11) - 1) in (0, 1)
 
 
 def test_ksubset_coloring_caps():
@@ -209,27 +226,32 @@ def test_coloring_to_graph_single_blue_triple():
     assert g == rs.SimpleGraph.complete(3)
 
 
-def test_coloring_to_graph_forced_sets_disjoint_seeded():
+@pytest.mark.parametrize("N, s, t", [(5, 2, 3), (6, 3, 2), (6, 3, 3), (7, 3, 3), (6, 2, 4), (7, 4, 2)])
+def test_coloring_to_graph_forced_sets_disjoint_seeded(N, s, t):
     # recompute both forcing conditions independently and confirm the
     # transform saw no conflict and honored them under both tie breaks
-    N, k, s, t = 5, 3, 2, 3
-    for seed in range(30):
+    k = s + t - 2
+
+    def all_supersets(T, color):
+        return all(
+            chi.color_of(K) == color
+            for K in combinations(range(N), k)
+            if set(T) <= set(K)
+        )
+
+    for seed in range(30 if N < 7 else 8):
         chi = rs.KSubsetColoring.random(N, k, seed)
         g_non = rs.coloring_to_graph(chi, s, t, "nonedge")
         g_edge = rs.coloring_to_graph(chi, s, t, "edge")
         for x in range(N):
             for y in range(x + 1, N):
-                forced_edge = all(
-                    chi.color_of(K) == 1
-                    for K in combinations(range(N), k)
-                    if {x, y} <= set(K)
+                forced_edge = any(
+                    all_supersets(S, 1)
+                    for S in combinations(range(N), s)
+                    if {x, y} <= set(S)
                 )
                 forced_non = any(
-                    all(
-                        chi.color_of(K) == 0
-                        for K in combinations(range(N), k)
-                        if set(T) <= set(K)
-                    )
+                    all_supersets(T, 0)
                     for T in combinations(range(N), t)
                     if {x, y} <= set(T)
                 )

@@ -274,3 +274,12 @@ def test_budget_guard():
     with pytest.raises(ValueError):
         rs.is_semisaturated(pat, 3, samples=10)  # missing seed
     assert isinstance(BudgetError("x"), RuntimeError)
+
+
+def test_check_observation_sampled_past_enumeration_cap():
+    pat = rs.fq3_coloring(5, 3)
+    assert pat.n == 125
+    v = rs.check_observation(pat, 4, 3, samples=50, seed=1)
+    assert not v.exhaustive and v.checked == 150
+    with pytest.raises(ValueError, match="capped at 64"):
+        rs.check_observation(pat, 4, 3)
