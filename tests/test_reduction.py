@@ -226,42 +226,36 @@ def test_coloring_to_graph_single_blue_triple():
     assert g == rs.SimpleGraph.complete(3)
 
 
-@pytest.mark.parametrize("N, s, t", [(5, 2, 3), (6, 3, 2), (6, 3, 3), (7, 3, 3), (6, 2, 4), (7, 4, 2)])
-def test_coloring_to_graph_forced_sets_disjoint_seeded(N, s, t):
+def test_coloring_to_graph_forced_sets_disjoint_seeded():
     # recompute both forcing conditions independently and confirm the
     # transform saw no conflict and honored them under both tie breaks
-    k = s + t - 2
+    for N, s, t in [(5, 2, 3), (6, 3, 2), (6, 3, 3), (7, 3, 3), (6, 2, 4), (7, 4, 2)]:
+        k = s + t - 2
+        for seed in range(30 if N < 7 else 8):
+            chi = rs.KSubsetColoring.random(N, k, seed)
+            g_non = rs.coloring_to_graph(chi, s, t, "nonedge")
+            g_edge = rs.coloring_to_graph(chi, s, t, "edge")
+            for x in range(N):
+                for y in range(x + 1, N):
+                    forced_edge = _forced(chi, (x, y), s, 1)
+                    forced_non = _forced(chi, (x, y), t, 0)
+                    assert not (forced_edge and forced_non)
+                    if forced_edge:
+                        assert g_non.has_edge(x, y) and g_edge.has_edge(x, y)
+                    elif forced_non:
+                        assert not g_non.has_edge(x, y) and not g_edge.has_edge(x, y)
+                    else:
+                        assert not g_non.has_edge(x, y) and g_edge.has_edge(x, y)
 
-    def all_supersets(T, color):
-        return all(
-            chi.color_of(K) == color
-            for K in combinations(range(N), k)
-            if set(T) <= set(K)
-        )
 
-    for seed in range(30 if N < 7 else 8):
-        chi = rs.KSubsetColoring.random(N, k, seed)
-        g_non = rs.coloring_to_graph(chi, s, t, "nonedge")
-        g_edge = rs.coloring_to_graph(chi, s, t, "edge")
-        for x in range(N):
-            for y in range(x + 1, N):
-                forced_edge = any(
-                    all_supersets(S, 1)
-                    for S in combinations(range(N), s)
-                    if {x, y} <= set(S)
-                )
-                forced_non = any(
-                    all_supersets(T, 0)
-                    for T in combinations(range(N), t)
-                    if {x, y} <= set(T)
-                )
-                assert not (forced_edge and forced_non)
-                if forced_edge:
-                    assert g_non.has_edge(x, y) and g_edge.has_edge(x, y)
-                elif forced_non:
-                    assert not g_non.has_edge(x, y) and not g_edge.has_edge(x, y)
-                else:
-                    assert not g_non.has_edge(x, y) and g_edge.has_edge(x, y)
+def _forced(chi, pair, size, color):
+    """Some size-superset of ``pair`` has every k-superset of the given color."""
+    N, k = chi.N, chi.k
+    return any(
+        all(chi.color_of(K) == color for K in combinations(range(N), k) if set(S) <= set(K))
+        for S in combinations(range(N), size)
+        if set(pair) <= set(S)
+    )
 
 
 def test_coloring_to_graph_exclusivity_exhaustive_vectorized():
