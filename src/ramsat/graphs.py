@@ -30,9 +30,8 @@ from typing import Iterator, NamedTuple, Optional
 # Hard caps.  Exhaustive subset/graph enumeration is only offered up to 64
 # vertices; general search works up to 4096.  A sharded scan starts at most
 # THREAD_CAP worker processes: a constant, so that a certificate recording
-# its thread count reproduces on any machine.  The clique search recurses
-# once per vertex above size 3, so it stops at CLIQUE_DEPTH_CAP vertices,
-# well inside Python's default recursion limit.
+# its thread count reproduces on any machine.  CLIQUE_DEPTH_CAP keeps the
+# clique search, one recursion per vertex, inside Python's recursion limit.
 ENUMERATION_CAP = 64
 VERTEX_CAP = 4096
 THREAD_CAP = 64
@@ -265,9 +264,9 @@ def find_clique_mask(rows: tuple[int, ...], allowed: int, m: int) -> Optional[in
     ``rows`` is any bit-row adjacency; vertices outside ``allowed`` are
     ignored, which makes this the induced-subgraph clique test.  Returns
     None when no m-clique exists.  Sizes up to 3 run as plain loops over
-    bit masks; from 4 on the search is depth-first with the greedy colour
-    bound at every level of 4 or more, ending in the triangle loop, and
-    raises ValueError past ``CLIQUE_DEPTH_CAP``.
+    bit masks; from 4 up to ``CLIQUE_DEPTH_CAP`` the search is depth-first
+    with the greedy colour bound at every level, ending in the triangle
+    loop.  A larger m raises ValueError.
     """
     if m == 3:
         return _triangle_mask(rows, allowed)

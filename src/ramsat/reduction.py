@@ -17,11 +17,11 @@ graph whose unbalanced sets are good sets of the coloring, and
 unbalanced sets of the graph.  Each transform asserts its well-definedness
 condition (the two forcing rules can never both fire) at runtime.
 
-k-subsets are indexed by colex rank throughout (the ranking lives in
-``ramsat.graphs``), and a family of k-subsets of [N] is an int whose bit i
-is the k-subset of rank i: the layout of ``KSubsetColoring.bits``.  The
-superset mask of a set S is the family of k-subsets containing S, so S lies
-in a red k-superset when ``~bits & mask`` is nonzero and in a blue one when
+k-subsets are indexed by colex rank (the ranking lives in ``ramsat.graphs``),
+and a family of k-subsets of [N] is an int whose bit i is the rank-i subset,
+as in ``KSubsetColoring.bits``.  The superset mask of S, the AND of cached
+per-vertex masks, is the family of k-subsets containing S: S lies in a red
+k-superset when ``~bits & mask`` is nonzero, in a blue one when
 ``bits & mask`` is.  Edge bitmasks of graphs use the colex rank of pairs.
 """
 
@@ -52,6 +52,7 @@ RED = 0
 BLUE = 1
 
 COLORING_BIT_CAP = 1 << 24
+SUPERSET_MASK_BIT_CAP = 1 << 30  # N per-vertex masks of C(N, k) bits each: 128 MiB
 G_ORACLE_VERTEX_CAP = 7
 F_ORACLE_SUBSET_CAP = 20
 
@@ -192,13 +193,12 @@ def graph_from_edge_mask(N: int, mask: int) -> SimpleGraph:
     """Graph on N vertices whose edge set is the colex-rank bitmask ``mask``."""
     rows = [0] * N
     pairs = _pairs_of(N)
-    m = mask
-    while m:
-        low = m & -m
+    while mask:
+        low = mask & -mask
         u, v = pairs[low.bit_length() - 1]
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        m ^= low
+        mask ^= low
     return SimpleGraph(N, tuple(rows))
 
 
@@ -243,14 +243,18 @@ def g_oracle(n: int, s: int, t: int, n_max: int) -> GOracleResult:
 # -- good sets and the f oracle ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # each caller builds all its masks over one (N, k)
 def _vertex_masks(N: int, k: int) -> tuple[int, ...]:
     """Per vertex v of range(N), the mask of the k-subsets containing v."""
+    if N * comb(N, k) > SUPERSET_MASK_BIT_CAP:
+        raise ValueError(f"{N} x C({N},{k}) superset-mask bits exceed cap {SUPERSET_MASK_BIT_CAP}")
     rows = [bytearray((comb(N, k) + 7) >> 3) for _ in range(N)]
     for rank, K in enumerate(iter_subsets_colex(N, k)):
         for v in K:
             rows[v][rank >> 3] |= 1 << (rank & 7)
-    return tuple(int.from_bytes(row, "little") for row in rows)
+    for v in range(N):  # in place, so the bytes and the ints are never both held in full
+        rows[v] = int.from_bytes(rows[v], "little")
+    return tuple(rows)
 
 
 def _superset_mask(N: int, k: int, S: tuple[int, ...]) -> int:
@@ -268,11 +272,8 @@ def _good_set_tables(N: int, k: int, n: int, s: int, t: int):
     a red bit or every mask of B meets a blue bit.
     """
     return tuple(
-        (
-            U,
-            tuple(_superset_mask(N, k, S) for S in combinations(U, s)),
-            tuple(_superset_mask(N, k, T) for T in combinations(U, t)),
-        )
+        (U, tuple(_superset_mask(N, k, S) for S in combinations(U, s)),
+         tuple(_superset_mask(N, k, T) for T in combinations(U, t)))
         for U in iter_subsets_colex(N, n)
     )
 
@@ -360,11 +361,9 @@ def coloring_to_graph(
     N, k = chi.N, chi.k
     if k > N:
         raise ValueError("need k <= N")
-    bits = chi.bits
     edge, nonedge = [0] * N, [0] * N
-    # S forces its pairs when no k-superset of S meets ``hit``: all blue
-    # for the edge rule, all red for the non-edge rule
-    for rows, size, hit in ((edge, s, ~bits), (nonedge, t, bits)):
+    # no k-superset of S meets ``hit``: S is all blue (edge) or all red (non-edge)
+    for rows, size, hit in ((edge, s, ~chi.bits), (nonedge, t, chi.bits)):
         for S in combinations(range(N), size):
             if not hit & _superset_mask(N, k, S):
                 m = mask_of(S)

@@ -235,10 +235,9 @@ def check_observation(
     classes only need to be edge-disjoint).  Scans classes in order and
     subsets in colex order; on failure the witness is the first failing
     (color, subset) pair, deterministic for a fixed thread count.
-    ``checked`` counts subset inspections.  Subset enumeration may be
-    sharded over processes with ``threads``; sampled mode draws seeded
-    random subsets instead, for patterns past the 64-vertex enumeration cap
-    or the 10^8 budget on C(n, ceil(n/r)).
+    ``checked`` counts subset inspections.  Subset enumeration (n <= 64,
+    C(n, ceil(n/r)) <= 10^8) may be sharded over processes with ``threads``;
+    sampled mode draws seeded random subsets instead, with no such cap.
     """
     if r < 2:
         raise ValueError("need r >= 2")

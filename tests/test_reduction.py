@@ -282,6 +282,16 @@ def test_coloring_to_graph_exclusivity_exhaustive_vectorized():
             assert not bool(np.any(forced_edge & forced_non))
 
 
+def test_coloring_to_graph_refuses_superset_masks_past_cap():
+    # 1300 per-vertex masks of C(1300, 2) bits would take 137 MB
+    chi = rs.KSubsetColoring.all_red(1300, 2)
+    assert 1300 * comb(1300, 2) > rs.reduction.SUPERSET_MASK_BIT_CAP
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="superset-mask bits exceed cap"):
+        rs.coloring_to_graph(chi, 2, 2)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_coloring_to_graph_requires_matching_k():
     chi = rs.KSubsetColoring.all_red(5, 3)
     with pytest.raises(ValueError):
