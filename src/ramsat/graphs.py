@@ -266,7 +266,8 @@ def find_clique_mask(rows: tuple[int, ...], allowed: int, m: int) -> Optional[in
     None when no m-clique exists.  Sizes up to 3 run as plain loops over
     bit masks; from 4 up to ``CLIQUE_DEPTH_CAP`` the search is depth-first
     with the greedy colour bound at every level, ending in the triangle
-    loop.  A larger m raises ValueError.
+    loop.  A larger m raises ValueError unless that bound answers None at
+    the top level, before any recursion.
     """
     if m == 3:
         return _triangle_mask(rows, allowed)
@@ -282,8 +283,8 @@ def find_clique_mask(rows: tuple[int, ...], allowed: int, m: int) -> Optional[in
         return (allowed & -allowed) or None
     if m == 0:
         return 0
-    if m > CLIQUE_DEPTH_CAP:
-        raise ValueError(f"clique size {m} exceeds cap {CLIQUE_DEPTH_CAP}")
+    if m > CLIQUE_DEPTH_CAP and allowed.bit_count() >= m and _color_bound_reaches(rows, allowed, m):
+        raise ValueError(f"clique size {m} exceeds cap {CLIQUE_DEPTH_CAP}")  # would recurse past it
     return _clique_search(rows, allowed, m)
 
 

@@ -19,10 +19,12 @@ condition (the two forcing rules can never both fire) at runtime.
 
 k-subsets are indexed by colex rank (the ranking lives in ``ramsat.graphs``),
 and a family of k-subsets of [N] is an int whose bit i is the rank-i subset,
-as in ``KSubsetColoring.bits``.  The superset mask of S, the AND of cached
-per-vertex masks, is the family of k-subsets containing S: S lies in a red
-k-superset when ``~bits & mask`` is nonzero, in a blue one when
-``bits & mask`` is.  Edge bitmasks of graphs use the colex rank of pairs.
+as in ``KSubsetColoring.bits``.  The good-set tests read the superset mask
+of S, the family of k-subsets containing S: S lies in a red k-superset when
+``~bits & mask`` is nonzero, in a blue one when ``bits & mask`` is.
+``coloring_to_graph`` instead looks colors up one rank at a time, so that
+each search stops at its first answer.  Edge bitmasks of graphs use the
+colex rank of pairs.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ RED = 0
 BLUE = 1
 
 COLORING_BIT_CAP = 1 << 24
-SUPERSET_MASK_BIT_CAP = 1 << 30  # N per-vertex masks of C(N, k) bits each: 128 MiB
 G_ORACLE_VERTEX_CAP = 7
 F_ORACLE_SUBSET_CAP = 20
 
@@ -243,43 +244,33 @@ def g_oracle(n: int, s: int, t: int, n_max: int) -> GOracleResult:
 # -- good sets and the f oracle ---------------------------------------------
 
 
-@lru_cache(maxsize=1)  # each caller builds all its masks over one (N, k)
-def _vertex_masks(N: int, k: int) -> tuple[int, ...]:
-    """Per vertex v of range(N), the mask of the k-subsets containing v."""
-    if N * comb(N, k) > SUPERSET_MASK_BIT_CAP:
-        raise ValueError(f"{N} x C({N},{k}) superset-mask bits exceed cap {SUPERSET_MASK_BIT_CAP}")
-    rows = [bytearray((comb(N, k) + 7) >> 3) for _ in range(N)]
-    for rank, K in enumerate(iter_subsets_colex(N, k)):
-        for v in K:
-            rows[v][rank >> 3] |= 1 << (rank & 7)
-    for v in range(N):  # in place, so the bytes and the ints are never both held in full
-        rows[v] = int.from_bytes(rows[v], "little")
-    return tuple(rows)
-
-
 def _superset_mask(N: int, k: int, S: tuple[int, ...]) -> int:
-    """Mask of the k-subsets of range(N) containing the subset S."""
-    mask, vertex_masks = (1 << comb(N, k)) - 1, _vertex_masks(N, k)
-    for v in S:
-        mask &= vertex_masks[v]
-    return mask
+    """Mask of the k-subsets of range(N) containing the sorted subset S."""
+    rest = [v for v in range(N) if v not in S]
+    buf = bytearray((comb(N, k) + 7) >> 3)
+    for extra in combinations(rest, k - len(S)):
+        r = subset_rank(tuple(sorted(S + extra)))
+        buf[r >> 3] |= 1 << (r & 7)
+    return int.from_bytes(buf, "little")
 
 
-@lru_cache(maxsize=None)
-def _good_set_tables(N: int, k: int, n: int, s: int, t: int):
+def _good_set_rows(N: int, k: int, n: int, s: int, t: int):
     """(U, A, B) per n-subset U in colex order: A and B hold the superset masks
     of the s- and of the t-subsets of U.  U is good when every mask of A meets
     a red bit or every mask of B meets a blue bit.
     """
-    return tuple(
-        (U, tuple(_superset_mask(N, k, S) for S in combinations(U, s)),
-         tuple(_superset_mask(N, k, T) for T in combinations(U, t)))
-        for U in iter_subsets_colex(N, n)
-    )
+    for U in iter_subsets_colex(N, n):
+        yield (U, tuple(_superset_mask(N, k, S) for S in combinations(U, s)),
+               tuple(_superset_mask(N, k, T) for T in combinations(U, t)))
 
 
-def _first_good_set(bits: int, table) -> Optional[tuple[int, ...]]:
-    for U, a_masks, b_masks in table:
+@lru_cache(maxsize=None)  # the f oracle scans one table with every coloring
+def _good_set_table(N: int, k: int, n: int, s: int, t: int):
+    return tuple(_good_set_rows(N, k, n, s, t))
+
+
+def _first_good_set(bits: int, rows) -> Optional[tuple[int, ...]]:
+    for U, a_masks, b_masks in rows:
         if all(~bits & m for m in a_masks) or all(bits & m for m in b_masks):
             return U
     return None
@@ -299,8 +290,10 @@ def good_set_witness(
         raise ValueError("params.N does not match the coloring ground set")
     if not params.k <= params.n <= chi.N:
         raise ValueError("need k <= n <= N")
-    table = _good_set_tables(chi.N, chi.k, params.n, params.s, params.t)
-    U = _first_good_set(chi.bits, table)
+    # word-sized masks: the cached table, as the f oracle uses; larger: built lazily
+    table = _good_set_table if chi.subset_count <= 64 else _good_set_rows
+    rows = table(chi.N, chi.k, params.n, params.s, params.t)
+    U = _first_good_set(chi.bits, rows)
     return None if U is None else VertexSet(U)
 
 
@@ -322,7 +315,7 @@ def f_oracle(params: RamseyParams, n_max: int) -> FOracleResult:
     checked = 0
     witness = None
     for N in range(max(1, n - 1), n_max + 1):
-        table = _good_set_tables(N, k, n, s, t)
+        table = _good_set_table(N, k, n, s, t)
         counterexample = None
         for bits in range(1 << comb(N, k)):
             checked += 1
@@ -345,8 +338,8 @@ def coloring_to_graph(
 
     A pair {x, y} is forced to be an edge when some s-superset S of it has
     all its k-supersets blue, and forced to be a non-edge when some
-    t-superset T has all its k-supersets red; each such S or T marks all
-    its pairs at once.  Since |S ∪ T| <= s+t-2 = k, a k-superset of S ∪ T
+    t-superset T has all its k-supersets red; each search stops at the
+    first such S or T.  Since |S ∪ T| <= s+t-2 = k, a k-superset of S ∪ T
     would have to be both colors, so the two forcing rules are mutually
     exclusive — this is asserted per pair and a failure raises
     ConsistencyError (an implementation bug, not an input error).
@@ -361,22 +354,26 @@ def coloring_to_graph(
     N, k = chi.N, chi.k
     if k > N:
         raise ValueError("need k <= N")
-    edge, nonedge = [0] * N, [0] * N
-    # no k-superset of S meets ``hit``: S is all blue (edge) or all red (non-edge)
-    for rows, size, hit in ((edge, s, ~chi.bits), (nonedge, t, chi.bits)):
-        for S in combinations(range(N), size):
-            if not hit & _superset_mask(N, k, S):
-                m = mask_of(S)
-                for v in S:
-                    rows[v] |= m ^ (1 << v)
-    for x in range(N):
-        for y in iter_bits(edge[x] & nonedge[x]):  # raises on the first clash, y > x
+    colors = f"{chi.bits:0{comb(N, k)}b}"[::-1]  # colors[i] is bit i, read in O(1)
+
+    def one_color(S, rest, color):  # every k-superset of S has this color
+        others = [v for v in rest if v not in S] if len(S) < k else ()
+        return all(colors[subset_rank(tuple(sorted(S + extra)))] == color
+                   for extra in combinations(others, k - len(S)))
+
+    rows = [0] * N
+    for x, y in combinations(range(N), 2):
+        rest = [v for v in range(N) if v != x and v != y] if k > 2 else ()
+        forced_edge = any(one_color((x, y) + e, rest, "1") for e in combinations(rest, s - 2))
+        forced_nonedge = any(one_color((x, y) + e, rest, "0") for e in combinations(rest, t - 2))
+        if forced_edge and forced_nonedge:
             raise ConsistencyError(
                 f"pair ({x},{y}) forced both ways; coloring transform is broken"
             )
-    if tie_break == "edge":
-        edge = [((1 << N) - 1) ^ (1 << x) ^ nonedge[x] for x in range(N)]
-    return SimpleGraph(N, tuple(edge))
+        if forced_edge or (not forced_nonedge and tie_break == "edge"):
+            rows[x] |= 1 << y
+            rows[y] |= 1 << x
+    return SimpleGraph(N, tuple(rows))
 
 
 def graph_to_coloring(

@@ -319,6 +319,16 @@ def test_sampled_bad_sets_past_clique_depth_cap_exits_3(capsys):
     assert out == "" and "clique" in err
 
 
+def test_kkfree_past_clique_depth_cap_still_answers(tmp_path, monkeypatch, capsys):
+    # 27 vertices cannot hold a K_(cap+1): the size prune answers before the cap
+    monkeypatch.chdir(tmp_path)
+    assert run(["construct", "fq3", "--q", "3", "--r", "3", "--out", "f.cg"]) == 0
+    capsys.readouterr()
+    k = str(rs.graphs.CLIQUE_DEPTH_CAP + 1)
+    code, cert = _run(capsys, ["verify", "kkfree", "--in", "f.cg", "--k", k])
+    assert code == 0 and cert["verdict"] == "holds"
+
+
 def test_sampled_observation_past_enumeration_cap(tmp_path, monkeypatch, capsys):
     # a 125-vertex pattern: sampling enumerates nothing, so the 64-vertex
     # enumeration cap applies only to the exact scan

@@ -249,6 +249,14 @@ def test_find_clique_past_depth_cap_raises_at_once():
     start = time.perf_counter()
     with pytest.raises(ValueError, match="clique"):
         rs.find_clique(k, cap + 1)
-    with pytest.raises(ValueError, match="clique"):
-        rs.graphs.find_clique_mask(k.rows, 0, cap + 1)
     assert time.perf_counter() - start < 0.5
+
+
+def test_find_clique_past_depth_cap_pruned_before_the_cap():
+    # too few vertices, or too few colour classes, answer None before any recursion
+    cap = rs.graphs.CLIQUE_DEPTH_CAP
+    k = rs.SimpleGraph.complete(cap + 1)
+    assert rs.graphs.find_clique_mask(k.rows, 0, cap + 1) is None
+    assert rs.graphs.find_clique_mask(k.rows, (1 << cap) - 1, cap + 1) is None
+    empty = rs.SimpleGraph.empty(cap + 1)
+    assert rs.find_clique(empty, cap + 1) is None

@@ -189,6 +189,21 @@ def test_good_set_witness_matches_naive_on_seeded_colorings():
         assert (None if got is None else got.members) == want
 
 
+def test_good_set_witness_past_word_masks_matches_naive():
+    # over 64 colour bits the rows are built lazily instead of cached
+    # (graph colourings give late first good sets and None as well)
+    N = 9
+    for n, s, t in [(4, 2, 3), (6, 2, 3), (7, 3, 3)]:
+        params = rs.RamseyParams(n, s, t)
+        chis = [rs.KSubsetColoring.random(N, params.k, seed) for seed in range(2)]
+        chis += [rs.graph_to_coloring(rs.sample_gnp(rs.GnpParams(N, p, seed)), s, t)
+                 for p in (0.2, 0.5, 0.7) for seed in range(2)]
+        for chi in chis:
+            assert chi.subset_count > 64
+            got = rs.good_set_witness(chi, params)
+            assert (None if got is None else got.members) == _naive_good_set(chi, n, s, t)
+
+
 def test_f_oracle_exact_formula_cases():
     # k = s+t-1 has the closed form 2n - s - t + 1
     assert rs.f_oracle(rs.RamseyParams(3, 2, 2, k=3), 6).value == 3
@@ -282,14 +297,16 @@ def test_coloring_to_graph_exclusivity_exhaustive_vectorized():
             assert not bool(np.any(forced_edge & forced_non))
 
 
-def test_coloring_to_graph_refuses_superset_masks_past_cap():
-    # 1300 per-vertex masks of C(1300, 2) bits would take 137 MB
-    chi = rs.KSubsetColoring.all_red(1300, 2)
-    assert 1300 * comb(1300, 2) > rs.reduction.SUPERSET_MASK_BIT_CAP
+def test_coloring_to_graph_large_ground_set():
+    # N = 1300, k = 2: 844,350 colour bits; each pair is its own s- and
+    # t-set, so the graph is the blue pairs
+    N = 1300
+    chi = rs.KSubsetColoring.random(N, 2, 3)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="superset-mask bits exceed cap"):
-        rs.coloring_to_graph(chi, 2, 2)
-    assert time.perf_counter() - start < 1.0
+    g = rs.coloring_to_graph(chi, 2, 2)
+    assert time.perf_counter() - start < 30
+    for x, y in [(0, 1), (5, 700), (1298, 1299)]:
+        assert g.has_edge(x, y) == (chi.color_of((x, y)) == rs.reduction.BLUE)
 
 
 def test_coloring_to_graph_requires_matching_k():
