@@ -255,12 +255,12 @@ def _handle_oracle(args) -> io.Certificate:
     claim = f"oracle-{args.command}"
     params = {"n": args.n, "s": args.s, "t": args.t, "n_max": args.n_max}
     if args.command == "f":
-        params["k"] = args.k
+        rp = reduction.RamseyParams(args.n, args.s, args.t, args.k)
+        params["k"] = rp.k
     try:
         if args.command == "g":
             res = reduction.g_oracle(args.n, args.s, args.t, args.n_max)
         else:
-            rp = reduction.RamseyParams(args.n, args.s, args.t, args.k)
             res = reduction.f_oracle(rp, args.n_max)
     except BudgetError as err:
         return _unknown(claim, params, err)

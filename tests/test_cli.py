@@ -54,13 +54,14 @@ def test_oracle_f_certificate(capsys):
         capsys,
         ["oracle", "f", "--n", "3", "--s", "2", "--t", "2", "--k", "3", "--n-max", "6"],
     )
-    assert code == 0 and cert["witness"]["value"] == 3
-    # over budget: C(8,3) = 56 color positions
+    assert code == 0 and cert["witness"]["value"] == 3 and cert["params"]["k"] == 3
+    # over budget: C(8,3) = 56 color positions; without --k the oracle runs
+    # at k = s + t - 2, and the certificate says so
     code, cert = _run(
         capsys,
         ["oracle", "f", "--n", "3", "--s", "2", "--t", "3", "--n-max", "8"],
     )
-    assert code == 2 and cert["verdict"] == "unknown"
+    assert code == 2 and cert["verdict"] == "unknown" and cert["params"]["k"] == 3
 
 
 def test_construct_verify_cycle(tmp_path, capsys):
@@ -340,4 +341,3 @@ def test_sampled_observation_past_enumeration_cap(tmp_path, monkeypatch, capsys)
     assert code == 2 and cert["checked"] == 150
     assert run(["verify", "observation", "--in", "fq3.cg", "--k", "4", "--r", "3"]) == 3
     assert "capped at 64 vertices" in capsys.readouterr().err
-
