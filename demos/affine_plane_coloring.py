@@ -7,7 +7,7 @@ each color class a union of line-cliques, and because each family keeps a
 full parallel class, any ceil(q^2/r) vertices put three points on a common
 line of every family — a monochromatic triangle in every color.
 
-Run with --full to grind through all C(25, 13) = 5.2M subsets at q = 5.
+Run with --full to decide all C(25, 13) = 5.2M subsets at q = 5.
 """
 
 import argparse
@@ -19,7 +19,7 @@ import ramsat as rs
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--full", action="store_true",
-                    help="run the exhaustive q=5 check (a few seconds)")
+                    help="run the exhaustive q=5 check (under a second)")
     ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
@@ -37,7 +37,7 @@ def main():
           "(together all", comb(9, 2), "pairs)")
     verdict = rs.check_observation(pattern, 3, 2)
     print(f"every 5-subset has an edge in both classes: {verdict.holds}"
-          f"  ({verdict.checked} subset inspections)")
+          f"  ({verdict.checked} subsets decided)")
     print("semisaturated for K_3:", rs.is_semisaturated(pattern, 3).holds)
 
     if args.full:
@@ -47,7 +47,7 @@ def main():
         verdict = rs.check_observation(big, 4, 2, threads=args.threads)
         print(f"all C(25,13) = {comb(25, 13)} subsets contain a monochromatic "
               f"triangle in both classes: {verdict.holds}")
-        print(f"({verdict.checked} subset inspections)")
+        print(f"({verdict.checked} subsets decided)")
     else:
         print()
         print("(--full runs the exhaustive q = 5, r = 2 triangle check)")

@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
 
-import numpy as np
-
 from .errors import BudgetError
 from .geometry import build_affine_plane, fq3_line_family, parallel_classes, PrimeField
 from .graphs import (
@@ -53,11 +51,17 @@ PARALLEL_BALANCED = "parallel-balanced"
 ROUND_ROBIN = "round-robin"
 
 
-def seeded_rng(seed: Optional[int]) -> np.random.Generator:
-    """The ``GENERATOR_NAME`` generator seeded with ``seed``; None is refused."""
+def seeded_rng(seed: Optional[int]) -> "numpy.random.Generator":
+    """The ``GENERATOR_NAME`` generator seeded with ``seed``; None is refused.
+
+    numpy is imported here, on first use, so commands that draw nothing
+    never load it.
+    """
     if seed is None:
         raise ValueError("randomized operation requires an explicit seed")
-    return np.random.Generator(np.random.PCG64(seed))
+    import numpy
+
+    return numpy.random.Generator(numpy.random.PCG64(seed))
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,9 @@ class ColoredCompleteGraph:
     corresponds to color label i+1 in the ``.cg`` text format and in
     witnesses.  ``clique_hints`` optionally carries, per class, vertex
     masks known to induce cliques of that class (the geometric lines of the
-    constructions); checkers may use them as fast witnesses.  They are
-    verified here, and excluded from equality along with ``precompletion``.
+    constructions).  They are verified here, and excluded from equality
+    along with ``precompletion``; no checker reads them, since the subset
+    scan runs faster without them.
     """
 
     n: int
@@ -365,8 +370,8 @@ def count_bad_sets(
         rng = seeded_rng(seed)
         hits = 0
         for _ in range(trials):
-            pick = rng.choice(N, size=n, replace=False)
-            hits += scan_subsets(tests, mask_of(int(v) for v in pick), 1, False)[1]
+            x = mask_of(int(v) for v in rng.choice(N, size=n, replace=False))
+            hits += scan_subsets(tests, x, x, False)[1]
         estimate = space * hits / trials
         return BadSetCount("sampled", estimate, trials, space, hits, seed)
     raise ValueError(f"unknown mode {mode!r}")

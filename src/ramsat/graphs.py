@@ -8,10 +8,12 @@ induced-subgraph copies: the search simply intersects candidate masks.
 prunes with the greedy colour bound at every level of 4 or more.
 
 Subsets are ranked in colex order: rank(c_1 < ... < c_k) = sum of
-C(c_i, i).  ``scan_subsets`` walks a colex range of subset masks with one
-Gosper step per subset and asks each subset for cliques, and
+C(c_i, i).  ``scan_subsets`` decides every subset of a colex window of
+masks by a depth-first walk over descending prefixes: the subsets that
+share their top elements form one colex block, and a block whose top
+elements already hold every clique asked for passes whole, without a visit.
 ``scan_colex`` splits a whole C(n, m) scan over worker processes; every
-exhaustive subset scan in the package runs through these two.
+subset scan in the package runs through these two.
 
 All types are immutable after construction and every operation is a pure
 function, so concurrent use from multiple threads or worker processes is
@@ -436,41 +438,99 @@ def iter_subsets_colex(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def scan_subsets(
-    tests, start: int, count: int, stop: bool = True
+    tests, first: int, last: int, stop: bool = True
 ) -> tuple[int, int, Optional[int]]:
-    """Check ``count`` colex-consecutive subsets, the first being mask ``start``.
+    """Check the subsets of the colex window from mask ``first`` to mask ``last``.
 
-    A subset x passes a test ``(rows, need, hints)`` when some hint mask (a
-    known clique of ``rows``) meets x in at least ``need`` vertices or,
-    failing that, when ``find_clique_mask`` finds a ``need``-clique inside
-    x.  It fails when it fails any test; the tests run in order and stop at
-    the first one failed.  Returns ``(scanned, failures, first)``: subsets
-    examined, failing subsets among them, and the first failing mask (None
-    when all pass).  With ``stop`` the scan ends at the first failure.
+    The window holds every mask of their popcount from ``first`` to
+    ``last``, both included; it is empty when ``last < first``.  A subset x
+    passes a test ``(rows, need)`` when ``rows`` has a ``need``-clique inside
+    x, and fails when it fails any test.  Returns ``(scanned, failures,
+    first_failure)``: subsets decided, failing subsets among them, and the
+    first failing mask in colex order (None when all pass).  With ``stop``
+    the scan ends at the first failure, so ``scanned`` counts the subsets up
+    to it.
+
+    The first subset is decided whole.  The rest of the window is walked
+    depth first over descending prefixes: colex order picks the largest
+    element first, so the subsets sharing a prefix H of top elements form
+    one colex block.  When the walk adds the next-lower element a to H, a
+    test H still fails is asked only for a clique through a, inside
+    ``rows[a] & H``.  Once H passes every test, the whole block passes (the
+    tests are monotone) and is counted without a visit.  A block of one
+    subset is decided whole, and a failing subset is still decided alone,
+    in colex order.
     """
-    x = start
-    failures = 0
-    first = None
-    for i in range(count):
-        for rows, need, hints in tests:
-            for h in hints:
-                if (h & x).bit_count() >= need:
-                    break
+    if last < first:
+        return 0, 0, None
+    failed = _fails(tests, first)
+    if failed and stop or first == last:
+        return 1, int(failed), first if failed else None
+    lo = gosper_next(first)  # the walk decides lo to last
+    scanned, failures, first_failure = 1, int(failed), first if failed else None
+
+    def walk(prefix: int, j: int, todo, bound: int, lo_tight: bool, hi_tight: bool) -> bool:
+        """Decide the window's subsets made of ``prefix`` and j elements below ``bound``.
+
+        ``todo`` holds the tests ``prefix`` fails.  ``lo_tight`` and
+        ``hi_tight`` say whether ``prefix`` is the top of ``lo`` or of
+        ``last``, where the window cuts the block.  True when the scan stops.
+        """
+        nonlocal scanned, failures, first_failure
+        below = (1 << bound) - 1
+        a_lo = (lo & below).bit_length() - 1 if lo_tight else j - 1
+        a_hi = (last & below).bit_length() - 1 if hi_tight else bound - 1
+        j -= 1
+        for a in range(a_lo, a_hi + 1):
+            x = prefix | (1 << a)
+            if j and a == j:  # a block of one subset: x and every element below a
+                x |= (1 << a) - 1
+                fails = _fails(todo, x)
             else:
-                if find_clique_mask(rows, x, need) is None:
-                    if stop:
-                        return i + 1, 1, x
-                    if first is None:
-                        first = x
-                    failures += 1
-                    break
-        x = gosper_next(x)
-    return count, failures, first
+                # a closes a need-clique when its neighbours in the prefix
+                # hold a (need - 1)-clique; up to need 2 that needs no search
+                left = []
+                for test in todo:
+                    rows, need = test
+                    nbrs = rows[a] & prefix
+                    if need > 1 and (
+                        not nbrs or need > 2 and find_clique_mask(rows, nbrs, need - 1) is None
+                    ):
+                        left.append(test)
+                if j:
+                    t_lo, t_hi = lo_tight and a == a_lo, hi_tight and a == a_hi
+                    if left or t_lo or t_hi:
+                        if walk(x, j, left, a, t_lo, t_hi):
+                            return True
+                    else:
+                        scanned += comb(a, j)
+                    continue
+                fails = bool(left)
+            scanned += 1
+            if fails:
+                failures += 1
+                if first_failure is None:
+                    first_failure = x
+                if stop:
+                    return True
+        return False
+
+    todo = [(rows, need) for rows, need in tests if need > 0]  # the empty prefix passes need 0
+    walk(0, first.bit_count(), todo, last.bit_length(), True, True)
+    return scanned, failures, first_failure
+
+
+def _fails(tests, x: int) -> bool:
+    """Whether subset x fails some ``scan_subsets`` test, each asked whole."""
+    for rows, need in tests:
+        if find_clique_mask(rows, x, need) is None:
+            return True
+    return False
 
 
 def balance_tests(g: SimpleGraph, s: int, t: int):
     """``scan_subsets`` tests failed by subsets missing a K_s or an independent t-set."""
-    return ((g.rows, s, ()), (g.complement.rows, t, ()))
+    return ((g.rows, s), (g.complement.rows, t))
 
 
 def scan_colex(
@@ -479,7 +539,7 @@ def scan_colex(
     """``scan_subsets`` over all m-subsets of range(n), sharded over processes.
 
     The C(n, m) colex ranks are cut into ``threads`` consecutive ranges, one
-    per worker process, each starting from its unranked first subset.  With
+    per worker process, each given its unranked first and last subsets.  With
     one thread, or fewer than four subsets per worker, the scan runs in this
     process.  Returns the per-range results in colex order; with ``stop``
     each range ends at its own first failure.
@@ -488,9 +548,11 @@ def scan_colex(
         raise ValueError(f"need 1 <= threads <= {THREAD_CAP}, got {threads}")
     space = comb(n, m)
     if threads == 1 or space < 4 * threads:
-        return [scan_subsets(tests, (1 << m) - 1, space, stop)]
+        last = ((1 << m) - 1) << (n - m) if space else 0  # no m-subsets when m > n
+        return [scan_subsets(tests, (1 << m) - 1, last, stop)]
     chunk = space // threads
-    starts = [mask_of(subset_unrank(j * chunk, m)) for j in range(threads)]
-    counts = [chunk] * (threads - 1) + [space - chunk * (threads - 1)]
+    cuts = [j * chunk for j in range(threads)] + [space]
+    firsts = [mask_of(subset_unrank(cuts[j], m)) for j in range(threads)]
+    lasts = [mask_of(subset_unrank(cuts[j + 1] - 1, m)) for j in range(threads)]
     with ProcessPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(scan_subsets, [tests] * threads, starts, counts, [stop] * threads))
+        return list(ex.map(scan_subsets, [tests] * threads, firsts, lasts, [stop] * threads))

@@ -46,7 +46,7 @@ from .graphs import (
     iter_bits,
     iter_subsets_colex,
     mask_of,
-    scan_subsets,
+    scan_colex,
     subset_rank,
 )
 
@@ -181,7 +181,7 @@ def has_unbalanced_set(
 
 
 def _first_unbalanced(g: SimpleGraph, n: int, s: int, t: int) -> Optional[int]:
-    return scan_subsets(balance_tests(g, s, t), (1 << n) - 1, comb(g.n, n))[2]
+    return scan_colex(balance_tests(g, s, t), g.n, n)[0][2]
 
 
 @lru_cache(maxsize=None)

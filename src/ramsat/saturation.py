@@ -61,7 +61,7 @@ OBSERVATION_SUBSET_CAP = 10**8
 class Verdict:
     """Outcome of a decision procedure.
 
-    ``checked`` counts the units the procedure examined (documented per
+    ``checked`` counts the units the procedure decided (documented per
     function).  ``exhaustive`` is False when only a sample of the space was
     covered; a failing witness is self-certifying either way, but a sampled
     "holds" is evidence, not a verified claim.
@@ -235,7 +235,9 @@ def check_observation(
     classes only need to be edge-disjoint).  Scans classes in order and
     subsets in colex order; on failure the witness is the first failing
     (color, subset) pair, deterministic for a fixed thread count.
-    ``checked`` counts subset inspections.  Subset enumeration (n <= 64,
+    ``checked`` counts the subsets decided, up to the failure; the scan
+    decides whole colex blocks at once, so it is not a count of clique
+    searches.  Subset enumeration (n <= 64,
     C(n, ceil(n/r)) <= 10^8) may be sharded over processes with ``threads``;
     sampled mode draws seeded random subsets instead, with no such cap.
     """
@@ -254,11 +256,11 @@ def check_observation(
     if samples is not None:
         rng = seeded_rng(seed)
         for i in range(r):
-            tests = _observation_tests(c, i, target)
+            tests = ((c.classes[i].rows, target),)
             for _ in range(samples):
                 x = mask_of(int(v) for v in rng.choice(n, size=m, replace=False))
                 checked += 1
-                if scan_subsets(tests, x, 1)[1]:
+                if scan_subsets(tests, x, x)[1]:
                     return Verdict(
                         holds=False,
                         witness=_observation_witness(i, x),
@@ -274,7 +276,7 @@ def check_observation(
             f"C({n},{m}) = {space} exceeds cap {OBSERVATION_SUBSET_CAP}; use samples="
         )
     for i in range(r):
-        shards = scan_colex(_observation_tests(c, i, target), n, m, threads)
+        shards = scan_colex(((c.classes[i].rows, target),), n, m, threads)
         checked += sum(scanned for scanned, _, _ in shards)
         fail = next((first for _, _, first in shards if first is not None), None)
         if fail is not None:
@@ -282,11 +284,6 @@ def check_observation(
                 holds=False, witness=_observation_witness(i, fail), checked=checked
             )
     return Verdict(holds=True, witness=None, checked=checked)
-
-
-def _observation_tests(c: ColoredCompleteGraph, i: int, target: int):
-    hints = c.clique_hints[i] if c.clique_hints else ()
-    return ((c.classes[i].rows, target, hints),)
 
 
 def _observation_witness(class_index: int, mask: int) -> dict:

@@ -227,6 +227,15 @@ def test_module_entry_point(tmp_path):
     assert cert["witness"]["value"] == 2
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    import subprocess
+    import sys
+
+    code = "import sys, ramsat.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
 def test_sampled_verify_requires_seed(tmp_path, capsys):
     path = tmp_path / "p.cg"
     path.write_text(rs.dump_colored_graph(rs.random_complete_pattern(5, 2, 0)))

@@ -191,6 +191,13 @@ def test_count_bad_sets_sampler_agrees_with_exact():
     assert abs(est.value - exact.value) <= 5 * se
 
 
+def test_count_bad_sets_sampled_past_enumeration_cap():
+    # each draw is a one-subset window, decided whole: no recursion per element
+    g = rs.SimpleGraph.complete(1100)
+    out = rs.count_bad_sets(g, 1050, 3, 2, mode="sampled", trials=2, seed=1)
+    assert out.hits == 2 and out.checked == 2
+
+
 def test_count_bad_sets_threads_match():
     g = rs.sample_gnp(rs.GnpParams(11, 0.4, 2))
     solo = rs.count_bad_sets(g, 4, 3, 3)

@@ -7,14 +7,14 @@ which are also the files the ``--out`` commands must write.  Each case runs
 in a fresh directory holding a copy of the inputs, with relative paths, and
 must reproduce the recorded body and every file it writes byte for byte.
 
-The cases cover the README commands (except the 10.4M-subset observation
-scan of ``a.cg``), sharded and serial observation scans with failing
-witnesses, exact and sampled bad-set counts, sampled verification, failing
-verdicts of every verify command, K_4 to K_6 checks that take the clique
-search below depth 3, budget-limited searches, exhausted searches of up
-to 738 nodes and a found pattern, every "unknown" certificate path (oracle
-without a value up to ``--n-max``, oracle and bad-set budgets) and the
-seeded round-robin affine coloring.
+The cases cover the README commands, sharded and serial observation scans
+with failing witnesses (on the seeded round-robin affine coloring they
+fail deep in the second class), exact and sampled bad-set counts, sampled
+verification, failing verdicts of every verify command, K_4 to K_6 checks
+that take the clique search below depth 3, budget-limited searches,
+exhausted searches of up to 738 nodes and a found pattern, every "unknown"
+certificate path (oracle without a value up to ``--n-max``, oracle and
+bad-set budgets) and the seeded round-robin affine coloring.
 
 Record a new case, before the change it guards, with
 ``python tests/golden/record.py ARGV...`` (see that script).

@@ -1,13 +1,16 @@
 """Graph core: clique/independent-set search, greedy bound, homogeneous extraction."""
 
+import math
 import random
 import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ramsat as rs
-from ramsat.graphs import find_clique_mask, iter_bits, mask_of
+from ramsat.graphs import find_clique_mask, gosper_next, iter_bits, mask_of, subset_unrank
 
 from conftest import (
     all_graphs,
@@ -260,3 +263,52 @@ def test_find_clique_past_depth_cap_pruned_before_the_cap():
     assert rs.graphs.find_clique_mask(k.rows, (1 << cap) - 1, cap + 1) is None
     empty = rs.SimpleGraph.empty(cap + 1)
     assert rs.find_clique(empty, cap + 1) is None
+
+
+def reference_scan(tests, first: int, count: int, stop: bool):
+    """``scan_subsets`` literally: one Gosper step and one clique search per subset."""
+    x, failures, first_failure = first, 0, None
+    for i in range(count):
+        if i:
+            x = gosper_next(x)
+        if any(find_clique_mask(rows, x, need) is None for rows, need in tests):
+            if stop:
+                return i + 1, 1, x
+            failures += 1
+            if first_failure is None:
+                first_failure = x
+    return count, failures, first_failure
+
+
+@st.composite
+def scan_cases(draw):
+    n = draw(st.integers(1, 12))
+    pairs = list(combinations(range(n), 2))
+    p = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    tests = []
+    for _ in range(draw(st.integers(1, 2))):
+        edges = [e for e, keep in zip(pairs, draw(st.lists(st.floats(0, 1), min_size=len(pairs),
+                                                           max_size=len(pairs)))) if keep < p]
+        tests.append((rs.SimpleGraph.from_edges(n, edges).rows, draw(st.integers(1, 4))))
+    m = draw(st.integers(1, n))
+    space = math.comb(n, m)
+    start = draw(st.integers(0, space - 1))
+    count = draw(st.sampled_from([0, 1, draw(st.integers(0, space - start))]))
+    first = mask_of(subset_unrank(start, m))
+    last = mask_of(subset_unrank(start + count - 1, m)) if count else first - 1
+    return tuple(tests), first, last, count, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(scan_cases())
+def test_scan_subsets_matches_reference(case):
+    tests, first, last, count, stop = case
+    assert rs.graphs.scan_subsets(tests, first, last, stop) == reference_scan(tests, first, count, stop)
+
+
+def test_scan_subsets_empty_and_single_windows():
+    rows = rs.SimpleGraph.cycle(5).rows
+    assert rs.graphs.scan_subsets(((rows, 2),), 0b00111, 0b00011) == (0, 0, None)
+    assert rs.graphs.scan_subsets(((rows, 2),), 0b00101, 0b00101) == (1, 1, 0b00101)
+    assert rs.graphs.scan_subsets(((rows, 0),), 0, 0) == (1, 0, None)
+    assert rs.graphs.scan_colex(((rows, 2),), 3, 4) == [(0, 0, None)]
