@@ -33,18 +33,11 @@ from .geometry import (
     incidence_sum,
     is_prime,
     parallel_classes,
-    smallest_prime_in,
 )
 from .graphs import (
-    HomogeneousCover,
-    HomogeneousSet,
     SimpleGraph,
     VertexSet,
-    extract_homogeneous_cover,
     find_clique,
-    find_independent_set,
-    pair_rank,
-    ramsey_extract,
     subset_rank,
     subset_unrank,
     turan_bound,

@@ -37,7 +37,6 @@ from .graphs import (
     THREAD_CAP,
     SimpleGraph,
     balance_tests,
-    iter_bits,
     mask_of,
     scan_colex,
     scan_subsets,
@@ -70,20 +69,14 @@ class ColoredCompleteGraph:
 
     ``complete`` records whether every pair is colored.  Class index i
     corresponds to color label i+1 in the ``.cg`` text format and in
-    witnesses.  ``clique_hints`` optionally carries, per class, vertex
-    masks known to induce cliques of that class (the geometric lines of the
-    constructions).  They are verified here, and excluded from equality
-    along with ``precompletion``; no checker reads them, since the subset
-    scan runs faster without them.
+    witnesses.  ``precompletion`` optionally keeps the partial pattern a
+    construction was completed from; it is excluded from equality.
     """
 
     n: int
     r: int
     classes: tuple[SimpleGraph, ...]
     complete: bool
-    clique_hints: Optional[tuple[tuple[int, ...], ...]] = field(
-        default=None, compare=False
-    )
     precompletion: Optional["ColoredCompleteGraph"] = field(
         default=None, compare=False, repr=False
     )
@@ -105,15 +98,6 @@ class ColoredCompleteGraph:
                 used |= row
             if self.complete and used != full & ~(1 << v):
                 raise ValueError(f"pair missing at vertex {v} in a complete pattern")
-        if self.clique_hints is not None:
-            if len(self.clique_hints) != self.r:
-                raise ValueError("need one hint tuple per class")
-            for i, hints in enumerate(self.clique_hints):
-                rows = self.classes[i].rows
-                for hmask in hints:
-                    for v in iter_bits(hmask):
-                        if hmask & ~(rows[v] | (1 << v)):
-                            raise ValueError(f"hint mask not a clique in class {i}")
 
     def color_of(self, u: int, v: int) -> Optional[int]:
         """0-based class index of pair {u, v}, or None if uncolored."""
@@ -183,18 +167,15 @@ class BadSetCount:
 
 def _lines_to_class_graphs(
     n: int, line_points, assignment: list[int], r: int
-) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]:
-    """Build class graphs and per-class line-mask hints from a line coloring."""
+) -> tuple[SimpleGraph, ...]:
+    """Class graphs of a line coloring: class i joins the pairs on its lines."""
     rows = [[0] * n for _ in range(r)]
-    hints: list[list[int]] = [[] for _ in range(r)]
     for idx, color in enumerate(assignment):
         pts = line_points[idx]
         lmask = mask_of(pts)
-        hints[color].append(lmask)
         for p in pts:
             rows[color][p] |= lmask & ~(1 << p)
-    classes = tuple(SimpleGraph(n, tuple(rs)) for rs in rows)
-    return classes, tuple(tuple(h) for h in hints)
+    return tuple(SimpleGraph(n, tuple(rs)) for rs in rows)
 
 
 def affine_coloring(
@@ -226,10 +207,8 @@ def affine_coloring(
             assignment[int(idx)] = pos % r
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    classes, hints = _lines_to_class_graphs(plane.point_count, plane.lines, assignment, r)
-    return ColoredCompleteGraph(
-        plane.point_count, r, classes, complete=True, clique_hints=hints
-    )
+    classes = _lines_to_class_graphs(plane.point_count, plane.lines, assignment, r)
+    return ColoredCompleteGraph(plane.point_count, r, classes, complete=True)
 
 
 def fq3_coloring(q: int, r: int) -> ColoredCompleteGraph:
@@ -252,8 +231,8 @@ def fq3_coloring(q: int, r: int) -> ColoredCompleteGraph:
         fam = fq3_line_family(q, lam)
         lines.extend(fam.lines)
         assignment.extend([lam] * len(fam.lines))
-    core_classes, hints = _lines_to_class_graphs(n, lines, assignment, r)
-    core = ColoredCompleteGraph(n, r, core_classes, complete=False, clique_hints=hints)
+    core_classes = _lines_to_class_graphs(n, lines, assignment, r)
+    core = ColoredCompleteGraph(n, r, core_classes, complete=False)
     full_rows = [list(cls.rows) for cls in core_classes]
     covered = [0] * n
     for cls in core_classes:
@@ -269,14 +248,7 @@ def fq3_coloring(q: int, r: int) -> ColoredCompleteGraph:
             full_rows[c][u] |= 1 << v
             full_rows[c][v] |= 1 << u
     classes = tuple(SimpleGraph(n, tuple(rs)) for rs in full_rows)
-    return ColoredCompleteGraph(
-        n,
-        r,
-        classes,
-        complete=True,
-        clique_hints=core.clique_hints,
-        precompletion=core,
-    )
+    return ColoredCompleteGraph(n, r, classes, complete=True, precompletion=core)
 
 
 def lower_bound_p(s: int, t: int) -> float:

@@ -59,16 +59,6 @@ class PrimeField:
             raise ValueError(f"{self.q} is not prime")
 
 
-def smallest_prime_in(lo: int, hi: int) -> int:
-    """Smallest prime p with lo <= p <= hi."""
-    if not 1 <= lo <= hi <= PRIME_CAP:
-        raise ValueError(f"interval [{lo}, {hi}] outside [1, {PRIME_CAP}]")
-    for p in range(max(lo, 2), hi + 1):
-        if is_prime(p):
-            return p
-    raise ValueError(f"no prime in [{lo}, {hi}]")
-
-
 @dataclass(frozen=True)
 class IncidenceStructure:
     """Points and lines with an inverse point -> lines index.
@@ -98,10 +88,6 @@ class IncidenceStructure:
     @cached_property
     def line_masks(self) -> tuple[int, ...]:
         return tuple(mask_of(line) for line in self.lines)
-
-    def common_lines(self, p1: int, p2: int) -> tuple[int, ...]:
-        s2 = set(self.point_to_lines[p2])
-        return tuple(i for i in self.point_to_lines[p1] if i in s2)
 
     def validate(self) -> None:
         """Run the full invariant suite; raises ValueError on any failure."""

@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 # Hard caps.  Exhaustive subset/graph enumeration is only offered up to 64
 # vertices; general search works up to 4096.  A sharded scan starts at most
@@ -179,22 +179,6 @@ class SimpleGraph:
         )
 
 
-class HomogeneousSet(NamedTuple):
-    """A clique or independent set returned by ``ramsey_extract``."""
-
-    kind: str  # "clique" | "independent"
-    vertices: VertexSet
-
-
-@dataclass(frozen=True)
-class HomogeneousCover:
-    """Disjoint homogeneous sets peeled off by ``extract_homogeneous_cover``."""
-
-    cliques: tuple[VertexSet, ...]
-    independents: tuple[VertexSet, ...]
-    stopped_early: bool
-
-
 # -- clique search core ---------------------------------------------------
 
 
@@ -298,11 +282,6 @@ def find_clique(g: SimpleGraph, m: int) -> Optional[VertexSet]:
     return None if mask is None else VertexSet.from_mask(mask)
 
 
-def find_independent_set(g: SimpleGraph, m: int) -> Optional[VertexSet]:
-    """Find an independent set of size m (a clique of the complement)."""
-    return find_clique(g.complement, m)
-
-
 def turan_bound(n: int, edge_count: int) -> int:
     """ceil(n^2 / (n + 2e)): the independence number guaranteed by averaging."""
     d = n + 2 * edge_count
@@ -338,68 +317,7 @@ def turan_independent_set(g: SimpleGraph) -> VertexSet:
     return VertexSet.of(chosen)
 
 
-def ramsey_extract(g: SimpleGraph, a: int, b: int) -> Optional[HomogeneousSet]:
-    """Return a clique of size ``a`` or an independent set of size ``b``.
-
-    The clique is preferred when both exist.  Guaranteed to succeed whenever
-    n >= C(a+b, a); below that threshold a graph may have neither, in which
-    case None is returned.
-    """
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    if a < 1 or b < 1:
-        raise ValueError("set sizes must be positive")
-    return _homogeneous_in(g, g.full_mask, a, b)
-
-
-def _homogeneous_in(
-    g: SimpleGraph, allowed: int, a: int, b: int
-) -> Optional[HomogeneousSet]:
-    """Smallest a-clique inside ``allowed``, else smallest independent b-set, else None."""
-    found = find_clique_mask(g.rows, allowed, a)
-    if found is not None:
-        return HomogeneousSet("clique", VertexSet.from_mask(found))
-    found = find_clique_mask(g.complement.rows, allowed, b)
-    if found is None:
-        return None
-    return HomogeneousSet("independent", VertexSet.from_mask(found))
-
-
-def extract_homogeneous_cover(
-    g: SimpleGraph, a: int, b: int, rounds: int
-) -> HomogeneousCover:
-    """Iteratively peel off cliques of size ``a`` or independent sets of size ``b``.
-
-    Each round runs ``ramsey_extract`` on the vertices not yet removed and
-    removes the returned set.  Stops early (reported, not an error) when
-    neither structure survives in the remainder.
-    """
-    if rounds < 1:
-        raise ValueError("rounds must be positive")
-    alive = g.full_mask
-    cliques: list[VertexSet] = []
-    independents: list[VertexSet] = []
-    stopped = False
-    for _ in range(rounds):
-        found = _homogeneous_in(g, alive, a, b)
-        if found is None:
-            stopped = True
-            break
-        (cliques if found.kind == "clique" else independents).append(found.vertices)
-        alive &= ~found.vertices.mask
-    return HomogeneousCover(tuple(cliques), tuple(independents), stopped)
-
-
 # -- colex ranking and subset scanning -------------------------------------
-
-
-def pair_rank(u: int, v: int) -> int:
-    """Colex rank of the pair {u, v}."""
-    if u > v:
-        u, v = v, u
-    if u == v:
-        raise ValueError("pair needs two distinct vertices")
-    return comb(v, 2) + u
 
 
 def subset_rank(subset) -> int:

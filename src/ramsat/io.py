@@ -31,7 +31,7 @@ from typing import Optional
 
 from .constructions import COLOR_CAP, ColoredCompleteGraph
 from .errors import ParseError
-from .geometry import AFFINE_PLANE, FQ3_FAMILY, IncidenceStructure
+from .geometry import AFFINE_PLANE, FQ3_FAMILY, IncidenceStructure, PrimeField
 from .graphs import VERTEX_CAP, SimpleGraph
 from .reduction import KSubsetColoring, coloring_bit_count
 
@@ -194,6 +194,10 @@ def parse_incidence(text: str) -> IncidenceStructure:
         raise ParseError(lineno, "q and lambda must be integers") from None
     if kind == FQ3_FAMILY and lam is None:
         raise ParseError(lineno, "fq3-family header needs a lambda")
+    try:
+        PrimeField(q)
+    except ValueError as err:
+        raise ParseError(lineno, str(err)) from None
     point_count = q * q if kind == AFFINE_PLANE else q**3
     if point_count > VERTEX_CAP:
         raise ParseError(lineno, f"{point_count} points exceed cap {VERTEX_CAP}")

@@ -132,6 +132,8 @@ def is_semisaturated(
     _require_complete(c)
     if k < 3:
         raise ValueError("need k >= 3")
+    if samples is not None and samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     n, r = c.n, c.r
     if samples is not None:
         rng = seeded_rng(seed)
@@ -247,6 +249,8 @@ def check_observation(
         raise ValueError("need k >= 3")
     if not 1 <= threads <= THREAD_CAP:
         raise ValueError(f"need 1 <= threads <= {THREAD_CAP}, got {threads}")
+    if samples is not None and samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     if len(c.classes) < r:
         raise ValueError(f"pattern has {len(c.classes)} classes, need >= {r}")
     n = c.n
@@ -414,6 +418,8 @@ def ssat_search(
         raise ValueError("need n >= 1")
     if n > 32:
         raise ValueError("search capped at 32 vertices")
+    if node_budget is not None and node_budget < 1:
+        raise ValueError(f"need node budget >= 1, got {node_budget}")
     pairs = list(iter_subsets_colex(n, 2))
     opt = [[((1 << n) - 1) & ~(1 << x) for x in range(n)] for _ in range(r)]
     nodes = 0

@@ -291,6 +291,34 @@ def test_internal_error_exits_5_without_certificate(monkeypatch, capsys):
     assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "ssat", "--in", "c4diag.cg", "--k", "3", "--samples", "-2", "--seed", "1"],
+    ["verify", "ssat", "--in", "c4diag.cg", "--k", "3", "--samples", "0", "--seed", "1"],
+    ["verify", "observation", "--in", "c4diag.cg", "--k", "3", "--r", "2",
+     "--samples", "-4", "--seed", "1"],
+], ids=["ssat-negative", "ssat-zero", "observation-negative"])
+def test_samples_below_1_rejected(tmp_path, monkeypatch, capsys, c4_diagonals, argv):
+    (tmp_path / "c4diag.cg").write_text(rs.dump_colored_graph(c4_diagonals))
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_node_budget_below_1_rejected(capsys, budget):
+    argv = ["search", "ssat", "--r", "2", "--k", "3", "--n", "4", "--node-budget", str(budget)]
+    assert run(argv) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("q", [0, 1, 4, -3])
+def test_incidence_header_with_nonprime_q_exits_4(tmp_path, capsys, q):
+    path = tmp_path / "bad.inc"
+    path.write_text(f"inc affine-plane {q}\n")
+    assert run(["geom", "incidence", "--in", str(path), "--lines", "", "--points", ""]) == 4
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("header, argv", [
     ("g 10000000000000000000", ["experiment", "bad-sets", "--n", "3", "--s", "2", "--t", "2"]),
     ("cg 10000000000000000000 2", ["verify", "ssat", "--k", "3"]),

@@ -25,13 +25,6 @@ def test_pattern_validation_rejects_false_completeness():
     rs.ColoredCompleteGraph(3, 2, (a, b), complete=False)
 
 
-def test_pattern_validation_rejects_bad_hints():
-    a = rs.SimpleGraph.from_edges(3, [(0, 1)])
-    b = rs.SimpleGraph.from_edges(3, [(1, 2), (0, 2)])
-    with pytest.raises(ValueError):
-        rs.ColoredCompleteGraph(3, 2, (a, b), complete=True, clique_hints=((0b111,), ()))
-
-
 def test_affine_coloring_q2_round_robin_splits_evenly():
     pattern = rs.affine_coloring(2, 2, rs.constructions.ROUND_ROBIN, seed=0)
     assert pattern.n == 4 and pattern.complete
@@ -46,14 +39,14 @@ def test_affine_coloring_q3_parallel_balanced():
 
 
 def test_affine_coloring_balanced_lines_per_point():
-    # r | q+1: every vertex lies on exactly (q+1)/r lines of each family
+    # r | q+1: every vertex lies on exactly (q+1)/r lines of each family,
+    # and each of those lines joins it to q-1 other points
     for q, r in [(5, 2), (5, 3), (3, 2), (11, 4)]:
         pattern = rs.affine_coloring(q, r)
         per_family = (q + 1) // r
-        for i in range(r):
+        for cls in pattern.classes:
             for v in range(pattern.n):
-                through = sum(1 for h in pattern.clique_hints[i] if (h >> v) & 1)
-                assert through == per_family
+                assert cls.degree(v) == per_family * (q - 1)
 
 
 def test_affine_coloring_round_robin_deterministic():

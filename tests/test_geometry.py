@@ -9,27 +9,6 @@ import pytest
 import ramsat as rs
 
 
-def test_smallest_prime_examples():
-    assert rs.smallest_prime_in(6, 12) == 7
-    assert rs.smallest_prime_in(9, 18) == 11  # [kr, 2kr] at k=3, r=3
-    assert rs.smallest_prime_in(36, 72) == 37  # [3rk, 6rk] at k=6, r=2
-
-
-def test_smallest_prime_empty_interval():
-    with pytest.raises(ValueError):
-        rs.smallest_prime_in(24, 28)
-    with pytest.raises(ValueError):
-        rs.smallest_prime_in(10, 5)
-
-
-def test_prime_intervals_always_populated():
-    # the two interval forms used to pick field sizes, over the whole grid
-    for r in range(2, 101):
-        for k in range(2, 101):
-            assert rs.smallest_prime_in(k * r, 2 * k * r) >= 2
-            assert rs.smallest_prime_in(3 * r * k, 6 * r * k) >= 2
-
-
 def test_prime_field_validation():
     rs.PrimeField(2)
     rs.PrimeField(1048573)
@@ -54,7 +33,8 @@ def test_affine_plane_rejects_nonprime():
 def test_affine_plane_pair_coverage_q5():
     plane = rs.build_affine_plane(5)
     for p1, p2 in combinations(range(25), 2):
-        assert len(plane.common_lines(p1, p2)) == 1
+        pair = (1 << p1) | (1 << p2)
+        assert sum(1 for lmask in plane.line_masks if lmask & pair == pair) == 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11])

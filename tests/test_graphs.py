@@ -1,4 +1,4 @@
-"""Graph core: clique/independent-set search, greedy bound, homogeneous extraction."""
+"""Graph core: clique search, greedy colour bound, Turán independent sets, subset scans."""
 
 import math
 import random
@@ -31,12 +31,6 @@ def test_find_clique_examples():
     pet = petersen()
     assert naive_find_clique(pet, 3) is None
     assert rs.find_clique(pet, 3) is None
-
-
-def test_find_independent_set_examples():
-    assert rs.find_independent_set(rs.SimpleGraph.empty(4), 4).members == (0, 1, 2, 3)
-    assert rs.find_independent_set(rs.SimpleGraph.complete(5), 2) is None
-    assert rs.find_independent_set(rs.SimpleGraph.cycle(5), 2).members == (0, 2)
 
 
 def test_find_clique_parameter_errors():
@@ -120,92 +114,6 @@ def test_turan_bound_holds_on_seeded_graphs():
         out = rs.turan_independent_set(g)
         assert is_independent(g, out)
         assert len(out) >= rs.turan_bound(n, g.edge_count)
-
-
-def test_ramsey_extract_trivial_pair():
-    # any graph with two vertices yields an adjacent or non-adjacent pair
-    for g in all_graphs(3):
-        got = rs.ramsey_extract(g, 2, 2)
-        assert got is not None
-        if got.kind == "clique":
-            assert is_clique(g, got.vertices) and len(got.vertices) == 2
-        else:
-            assert is_independent(g, got.vertices) and len(got.vertices) == 2
-
-
-def test_ramsey_extract_prefers_clique():
-    got = rs.ramsey_extract(rs.SimpleGraph.complete(6), 3, 3)
-    assert got.kind == "clique"
-    assert got.vertices.members == (0, 1, 2)
-
-
-def test_ramsey_extract_guarantee_2_2_exhaustive():
-    # threshold C(4, 2) = 6: every 6-vertex graph must yield one or the other
-    for g in all_graphs(6):
-        got = rs.ramsey_extract(g, 2, 2)
-        assert got is not None
-
-
-@pytest.mark.parametrize("a,b,n_lo", [(2, 3, 10), (3, 3, 20)])
-def test_ramsey_extract_guarantee_seeded(a, b, n_lo):
-    # n >= C(a+b, a) guarantees success; validate each returned witness
-    for seed in range(500):
-        n = n_lo + seed % 4
-        g = rs.sample_gnp(rs.GnpParams(n, 0.1 + (seed % 8) / 10.0, seed))
-        got = rs.ramsey_extract(g, a, b)
-        assert got is not None
-        if got.kind == "clique":
-            assert len(got.vertices) == a and is_clique(g, got.vertices)
-        else:
-            assert len(got.vertices) == b and is_independent(g, got.vertices)
-
-
-def test_ramsey_extract_seeded_g17():
-    g = rs.sample_gnp(rs.GnpParams(17, 0.5, 11))
-    got = rs.ramsey_extract(g, 4, 4)
-    # 17 vertices carry no general guarantee for (4, 4); this seed succeeds,
-    # and the witness is checked against the definition either way
-    assert got is not None
-    if got.kind == "clique":
-        assert is_clique(g, got.vertices)
-    else:
-        assert is_independent(g, got.vertices)
-
-
-def test_extract_homogeneous_cover_complete_and_empty():
-    cover = rs.extract_homogeneous_cover(rs.SimpleGraph.complete(20), 3, 3, 4)
-    assert len(cover.cliques) == 4 and not cover.independents
-    assert not cover.stopped_early
-    cover = rs.extract_homogeneous_cover(rs.SimpleGraph.empty(20), 3, 3, 4)
-    assert len(cover.independents) == 4 and not cover.cliques
-    seen = set()
-    for vs in cover.independents:
-        assert len(vs) == 3
-        assert not (set(vs) & seen)
-        seen |= set(vs)
-
-
-def test_extract_homogeneous_cover_seeded():
-    g = rs.sample_gnp(rs.GnpParams(30, 0.5, 5))
-    cover = rs.extract_homogeneous_cover(g, 3, 3, 5)
-    assert len(cover.cliques) + len(cover.independents) == 5
-    used = set()
-    for vs in cover.cliques:
-        assert len(vs) == 3 and is_clique(g, vs)
-        assert not (set(vs) & used)
-        used |= set(vs)
-    for vs in cover.independents:
-        assert len(vs) == 3 and is_independent(g, vs)
-        assert not (set(vs) & used)
-        used |= set(vs)
-    assert len(used) <= 5 * 3
-
-
-def test_extract_homogeneous_cover_early_stop():
-    # C_5 has no triangle and no independent triple
-    cover = rs.extract_homogeneous_cover(rs.SimpleGraph.cycle(5), 3, 3, 2)
-    assert cover.stopped_early
-    assert not cover.cliques and not cover.independents
 
 
 def test_simple_graph_validation():

@@ -30,12 +30,6 @@ def test_colex_order_matches_sorted_combinations():
     assert list(iter_subsets_colex(7, 3)) == subs
 
 
-def test_pair_rank_consistent():
-    for u in range(8):
-        for v in range(u + 1, 8):
-            assert rs.pair_rank(u, v) == rs.subset_rank((u, v))
-
-
 # -- ksubset colorings -------------------------------------------------------
 
 

@@ -105,6 +105,8 @@ def test_sampled_semisaturation_modes():
     assert v.holds and not v.exhaustive  # evidence only
     with pytest.raises(ValueError):
         rs.is_semisaturated(good, 3, samples=50)  # seed required
+    with pytest.raises(ValueError):
+        rs.is_semisaturated(good, 3, samples=0, seed=1)
 
 
 def test_check_observation_c4_diagonals(c4_diagonals):
@@ -154,6 +156,8 @@ def test_check_observation_sampled():
     v = rs.check_observation(pat, 3, 2, samples=100, seed=5)
     assert v.holds and not v.exhaustive
     assert v.checked == 200
+    with pytest.raises(ValueError):
+        rs.check_observation(pat, 3, 2, samples=0, seed=5)
 
 
 def test_check_observation_partial_pattern_allowed():
@@ -244,6 +248,8 @@ def test_ssat_search_validates_params():
         rs.ssat_search(1, 3, 4)
     with pytest.raises(ValueError):
         rs.ssat_search(2, 2, 4)
+    with pytest.raises(ValueError):
+        rs.ssat_search(2, 3, 4, node_budget=0)
 
 
 def test_semisaturation_invariant_under_symmetry():
