@@ -44,8 +44,8 @@ def main():
     print("graph -> coloring: C(6,3) =", chi.subset_count, "triples colored;")
     unbalanced = rs.has_unbalanced_set(g, 4, 2, 3)
     good = rs.good_set_witness(chi, rs.RamseyParams(4, 2, 3, N=6))
-    print(f"  unbalanced 4-set of the graph: {None if unbalanced is None else unbalanced.members}")
-    print(f"  good 4-set of the coloring:    {None if good is None else good.members}")
+    print(f"  unbalanced 4-set of the graph: {unbalanced}")
+    print(f"  good 4-set of the coloring:    {good}")
     back = rs.coloring_to_graph(chi, 2, 3)
     print("coloring -> graph: forced edges recovered,", back.edge_count, "edges")
 

@@ -15,7 +15,7 @@ def main():
     print("== the 4-cycle / diagonals pattern ==")
     c4 = rs.SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     diag = rs.SimpleGraph.from_edges(4, [(0, 2), (1, 3)])
-    pattern = rs.ColoredCompleteGraph(4, 2, (c4, diag), complete=True)
+    pattern = rs.ColoredCompleteGraph((c4, diag))
     print("semisaturated (pruned search):", rs.is_semisaturated(pattern, 3).holds)
     print("semisaturated (literal 2^4 enumeration):",
           rs.is_semisaturated_direct(pattern, 3).holds)
@@ -23,9 +23,7 @@ def main():
 
     print()
     print("== a failing pattern and its escape ==")
-    mono = rs.ColoredCompleteGraph(
-        4, 2, (rs.SimpleGraph.complete(4), rs.SimpleGraph.empty(4)), complete=True
-    )
+    mono = rs.ColoredCompleteGraph((rs.SimpleGraph.complete(4), rs.SimpleGraph.empty(4)))
     verdict = rs.is_semisaturated(mono, 3)
     print("all edges one color ->", verdict.holds,
           "| escaping edge coloring for a new vertex:", verdict.witness["colors"])

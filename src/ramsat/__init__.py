@@ -36,7 +36,6 @@ from .geometry import (
 )
 from .graphs import (
     SimpleGraph,
-    VertexSet,
     find_clique,
     subset_rank,
     subset_unrank,
@@ -56,9 +55,8 @@ from .io import (
     validate_certificate,
 )
 from .reduction import (
-    FOracleResult,
-    GOracleResult,
     KSubsetColoring,
+    OracleResult,
     RamseyParams,
     coloring_to_graph,
     f_oracle,

@@ -27,8 +27,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from math import comb
 from pathlib import Path
-from typing import Optional
 
 from . import constructions, geometry, io, reduction, saturation
 from .errors import BudgetError, ParseError
@@ -164,16 +164,19 @@ def _int_list(text: str) -> list[int]:
         raise _UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _out(args) -> Optional[str]:
-    return str(args.out) if args.out else None
+def _artifact(claim, args, params, text, checked, seed=None) -> io.Certificate:
+    """A "holds" certificate for a built object in one of the text formats.
 
-
-def _emit_artifact(text: str, fmt: str, out: Optional[Path]):
-    """Write to --out, or embed in the certificate witness when absent."""
-    if out is not None:
-        out.write_text(text)
-        return None
-    return {"format": fmt, "text": text}
+    The text goes to ``--out`` when given, else into the witness, tagged
+    with its format: the first word of its header line.
+    """
+    witness = None
+    if args.out is None:
+        witness = {"format": text.split(None, 1)[0], "text": text}
+    else:
+        args.out.write_text(text)
+    params = {**params, "out": str(args.out) if args.out else None}
+    return io.Certificate(claim, params, "holds", witness, checked, seed)
 
 
 def _unknown(claim, params, budget, witness=None, checked=0, seed=None) -> io.Certificate:
@@ -187,36 +190,18 @@ def _unknown(claim, params, budget, witness=None, checked=0, seed=None) -> io.Ce
 
 def _handle_construct(args) -> io.Certificate:
     if args.command == "affine":
-        params = {
-            "q": args.q,
-            "r": args.r,
-            "strategy": args.strategy,
-            "out": _out(args),
-        }
+        params = {"q": args.q, "r": args.r, "strategy": args.strategy}
         pattern = constructions.affine_coloring(args.q, args.r, args.strategy, args.seed)
-        witness = _emit_artifact(io.dump_colored_graph(pattern), "cg", args.out)
-        return io.Certificate(
-            "construct-affine", params, "holds", witness,
-            checked=pattern.n * (pattern.n - 1) // 2, seed=args.seed,
-        )
+        return _artifact("construct-affine", args, params, io.dump_colored_graph(pattern),
+                         comb(pattern.n, 2), args.seed)
     if args.command == "fq3":
-        params = {"q": args.q, "r": args.r, "out": _out(args)}
         pattern = constructions.fq3_coloring(args.q, args.r)
-        witness = _emit_artifact(io.dump_colored_graph(pattern), "cg", args.out)
-        return io.Certificate(
-            "construct-fq3", params, "holds", witness,
-            checked=pattern.n * (pattern.n - 1) // 2,
-        )
-    params = {
-        "n": args.n, "p": args.p, "generator": constructions.GENERATOR_NAME,
-        "out": _out(args),
-    }
+        return _artifact("construct-fq3", args, {"q": args.q, "r": args.r},
+                         io.dump_colored_graph(pattern), comb(pattern.n, 2))
+    params = {"n": args.n, "p": args.p, "generator": constructions.GENERATOR_NAME}
     g = constructions.sample_gnp(constructions.GnpParams(args.n, args.p, args.seed))
-    witness = _emit_artifact(io.dump_simple_graph(g), "g", args.out)
-    return io.Certificate(
-        "construct-gnp", params, "holds", witness,
-        checked=g.n * (g.n - 1) // 2, seed=args.seed,
-    )
+    return _artifact("construct-gnp", args, params, io.dump_simple_graph(g),
+                     comb(g.n, 2), args.seed)
 
 
 _VERIFIERS = {
@@ -264,39 +249,26 @@ def _handle_oracle(args) -> io.Certificate:
             res = reduction.f_oracle(rp, args.n_max)
     except BudgetError as err:
         return _unknown(claim, params, err)
-    witness = {"value": res.value}
+    dump = io.dump_simple_graph if args.command == "g" else io.dump_ksubset_coloring
+    witness = {"value": res.value, "counterexample": dump(res.witness) if res.witness else None}
     if args.command == "g":
-        witness["counterexample_n"] = res.witness_n
-        witness["counterexample"] = io.dump_simple_graph(res.witness) if res.witness else None
-    else:
-        witness["counterexample"] = (
-            io.dump_ksubset_coloring(res.witness) if res.witness else None
-        )
+        witness["counterexample_n"] = res.witness.n if res.witness else None
     if res.value is None:
         return _unknown(claim, params, f"no value up to n_max={args.n_max}", witness, res.checked)
     return io.Certificate(claim, params, "holds", witness, res.checked)
 
 
 def _handle_reduce(args) -> io.Certificate:
+    params = {"in": str(args.infile), "s": args.s, "t": args.t}
     if args.command == "chi-to-graph":
         chi = io.parse_ksubset_coloring(args.infile.read_text())
-        params = {
-            "in": str(args.infile), "s": args.s, "t": args.t,
-            "tie_break": args.tie_break, "out": _out(args),
-        }
         g = reduction.coloring_to_graph(chi, args.s, args.t, args.tie_break)
-        witness = _emit_artifact(io.dump_simple_graph(g), "g", args.out)
-        return io.Certificate("reduce-chi-to-graph", params, "holds", witness,
-                              checked=chi.subset_count)
-    chi_g = io.parse_simple_graph(args.infile.read_text())
-    params = {
-        "in": str(args.infile), "s": args.s, "t": args.t,
-        "default": args.default_color, "out": _out(args),
-    }
-    chi = reduction.graph_to_coloring(chi_g, args.s, args.t, args.default_color)
-    witness = _emit_artifact(io.dump_ksubset_coloring(chi), "ksc", args.out)
-    return io.Certificate("reduce-graph-to-chi", params, "holds", witness,
-                          checked=chi.subset_count)
+        return _artifact("reduce-chi-to-graph", args, {**params, "tie_break": args.tie_break},
+                         io.dump_simple_graph(g), chi.subset_count)
+    g = io.parse_simple_graph(args.infile.read_text())
+    chi = reduction.graph_to_coloring(g, args.s, args.t, args.default_color)
+    return _artifact("reduce-graph-to-chi", args, {**params, "default": args.default_color},
+                     io.dump_ksubset_coloring(chi), chi.subset_count)
 
 
 def _handle_search(args) -> io.Certificate:
@@ -347,26 +319,21 @@ def _handle_experiment(args) -> io.Certificate:
 
 def _handle_geom(args) -> io.Certificate:
     if args.command == "plane":
-        params = {"q": args.q, "out": _out(args)}
         inc = geometry.build_affine_plane(args.q)
-        witness = _emit_artifact(io.dump_incidence(inc), "inc", args.out)
-        return io.Certificate("geom-plane", params, "holds", witness,
-                              checked=len(inc.lines))
+        return _artifact("geom-plane", args, {"q": args.q}, io.dump_incidence(inc),
+                         len(inc.lines))
     if args.command == "fq3-family":
-        params = {"q": args.q, "lambda": args.lam, "out": _out(args)}
         inc = geometry.fq3_line_family(args.q, args.lam)
-        witness = _emit_artifact(io.dump_incidence(inc), "inc", args.out)
-        return io.Certificate("geom-fq3-family", params, "holds", witness,
-                              checked=len(inc.lines))
+        return _artifact("geom-fq3-family", args, {"q": args.q, "lambda": args.lam},
+                         io.dump_incidence(inc), len(inc.lines))
     inc = io.parse_incidence(args.infile.read_text())
     lines = _int_list(args.lines)
     points = _int_list(args.points)
     params = {"in": str(args.infile), "lines": lines, "points": points}
     count, bound = geometry.incidence_sum(inc, lines, points)
-    payload = {"count": count, "bound": bound}
-    if count >= bound:
-        return io.Certificate("geom-incidence", params, "holds", payload, len(lines))
-    return io.Certificate("geom-incidence", params, "fails", payload, len(lines))
+    verdict = "holds" if count >= bound else "fails"
+    return io.Certificate("geom-incidence", params, verdict, {"count": count, "bound": bound},
+                          len(lines))
 
 
 _HANDLERS = {

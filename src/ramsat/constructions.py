@@ -2,7 +2,9 @@
 
 A color pattern is a family of pairwise edge-disjoint graphs G_1..G_r on a
 common vertex set; when the union covers every pair it is an r-edge-coloring
-of the complete graph.  Two deterministic constructions live here:
+of the complete graph.  The classes are the whole pattern: its vertex
+count, color count and completeness are read off them.  Two deterministic
+constructions live here:
 
 * ``affine_coloring`` — vertices are the q^2 points of AG(2, q); each line
   is assigned to one of r families and color i connects exactly the pairs
@@ -35,6 +37,7 @@ from .geometry import build_affine_plane, fq3_line_family, parallel_classes, Pri
 from .graphs import (
     ENUMERATION_CAP,
     THREAD_CAP,
+    VERTEX_CAP,
     SimpleGraph,
     balance_tests,
     mask_of,
@@ -67,37 +70,40 @@ def seeded_rng(seed: Optional[int]) -> "numpy.random.Generator":
 class ColoredCompleteGraph:
     """r pairwise edge-disjoint color classes on a common vertex set.
 
-    ``complete`` records whether every pair is colored.  Class index i
+    Built from the classes alone: ``n`` is their vertex count, ``r`` their
+    number, and ``complete`` whether they color every pair.  Class index i
     corresponds to color label i+1 in the ``.cg`` text format and in
     witnesses.  ``precompletion`` optionally keeps the partial pattern a
     construction was completed from; it is excluded from equality.
     """
 
-    n: int
-    r: int
     classes: tuple[SimpleGraph, ...]
-    complete: bool
     precompletion: Optional["ColoredCompleteGraph"] = field(
         default=None, compare=False, repr=False
     )
+    n: int = field(init=False)
+    r: int = field(init=False)
+    complete: bool = field(init=False)
 
     def __post_init__(self):
-        if not 1 <= self.r <= COLOR_CAP:
-            raise ValueError(f"color count {self.r} outside [1, {COLOR_CAP}]")
-        if len(self.classes) != self.r:
-            raise ValueError("need exactly r color classes")
-        if any(cls.n != self.n for cls in self.classes):
+        r = len(self.classes)
+        if not 1 <= r <= COLOR_CAP:
+            raise ValueError(f"color count {r} outside [1, {COLOR_CAP}]")
+        n = self.classes[0].n
+        if any(cls.n != n for cls in self.classes):
             raise ValueError("all classes must share the vertex count")
-        full = (1 << self.n) - 1
-        for v in range(self.n):
+        full = (1 << n) - 1
+        complete = True
+        for v in range(n):
             used = 0
             for cls in self.classes:
                 row = cls.rows[v]
                 if used & row:
                     raise ValueError(f"classes overlap at vertex {v}")
                 used |= row
-            if self.complete and used != full & ~(1 << v):
-                raise ValueError(f"pair missing at vertex {v} in a complete pattern")
+            complete = complete and used == full & ~(1 << v)
+        for name, value in (("n", n), ("r", r), ("complete", complete)):
+            object.__setattr__(self, name, value)
 
     def color_of(self, u: int, v: int) -> Optional[int]:
         """0-based class index of pair {u, v}, or None if uncolored."""
@@ -122,7 +128,7 @@ class ColoredCompleteGraph:
         classes: list[Optional[SimpleGraph]] = [None] * self.r
         for i, cls in enumerate(self.classes):
             classes[perm[i]] = cls
-        return ColoredCompleteGraph(self.n, self.r, tuple(classes), self.complete)
+        return ColoredCompleteGraph(tuple(classes))
 
     def relabel_vertices(self, perm) -> "ColoredCompleteGraph":
         """Pattern with vertex v renamed to perm[v]."""
@@ -135,7 +141,7 @@ class ColoredCompleteGraph:
             )
             for cls in self.classes
         )
-        return ColoredCompleteGraph(self.n, self.r, classes, self.complete)
+        return ColoredCompleteGraph(classes)
 
 
 @dataclass(frozen=True)
@@ -147,8 +153,8 @@ class GnpParams:
     seed: int
 
     def __post_init__(self):
-        if not 0 <= self.N <= 4096:
-            raise ValueError(f"vertex count {self.N} outside [0, 4096]")
+        if not 0 <= self.N <= VERTEX_CAP:
+            raise ValueError(f"vertex count {self.N} outside [0, {VERTEX_CAP}]")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"edge probability {self.p} outside [0, 1]")
 
@@ -162,7 +168,6 @@ class BadSetCount:
     checked: int  # subsets examined
     space: int  # C(N, n)
     hits: int  # bad subsets among those examined
-    seed: Optional[int] = None
 
 
 def _lines_to_class_graphs(
@@ -208,7 +213,7 @@ def affine_coloring(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     classes = _lines_to_class_graphs(plane.point_count, plane.lines, assignment, r)
-    return ColoredCompleteGraph(plane.point_count, r, classes, complete=True)
+    return ColoredCompleteGraph(classes)
 
 
 def fq3_coloring(q: int, r: int) -> ColoredCompleteGraph:
@@ -232,7 +237,7 @@ def fq3_coloring(q: int, r: int) -> ColoredCompleteGraph:
         lines.extend(fam.lines)
         assignment.extend([lam] * len(fam.lines))
     core_classes = _lines_to_class_graphs(n, lines, assignment, r)
-    core = ColoredCompleteGraph(n, r, core_classes, complete=False)
+    core = ColoredCompleteGraph(core_classes)
     full_rows = [list(cls.rows) for cls in core_classes]
     covered = [0] * n
     for cls in core_classes:
@@ -248,7 +253,7 @@ def fq3_coloring(q: int, r: int) -> ColoredCompleteGraph:
             full_rows[c][u] |= 1 << v
             full_rows[c][v] |= 1 << u
     classes = tuple(SimpleGraph(n, tuple(rs)) for rs in full_rows)
-    return ColoredCompleteGraph(n, r, classes, complete=True, precompletion=core)
+    return ColoredCompleteGraph(classes, precompletion=core)
 
 
 def lower_bound_p(s: int, t: int) -> float:
@@ -296,8 +301,7 @@ def random_complete_pattern(n: int, r: int, seed: int) -> ColoredCompleteGraph:
             i += 1
             rows[c][u] |= 1 << v
             rows[c][v] |= 1 << u
-    classes = tuple(SimpleGraph(n, tuple(rs)) for rs in rows)
-    return ColoredCompleteGraph(n, r, classes, complete=True)
+    return ColoredCompleteGraph(tuple(SimpleGraph(n, tuple(rs)) for rs in rows))
 
 
 def count_bad_sets(
@@ -334,7 +338,7 @@ def count_bad_sets(
             raise BudgetError(
                 f"C({N},{n}) = {space} exceeds exact budget {EXACT_SUBSET_BUDGET}"
             )
-        hits = sum(failures for _, failures, _ in scan_colex(tests, N, n, threads, False))
+        hits = scan_colex(tests, N, n, threads, False)[1]
         return BadSetCount("exact", float(hits), space, space, hits)
     if mode == "sampled":
         if trials is None or trials < 1:
@@ -345,5 +349,5 @@ def count_bad_sets(
             x = mask_of(int(v) for v in rng.choice(N, size=n, replace=False))
             hits += scan_subsets(tests, x, x, False)[1]
         estimate = space * hits / trials
-        return BadSetCount("sampled", estimate, trials, space, hits, seed)
+        return BadSetCount("sampled", estimate, trials, space, hits)
     raise ValueError(f"unknown mode {mode!r}")

@@ -61,64 +61,65 @@ class PrimeField:
 
 @dataclass(frozen=True)
 class IncidenceStructure:
-    """Points and lines with an inverse point -> lines index.
+    """A line system over F_q, given by its lines of sorted point indices.
 
-    ``kind`` is ``"affine-plane"`` or ``"fq3-family"``; the latter carries
-    the slope-family parameter ``lam``.  Lines store sorted point indices.
+    ``kind`` is ``"affine-plane"`` (q^2 points) or ``"fq3-family"`` (q^3
+    points); the latter carries the slope-family parameter ``lam``.  The
+    point count and the inverse point -> lines index follow from these.
     """
 
     kind: str
     q: int
-    point_count: int
     lines: tuple[tuple[int, ...], ...]
-    point_to_lines: tuple[tuple[int, ...], ...]
     lam: Optional[int] = None
 
-    @classmethod
-    def from_lines(
-        cls, kind: str, q: int, point_count: int, lines, lam: Optional[int] = None
-    ) -> "IncidenceStructure":
-        """The structure with these lines, its point -> lines index built here."""
-        p2l: list[list[int]] = [[] for _ in range(point_count)]
-        for i, line in enumerate(lines):
-            for p in line:
-                p2l[p].append(i)
-        return cls(kind, q, point_count, tuple(lines), tuple(tuple(ls) for ls in p2l), lam)
+    @property
+    def point_count(self) -> int:
+        return self.q ** (2 if self.kind == AFFINE_PLANE else 3)
 
     @cached_property
     def line_masks(self) -> tuple[int, ...]:
         return tuple(mask_of(line) for line in self.lines)
 
+    @cached_property
+    def point_to_lines(self) -> tuple[tuple[int, ...], ...]:
+        p2l: list[list[int]] = [[] for _ in range(self.point_count)]
+        for i, line in enumerate(self.lines):
+            for p in line:
+                p2l[p].append(i)
+        return tuple(tuple(ls) for ls in p2l)
+
     def validate(self) -> None:
-        """Run the full invariant suite; raises ValueError on any failure."""
-        q = self.q
-        for line in self.lines:
-            if len(line) != q:
-                raise ValueError("line with wrong point count")
+        """Run the full invariant suite; raises ValueError on any failure.
+
+        Per point, the masks of its lines (less the point) are ORed, and a
+        bit set twice is a pair on two common lines.  An affine plane needs
+        no further check that every pair lies on a line: q^2 + q lines of q
+        points, no pair twice, cover exactly the C(q^2, 2) pairs.
+        """
+        q, n = self.q, self.point_count
         if self.kind == AFFINE_PLANE:
-            if self.point_count != q * q or len(self.lines) != q * q + q:
-                raise ValueError("affine plane has wrong counts")
-            expected_per_point = q + 1
+            line_count, per_point, lams = q * q + q, q + 1, (None,)
         elif self.kind == FQ3_FAMILY:
-            if self.point_count != q**3 or len(self.lines) != q**3:
-                raise ValueError("slope family has wrong counts")
-            expected_per_point = q
+            line_count, per_point, lams = q**3, q, range(q)
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
-        for p in range(self.point_count):
-            if len(self.point_to_lines[p]) != expected_per_point:
+        if self.lam not in lams:
+            raise ValueError(f"{self.kind} over F_{q} cannot have lambda {self.lam}")
+        if len(self.lines) != line_count:
+            raise ValueError(f"{self.kind} needs {line_count} lines, got {len(self.lines)}")
+        masks = self.line_masks
+        if any(m.bit_count() != q or m >> n for m in masks):
+            raise ValueError(f"a line is not {q} distinct points below {n}")
+        for p, on in enumerate(self.point_to_lines):
+            if len(on) != per_point:
                 raise ValueError(f"point {p} on wrong number of lines")
-        # pairwise incidence: count common lines per point pair
-        seen: dict[tuple[int, int], int] = {}
-        for line in self.lines:
-            for i in range(len(line)):
-                for j in range(i + 1, len(line)):
-                    pair = (line[i], line[j])
-                    seen[pair] = seen.get(pair, 0) + 1
-                    if seen[pair] > 1:
-                        raise ValueError(f"points {pair} on two common lines")
-        if self.kind == AFFINE_PLANE and len(seen) != self.point_count * (self.point_count - 1) // 2:
-            raise ValueError("some point pair lies on no line")
+            others = 0
+            for i in on:
+                line = masks[i] ^ (1 << p)
+                if others & line:
+                    raise ValueError(f"point {p} shares two lines with another point")
+                others |= line
 
 
 def build_affine_plane(q: int) -> IncidenceStructure:
@@ -133,10 +134,10 @@ def build_affine_plane(q: int) -> IncidenceStructure:
     lines: list[tuple[int, ...]] = []
     for m in range(q):
         for b in range(q):
-            lines.append(tuple(sorted(x * q + (m * x + b) % q for x in range(q))))
+            lines.append(tuple(x * q + (m * x + b) % q for x in range(q)))
     for c in range(q):
         lines.append(tuple(c * q + y for y in range(q)))
-    return IncidenceStructure.from_lines(AFFINE_PLANE, q, q * q, lines)
+    return IncidenceStructure(AFFINE_PLANE, q, tuple(lines))
 
 
 def parallel_classes(plane: IncidenceStructure) -> list[list[int]]:
@@ -155,33 +156,21 @@ def fq3_line_family(q: int, lam: int) -> IncidenceStructure:
     """All lines of F_q^3 with slope (1, lam, mu) for some mu.
 
     Point (x0, x1, x2) gets index x0*q^2 + x1*q + x2.  Every line of the
-    family meets the plane x0 = 0 in exactly one point, so lines are
-    enumerated by slope parameter mu then that base point (v1, v2); the
-    many-to-one (slope, base)-representations collapse onto this canonical
-    choice, and the dedup by sorted point set is asserted.
+    family meets the plane x0 = 0 in exactly one point, so (mu, v1, v2),
+    the slope parameter and that base point, names each line once; lines
+    are enumerated in that order, and their distinctness is asserted.
     """
     PrimeField(q)
     if not 0 <= lam < q:
         raise ValueError(f"lambda {lam} outside [0, {q})")
     q2 = q * q
-    lines: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for mu in range(q):
-        for v1 in range(q):
-            for v2 in range(q):
-                pts = tuple(
-                    sorted(
-                        beta * q2 + ((v1 + beta * lam) % q) * q + (v2 + beta * mu) % q
-                        for beta in range(q)
-                    )
-                )
-                if pts in seen:
-                    continue
-                seen.add(pts)
-                lines.append(pts)
-    if len(lines) != q**3:
-        raise ValueError(f"expected {q**3} distinct lines, got {len(lines)}")
-    return IncidenceStructure.from_lines(FQ3_FAMILY, q, q**3, lines, lam)
+    lines = tuple(
+        tuple(beta * q2 + ((v1 + beta * lam) % q) * q + (v2 + beta * mu) % q for beta in range(q))
+        for mu in range(q) for v1 in range(q) for v2 in range(q)
+    )
+    if len(set(lines)) != q**3:
+        raise ValueError(f"expected {q**3} distinct lines, got {len(set(lines))}")
+    return IncidenceStructure(FQ3_FAMILY, q, lines, lam)
 
 
 def incidence_sum(

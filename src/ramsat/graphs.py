@@ -56,41 +56,6 @@ def mask_of(vertices) -> int:
 
 
 @dataclass(frozen=True)
-class VertexSet:
-    """A sorted, duplicate-free set of vertex indices."""
-
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        ms = self.members
-        if any(ms[i] >= ms[i + 1] for i in range(len(ms) - 1)):
-            raise ValueError("members must be strictly increasing")
-        if ms and ms[0] < 0:
-            raise ValueError("vertex indices must be non-negative")
-
-    @classmethod
-    def of(cls, vertices) -> "VertexSet":
-        return cls(tuple(sorted(set(vertices))))
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "VertexSet":
-        return cls(tuple(iter_bits(mask)))
-
-    @property
-    def mask(self) -> int:
-        return mask_of(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, v):
-        return v in self.members
-
-
-@dataclass(frozen=True)
 class SimpleGraph:
     """Undirected graph on ``n`` vertices with bit-row adjacency.
 
@@ -274,12 +239,12 @@ def find_clique_mask(rows: tuple[int, ...], allowed: int, m: int) -> Optional[in
     return _clique_search(rows, allowed, m)
 
 
-def find_clique(g: SimpleGraph, m: int) -> Optional[VertexSet]:
-    """The lexicographically smallest m-clique of ``g``, or None."""
+def find_clique(g: SimpleGraph, m: int) -> Optional[tuple[int, ...]]:
+    """The lexicographically smallest m-clique of ``g``, ascending, or None."""
     if not 1 <= m <= g.n:
         raise ValueError(f"clique size {m} outside [1, {g.n}]")
     mask = find_clique_mask(g.rows, g.full_mask, m)
-    return None if mask is None else VertexSet.from_mask(mask)
+    return None if mask is None else tuple(iter_bits(mask))
 
 
 def turan_bound(n: int, edge_count: int) -> int:
@@ -288,8 +253,8 @@ def turan_bound(n: int, edge_count: int) -> int:
     return -(-(n * n) // d)
 
 
-def turan_independent_set(g: SimpleGraph) -> VertexSet:
-    """Greedy minimum-degree independent set.
+def turan_independent_set(g: SimpleGraph) -> tuple[int, ...]:
+    """Greedy minimum-degree independent set, ascending.
 
     Repeatedly takes a live vertex of minimum residual degree (smallest
     index on ties) and discards its neighbourhood.  The result has size at
@@ -298,7 +263,7 @@ def turan_independent_set(g: SimpleGraph) -> VertexSet:
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     alive = g.full_mask
-    chosen = []
+    chosen = 0
     while alive:
         best_v = -1
         best_d = g.n + 1
@@ -312,9 +277,9 @@ def turan_independent_set(g: SimpleGraph) -> VertexSet:
                 best_d, best_v = d, v
                 if d == 0:
                     break
-        chosen.append(best_v)
+        chosen |= 1 << best_v
         alive &= ~(g.rows[best_v] | (1 << best_v))
-    return VertexSet.of(chosen)
+    return tuple(iter_bits(chosen))
 
 
 # -- colex ranking and subset scanning -------------------------------------
@@ -453,24 +418,28 @@ def balance_tests(g: SimpleGraph, s: int, t: int):
 
 def scan_colex(
     tests, n: int, m: int, threads: int = 1, stop: bool = True
-) -> list[tuple[int, int, Optional[int]]]:
+) -> tuple[int, int, Optional[int]]:
     """``scan_subsets`` over all m-subsets of range(n), sharded over processes.
 
     The C(n, m) colex ranks are cut into ``threads`` consecutive ranges, one
     per worker process, each given its unranked first and last subsets.  With
     one thread, or fewer than four subsets per worker, the scan runs in this
-    process.  Returns the per-range results in colex order; with ``stop``
-    each range ends at its own first failure.
+    process.  Returns ``(scanned, failures, first_failure)`` as
+    ``scan_subsets`` does, summed over the ranges, with the first failure in
+    colex order; with ``stop`` each range ends at its own first failure, so
+    ``scanned`` counts the subsets up to each.
     """
     if not 1 <= threads <= THREAD_CAP:
         raise ValueError(f"need 1 <= threads <= {THREAD_CAP}, got {threads}")
     space = comb(n, m)
     if threads == 1 or space < 4 * threads:
         last = ((1 << m) - 1) << (n - m) if space else 0  # no m-subsets when m > n
-        return [scan_subsets(tests, (1 << m) - 1, last, stop)]
+        return scan_subsets(tests, (1 << m) - 1, last, stop)
     chunk = space // threads
     cuts = [j * chunk for j in range(threads)] + [space]
     firsts = [mask_of(subset_unrank(cuts[j], m)) for j in range(threads)]
     lasts = [mask_of(subset_unrank(cuts[j + 1] - 1, m)) for j in range(threads)]
     with ProcessPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(scan_subsets, [tests] * threads, firsts, lasts, [stop] * threads))
+        shards = ex.map(scan_subsets, [tests] * threads, firsts, lasts, [stop] * threads)
+        scanned, failures, fails = zip(*shards)
+    return sum(scanned), sum(failures), next((x for x in fails if x is not None), None)

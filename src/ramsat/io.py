@@ -11,7 +11,8 @@ Four line-oriented formats, each with a one-line header:
   bits in colex rank order (bit i of the integer = color of rank i,
   0 red / 1 blue);
 * incidence         — ``inc <kind> <q> [<lambda>]`` then one line of point
-  indices per geometric line.
+  indices per geometric line; the lines must form the structure the header
+  names.
 
 Parsers reject malformed constructs with the 1-based line number, and
 check a header's sizes against the package caps (``VERTEX_CAP`` vertices
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb
 from typing import Optional
 
 from .constructions import COLOR_CAP, ColoredCompleteGraph
@@ -121,15 +121,12 @@ def parse_colored_graph(text: str) -> ColoredCompleteGraph:
             lineno, f"sizes n={n}, r={r} outside [0, {VERTEX_CAP}] x [1, {COLOR_CAP}]"
         )
     rows = [[0] * n for _ in range(r)]
-    count = 0
     for lineno, (u, v, c) in _pair_lines(it, n, "u v c"):
         if not 1 <= c <= r:
             raise ParseError(lineno, f"color {c} outside [1, {r}]")
-        count += 1
         rows[c - 1][u] |= 1 << v
         rows[c - 1][v] |= 1 << u
-    classes = tuple(SimpleGraph(n, tuple(rs)) for rs in rows)
-    return ColoredCompleteGraph(n, r, classes, complete=(count == comb(n, 2)))
+    return ColoredCompleteGraph(tuple(SimpleGraph(n, tuple(rs)) for rs in rows))
 
 
 def dump_colored_graph(c: ColoredCompleteGraph) -> str:
@@ -181,26 +178,24 @@ def dump_ksubset_coloring(chi: KSubsetColoring) -> str:
 
 
 def parse_incidence(text: str) -> IncidenceStructure:
-    it, lineno, head = _header(text, "inc <kind> <q>")
+    it, head_no, head = _header(text, "inc <kind> <q>")
     if head[0] != "inc" or len(head) not in (3, 4):
-        raise ParseError(lineno, "expected header 'inc <kind> <q> [<lambda>]'")
+        raise ParseError(head_no, "expected header 'inc <kind> <q> [<lambda>]'")
     kind = head[1]
     if kind not in (AFFINE_PLANE, FQ3_FAMILY):
-        raise ParseError(lineno, f"unknown kind {kind!r}")
+        raise ParseError(head_no, f"unknown kind {kind!r}")
     try:
         q = int(head[2])
         lam = int(head[3]) if len(head) == 4 else None
     except ValueError:
-        raise ParseError(lineno, "q and lambda must be integers") from None
-    if kind == FQ3_FAMILY and lam is None:
-        raise ParseError(lineno, "fq3-family header needs a lambda")
+        raise ParseError(head_no, "q and lambda must be integers") from None
     try:
         PrimeField(q)
     except ValueError as err:
-        raise ParseError(lineno, str(err)) from None
-    point_count = q * q if kind == AFFINE_PLANE else q**3
+        raise ParseError(head_no, str(err)) from None
+    point_count = IncidenceStructure(kind, q, (), lam).point_count
     if point_count > VERTEX_CAP:
-        raise ParseError(lineno, f"{point_count} points exceed cap {VERTEX_CAP}")
+        raise ParseError(head_no, f"{point_count} points exceed cap {VERTEX_CAP}")
     lines = []
     for lineno, parts in it:
         try:
@@ -212,7 +207,12 @@ def parse_incidence(text: str) -> IncidenceStructure:
         if len(set(pts)) != len(pts):
             raise ParseError(lineno, "repeated point in line")
         lines.append(tuple(sorted(pts)))
-    return IncidenceStructure.from_lines(kind, q, point_count, lines, lam)
+    inc = IncidenceStructure(kind, q, tuple(lines), lam)
+    try:
+        inc.validate()
+    except ValueError as err:
+        raise ParseError(head_no, str(err)) from None
+    return inc
 
 
 def dump_incidence(inc: IncidenceStructure) -> str:
@@ -233,10 +233,11 @@ VERDICTS = ("holds", "fails", "unknown")
 class Certificate:
     """Self-contained verdict record emitted by every CLI command.
 
-    Invariants: a "fails" verdict carries a witness, an "unknown" verdict
-    records the exhausted budget in ``params``.  The body — everything but
-    ``wall_time_ms`` — is canonical JSON, so re-running the recorded
-    command (same flags, same seed) reproduces it byte for byte.
+    Construction checks the record with ``validate_certificate``: a "fails"
+    verdict carries a witness, an "unknown" verdict records the exhausted
+    budget in ``params``.  The body — everything but ``wall_time_ms`` — is
+    canonical JSON, so re-running the recorded command (same flags, same
+    seed) reproduces it byte for byte.
     """
 
     claim: str
@@ -249,12 +250,7 @@ class Certificate:
     wall_time_ms: int = 0
 
     def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"verdict must be one of {VERDICTS}")
-        if self.verdict == "fails" and self.witness is None:
-            raise ValueError("failing certificates must carry a witness")
-        if self.verdict == "unknown" and "budget" not in self.params:
-            raise ValueError("unknown certificates must record the budget")
+        validate_certificate({**self.body(), "wall_time_ms": self.wall_time_ms})
 
     def body(self) -> dict:
         return {

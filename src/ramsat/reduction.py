@@ -25,6 +25,9 @@ of S, the family of k-subsets containing S: S lies in a red k-superset when
 ``coloring_to_graph`` instead looks colors up one rank at a time, so that
 each search stops at its first answer.  Edge bitmasks of graphs use the
 colex rank of pairs.
+
+Both oracles walk N upward through one loop and return an ``OracleResult``;
+vertex sets come back as ascending tuples.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .errors import BudgetError, ConsistencyError
 from .graphs import (
     ENUMERATION_CAP,
     SimpleGraph,
-    VertexSet,
     balance_tests,
     find_clique_mask,
     iter_bits,
@@ -146,18 +148,30 @@ class KSubsetColoring:
 
 
 @dataclass(frozen=True)
-class GOracleResult:
-    value: Optional[int]  # g(n, s, t) if found within n_max
-    witness: Optional[SimpleGraph]  # graph where every n-set has both structures
-    witness_n: Optional[int]  # its vertex count (value - 1, or n_max when absent)
-    checked: int  # graphs examined
+class OracleResult:
+    """What ``g_oracle`` or ``f_oracle`` found up to its ``n_max``."""
+
+    value: Optional[int]  # the least N with no counterexample, if found
+    witness: Optional[object]  # the counterexample on value - 1 (or n_max) points
+    checked: int  # graphs or colorings examined
 
 
-@dataclass(frozen=True)
-class FOracleResult:
-    value: Optional[int]
-    witness: Optional[KSubsetColoring]  # coloring with no good n-set
-    checked: int  # colorings examined
+def _least_level(n: int, n_max: int, search) -> OracleResult:
+    """The least N from max(1, n - 1) to ``n_max`` where ``search`` finds nothing.
+
+    ``search(N)`` returns ``(counterexample, examined)``, the counterexample
+    None when there is none on N points.  The witness is the counterexample
+    of the last level that had one.
+    """
+    checked = 0
+    witness = None
+    for N in range(max(1, n - 1), n_max + 1):
+        counterexample, examined = search(N)
+        checked += examined
+        if counterexample is None:
+            return OracleResult(N, witness, checked)
+        witness = counterexample
+    return OracleResult(None, witness, checked)
 
 
 # -- unbalanced sets and the g oracle ---------------------------------------
@@ -165,10 +179,10 @@ class FOracleResult:
 
 def has_unbalanced_set(
     g: SimpleGraph, n: int, s: int, t: int
-) -> Optional[VertexSet]:
+) -> Optional[tuple[int, ...]]:
     """First (colex) n-subset missing a K_s or missing an independent t-set.
 
-    Returns None when every n-subset contains both.
+    Returns it ascending, or None when every n-subset contains both.
     """
     if not 0 < n <= g.n:
         raise ValueError(f"subset size {n} outside [1, {g.n}]")
@@ -177,11 +191,11 @@ def has_unbalanced_set(
     if g.n > ENUMERATION_CAP:
         raise ValueError(f"subset enumeration capped at {ENUMERATION_CAP} vertices")
     first = _first_unbalanced(g, n, s, t)
-    return None if first is None else VertexSet.from_mask(first)
+    return None if first is None else tuple(iter_bits(first))
 
 
 def _first_unbalanced(g: SimpleGraph, n: int, s: int, t: int) -> Optional[int]:
-    return scan_colex(balance_tests(g, s, t), g.n, n)[0][2]
+    return scan_colex(balance_tests(g, s, t), g.n, n)[2]
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +217,7 @@ def graph_from_edge_mask(N: int, mask: int) -> SimpleGraph:
     return SimpleGraph(N, tuple(rows))
 
 
-def g_oracle(n: int, s: int, t: int, n_max: int) -> GOracleResult:
+def g_oracle(n: int, s: int, t: int, n_max: int) -> OracleResult:
     """Exhaustively compute g(n, s, t) for candidates N <= n_max.
 
     For each N (ascending from n-1, where the claim is vacuously refuted by
@@ -220,25 +234,20 @@ def g_oracle(n: int, s: int, t: int, n_max: int) -> GOracleResult:
         raise ValueError("need n >= 2")
     if n_max > G_ORACLE_VERTEX_CAP:
         raise BudgetError(f"g oracle capped at n_max <= {G_ORACLE_VERTEX_CAP}")
-    checked = 0
-    witness = None
-    witness_n = None
-    for N in range(max(1, n - 1), n_max + 1):
-        pair_count = comb(N, 2)
-        full = (1 << pair_count) - 1
-        counterexample = None
-        for mask in range(1 << pair_count):
+
+    def search(N: int):
+        full = (1 << comb(N, 2)) - 1
+        examined = 0
+        for mask in range(full + 1):
             if s == t and mask > full ^ mask:
                 continue
-            checked += 1
+            examined += 1
             g = graph_from_edge_mask(N, mask)
             if _first_unbalanced(g, n, s, t) is None:
-                counterexample = g
-                break
-        if counterexample is None:
-            return GOracleResult(N, witness, witness_n, checked)
-        witness, witness_n = counterexample, N
-    return GOracleResult(None, witness, witness_n, checked)
+                return g, examined
+        return None, examined
+
+    return _least_level(n, n_max, search)
 
 
 # -- good sets and the f oracle ---------------------------------------------
@@ -278,8 +287,8 @@ def _first_good_set(bits: int, rows) -> Optional[tuple[int, ...]]:
 
 def good_set_witness(
     chi: KSubsetColoring, params: RamseyParams
-) -> Optional[VertexSet]:
-    """First (colex) n-subset that is good for the coloring, or None.
+) -> Optional[tuple[int, ...]]:
+    """First (colex) n-subset that is good for the coloring, ascending, or None.
 
     Good means: every s-subset lies in at least one red k-subset of the
     whole ground set, or every t-subset lies in at least one blue one.
@@ -293,11 +302,10 @@ def good_set_witness(
     # word-sized masks: the cached table, as the f oracle uses; larger: built lazily
     table = _good_set_table if chi.subset_count <= 64 else _good_set_rows
     rows = table(chi.N, chi.k, params.n, params.s, params.t)
-    U = _first_good_set(chi.bits, rows)
-    return None if U is None else VertexSet(U)
+    return _first_good_set(chi.bits, rows)
 
 
-def f_oracle(params: RamseyParams, n_max: int) -> FOracleResult:
+def f_oracle(params: RamseyParams, n_max: int) -> OracleResult:
     """Exhaustively compute f_k(n, s, t) for candidates N <= n_max.
 
     For each N all 2^C(N,k) colorings are enumerated by ascending bit
@@ -312,20 +320,16 @@ def f_oracle(params: RamseyParams, n_max: int) -> FOracleResult:
         raise BudgetError(
             f"C({n_max},{k}) = {comb(n_max, k)} exceeds f-oracle cap {F_ORACLE_SUBSET_CAP}"
         )
-    checked = 0
-    witness = None
-    for N in range(max(1, n - 1), n_max + 1):
+
+    def search(N: int):
         table = _good_set_table(N, k, n, s, t)
-        counterexample = None
-        for bits in range(1 << comb(N, k)):
-            checked += 1
+        colorings = 1 << comb(N, k)
+        for bits in range(colorings):
             if _first_good_set(bits, table) is None:
-                counterexample = KSubsetColoring(N, k, bits)
-                break
-        if counterexample is None:
-            return FOracleResult(N, witness, checked)
-        witness = counterexample
-    return FOracleResult(None, witness, checked)
+                return KSubsetColoring(N, k, bits), bits + 1
+        return None, colorings
+
+    return _least_level(n, n_max, search)
 
 
 # -- the two directions of the equivalence ----------------------------------

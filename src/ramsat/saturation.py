@@ -280,9 +280,8 @@ def check_observation(
             f"C({n},{m}) = {space} exceeds cap {OBSERVATION_SUBSET_CAP}; use samples="
         )
     for i in range(r):
-        shards = scan_colex(((c.classes[i].rows, target),), n, m, threads)
-        checked += sum(scanned for scanned, _, _ in shards)
-        fail = next((first for _, _, first in shards if first is not None), None)
+        scanned, _, fail = scan_colex(((c.classes[i].rows, target),), n, m, threads)
+        checked += scanned
         if fail is not None:
             return Verdict(
                 holds=False, witness=_observation_witness(i, fail), checked=checked
@@ -439,8 +438,7 @@ def ssat_search(
         if _escape_search(opt, n, k, [0] * r)[0]:
             return None
         if d == len(pairs):
-            classes = tuple(SimpleGraph(n, tuple(rows)) for rows in opt)
-            return ColoredCompleteGraph(n, r, classes, complete=True)
+            return ColoredCompleteGraph(tuple(SimpleGraph(n, tuple(rows)) for rows in opt))
         u, v = pairs[d]
         for color in range(min(used + 1, r)):
             flip(u, v, color)

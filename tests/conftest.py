@@ -5,12 +5,23 @@ itertools, independently of the library's bitset search paths, so the two
 routes can disagree loudly in tests.
 """
 
+import os
 from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import pytest
 
 import ramsat as rs
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def checkout_env() -> dict:
+    """The environment with this checkout's ``src/`` first on PYTHONPATH, for child interpreters."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def petersen() -> rs.SimpleGraph:
@@ -36,6 +47,11 @@ def naive_max_independent_size(g: rs.SimpleGraph) -> int:
     return 0
 
 
+def is_increasing_tuple(x) -> bool:
+    """Whether x is a tuple of strictly increasing ints, as vertex sets are returned."""
+    return type(x) is tuple and all(a < b for a, b in zip(x, x[1:]))
+
+
 def is_clique(g: rs.SimpleGraph, vertices) -> bool:
     return all(g.has_edge(u, v) for u, v in combinations(tuple(vertices), 2))
 
@@ -58,7 +74,7 @@ def pattern_from_colors(n: int, r: int, colors) -> rs.ColoredCompleteGraph:
         rows[c][u] |= 1 << v
         rows[c][v] |= 1 << u
     classes = tuple(rs.SimpleGraph(n, tuple(rw)) for rw in rows)
-    return rs.ColoredCompleteGraph(n, r, classes, complete=True)
+    return rs.ColoredCompleteGraph(classes)
 
 
 def all_patterns(n: int, r: int):
@@ -81,4 +97,4 @@ def c4_diagonals() -> rs.ColoredCompleteGraph:
     """The 4-cycle / diagonals 2-coloring of K_4."""
     c4 = rs.SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     diag = rs.SimpleGraph.from_edges(4, [(0, 2), (1, 3)])
-    return rs.ColoredCompleteGraph(4, 2, (c4, diag), complete=True)
+    return rs.ColoredCompleteGraph((c4, diag))

@@ -79,7 +79,7 @@ def test_criterion_04_g_oracle_values():
         res = rs.g_oracle(3, 2, 2, 6)
         assert res.value == 6
         w = res.witness
-        assert res.witness_n == 5
+        assert res.witness.n == 5
         assert all(w.degree(v) == 2 for v in range(5))
         reached = {0}
         stack = [0]
@@ -153,7 +153,7 @@ def test_criterion_09_turan_bound():
             n = 4 + seed % 37
             g = rs.sample_gnp(rs.GnpParams(n, (seed % 10) / 10.0, seed))
             out = rs.turan_independent_set(g)
-            ok = all(not g.has_edge(u, v) for u, v in combinations(out.members, 2))
+            ok = all(not g.has_edge(u, v) for u, v in combinations(out, 2))
             if not ok or len(out) < rs.turan_bound(n, g.edge_count):
                 violations += 1
         assert violations == 0

@@ -9,6 +9,8 @@ import ramsat as rs
 from ramsat import cli
 from ramsat.cli import run
 
+from conftest import checkout_env
+
 
 def _run(capsys, argv):
     code = run(argv)
@@ -92,7 +94,7 @@ def test_construct_verify_cycle(tmp_path, capsys):
 def test_verify_failing_witness_feeds_back(tmp_path, capsys):
     n = 5
     classes = (rs.SimpleGraph.complete(n), rs.SimpleGraph.empty(n))
-    pat = rs.ColoredCompleteGraph(n, 2, classes, complete=True)
+    pat = rs.ColoredCompleteGraph(classes)
     path = tmp_path / "mono.cg"
     path.write_text(rs.dump_colored_graph(pat))
     for cmd in ("ssat", "ssat-direct"):
@@ -220,7 +222,7 @@ def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ramsat.cli", "oracle", "g",
          "--n", "2", "--s", "2", "--t", "2", "--n-max", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=checkout_env(),
     )
     assert proc.returncode == 0
     cert = json.loads(proc.stdout)
@@ -232,7 +234,8 @@ def test_cli_import_leaves_numpy_unloaded():
     import sys
 
     code = "import sys, ramsat.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=checkout_env())
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
@@ -315,6 +318,15 @@ def test_node_budget_below_1_rejected(capsys, budget):
 def test_incidence_header_with_nonprime_q_exits_4(tmp_path, capsys, q):
     path = tmp_path / "bad.inc"
     path.write_text(f"inc affine-plane {q}\n")
+    assert run(["geom", "incidence", "--in", str(path), "--lines", "", "--points", ""]) == 4
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("text", ["inc fq3-family 3 -1\n", "inc affine-plane 3\n0 1 2\n"],
+                         ids=["lambda-out-of-range", "one-line-plane"])
+def test_incidence_body_not_the_named_structure_exits_4(tmp_path, capsys, text):
+    path = tmp_path / "bad.inc"
+    path.write_text(text)
     assert run(["geom", "incidence", "--in", str(path), "--lines", "", "--points", ""]) == 4
     assert capsys.readouterr().out == ""
 

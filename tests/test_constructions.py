@@ -14,15 +14,20 @@ def test_pattern_validation_rejects_overlap():
     a = rs.SimpleGraph.from_edges(3, [(0, 1)])
     b = rs.SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
-        rs.ColoredCompleteGraph(3, 2, (a, b), complete=False)
+        rs.ColoredCompleteGraph((a, b))
 
 
-def test_pattern_validation_rejects_false_completeness():
+def test_pattern_completeness_read_off_classes():
     a = rs.SimpleGraph.from_edges(3, [(0, 1)])
     b = rs.SimpleGraph.from_edges(3, [(1, 2)])
+    partial = rs.ColoredCompleteGraph((a, b))
+    assert (partial.n, partial.r, partial.complete) == (3, 2, False)
+    full = rs.ColoredCompleteGraph((a, rs.SimpleGraph.from_edges(3, [(1, 2), (0, 2)])))
+    assert (full.n, full.r, full.complete) == (3, 2, True)
     with pytest.raises(ValueError):
-        rs.ColoredCompleteGraph(3, 2, (a, b), complete=True)
-    rs.ColoredCompleteGraph(3, 2, (a, b), complete=False)
+        rs.ColoredCompleteGraph((a, rs.SimpleGraph.empty(4)))  # vertex counts differ
+    with pytest.raises(ValueError):
+        rs.ColoredCompleteGraph(())
 
 
 def test_affine_coloring_q2_round_robin_splits_evenly():

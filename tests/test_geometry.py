@@ -101,6 +101,44 @@ def test_fq3_family_lambda_range():
         rs.fq3_line_family(3, -1)
 
 
+def _structure(kind, q, lines, lam=None):
+    return rs.IncidenceStructure(kind, q, tuple(tuple(line) for line in lines), lam)
+
+
+def test_validate_rejects_line_of_wrong_size():
+    lines = list(rs.build_affine_plane(3).lines)
+    lines[0] = lines[0][:2]
+    with pytest.raises(ValueError, match="distinct points"):
+        _structure("affine-plane", 3, lines).validate()
+
+
+def test_validate_rejects_pair_on_two_lines():
+    # every point of this q = 2 "plane" is on 3 lines of 2, but {0, 1} is on two
+    lines = [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)]
+    with pytest.raises(ValueError, match="two lines"):
+        _structure("affine-plane", 2, lines).validate()
+
+
+def test_validate_rejects_affine_pair_on_no_line():
+    # moving point 2 off the line {0, 1, 2} leaves {0, 2} and {1, 2} on no
+    # line; by counting, that puts some other pair on two lines
+    plane = rs.build_affine_plane(3)
+    lines = [(0, 1, 5) if line == (0, 1, 2) else line for line in plane.lines]
+    assert lines != list(plane.lines)
+    with pytest.raises(ValueError):
+        _structure("affine-plane", 3, lines).validate()
+
+
+def test_validate_rejects_point_on_wrong_number_of_lines():
+    # in the q = 2, lambda = 0 family, trade the line {3, 7} for {0, 3}: no
+    # pair is on two lines, but point 0 is on 3 lines and point 7 on 1
+    fam = rs.fq3_line_family(2, 0)
+    lines = [(0, 3) if line == (3, 7) else line for line in fam.lines]
+    assert lines != list(fam.lines)
+    with pytest.raises(ValueError, match="point 0 on wrong number"):
+        _structure("fq3-family", 2, lines, 0).validate()
+
+
 def test_incidence_sum_full_plane():
     for q in (2, 3, 5):
         plane = rs.build_affine_plane(q)

@@ -105,6 +105,8 @@ def test_certificate_invariants():
     rs.Certificate("x", {"budget": "n_max=6"}, "unknown")
     with pytest.raises(ValueError):
         rs.Certificate("x", {}, "maybe")
+    with pytest.raises(ValueError):
+        rs.Certificate("x", {}, "holds", checked="3")
 
 
 def test_validate_certificate_catches_missing_fields():

@@ -11,7 +11,7 @@ import ramsat as rs
 from ramsat.errors import BudgetError
 from ramsat.reduction import iter_subsets_colex
 
-from conftest import all_graphs, petersen
+from conftest import all_graphs, is_increasing_tuple, petersen
 
 
 # -- colex ----------------------------------------------------------------
@@ -85,10 +85,10 @@ def test_ksubset_coloring_caps():
 
 def test_has_unbalanced_set_examples():
     got = rs.has_unbalanced_set(rs.SimpleGraph.complete(5), 3, 2, 2)
-    assert got is not None and len(got) == 3  # any triple lacks I_2
+    assert is_increasing_tuple(got) and len(got) == 3  # any triple lacks I_2
     assert rs.has_unbalanced_set(rs.SimpleGraph.cycle(5), 5, 2, 2) is None
     got = rs.has_unbalanced_set(petersen(), 4, 3, 3)
-    assert got is not None  # triangle-free graph: every 4-set lacks K_3
+    assert is_increasing_tuple(got)  # triangle-free graph: every 4-set lacks K_3
 
 
 def test_has_unbalanced_set_range_errors():
@@ -108,7 +108,7 @@ def test_g_oracle_ramsey_number_with_c5_witness():
     res = rs.g_oracle(3, 2, 2, 6)
     assert res.value == 6
     w = res.witness
-    assert res.witness_n == 5 and w.n == 5
+    assert res.witness.n == 5 and w.n == 5
     # the only graph on 5 vertices in which every triple has an edge and a
     # non-edge is the 5-cycle: 2-regular and connected
     assert all(w.degree(v) == 2 for v in range(5))
@@ -142,9 +142,9 @@ def test_g_oracle_budget():
 def test_good_set_witness_monochromatic():
     params = rs.RamseyParams(4, 2, 3)
     chi = rs.KSubsetColoring.all_blue(5, 3)
-    assert rs.good_set_witness(chi, params).members == (0, 1, 2, 3)
+    assert rs.good_set_witness(chi, params) == (0, 1, 2, 3)
     chi = rs.KSubsetColoring.all_red(5, 3)
-    assert rs.good_set_witness(chi, params).members == (0, 1, 2, 3)
+    assert rs.good_set_witness(chi, params) == (0, 1, 2, 3)
 
 
 def _naive_good_set(chi: rs.KSubsetColoring, n, s, t):
@@ -180,7 +180,8 @@ def test_good_set_witness_matches_naive_on_seeded_colorings():
         chi = rs.KSubsetColoring.random(5, 3, seed)
         got = rs.good_set_witness(chi, params)
         want = _naive_good_set(chi, 4, 2, 3)
-        assert (None if got is None else got.members) == want
+        assert got == want
+        assert got is None or is_increasing_tuple(got)
 
 
 def test_good_set_witness_past_word_masks_matches_naive():
@@ -195,7 +196,7 @@ def test_good_set_witness_past_word_masks_matches_naive():
         for chi in chis:
             assert chi.subset_count > 64
             got = rs.good_set_witness(chi, params)
-            assert (None if got is None else got.members) == _naive_good_set(chi, n, s, t)
+            assert got == _naive_good_set(chi, n, s, t)
 
 
 def test_f_oracle_exact_formula_cases():

@@ -11,7 +11,7 @@ from conftest import all_patterns
 def _single_color_pattern(n, r, k_edges_color=0):
     classes = [rs.SimpleGraph.complete(n) if i == k_edges_color else rs.SimpleGraph.empty(n)
                for i in range(r)]
-    return rs.ColoredCompleteGraph(n, r, tuple(classes), complete=True)
+    return rs.ColoredCompleteGraph(tuple(classes))
 
 
 def test_c4_diagonals_semisaturated(c4_diagonals):
@@ -40,13 +40,9 @@ def test_monochromatic_pattern_fails():
 
 
 def test_direct_tiny_patterns_fail():
-    pat = rs.ColoredCompleteGraph(
-        1, 2, (rs.SimpleGraph.empty(1), rs.SimpleGraph.empty(1)), complete=True
-    )
+    pat = rs.ColoredCompleteGraph((rs.SimpleGraph.empty(1), rs.SimpleGraph.empty(1)))
     assert not rs.is_semisaturated_direct(pat, 3).holds
-    one_edge = rs.ColoredCompleteGraph(
-        2, 2, (rs.SimpleGraph.complete(2), rs.SimpleGraph.empty(2)), complete=True
-    )
+    one_edge = rs.ColoredCompleteGraph((rs.SimpleGraph.complete(2), rs.SimpleGraph.empty(2)))
     v = rs.is_semisaturated_direct(one_edge, 3)
     assert not v.holds
     # coloring both new edges with the empty class is one escape
@@ -56,8 +52,7 @@ def test_direct_tiny_patterns_fail():
 
 def test_semisaturated_requires_complete_pattern():
     partial = rs.ColoredCompleteGraph(
-        3, 2, (rs.SimpleGraph.from_edges(3, [(0, 1)]), rs.SimpleGraph.empty(3)),
-        complete=False,
+        (rs.SimpleGraph.from_edges(3, [(0, 1)]), rs.SimpleGraph.empty(3))
     )
     with pytest.raises(ValueError):
         rs.is_semisaturated(partial, 3)
@@ -92,15 +87,10 @@ def test_sampled_semisaturation_modes():
     v = rs.is_semisaturated(pat, 3, samples=200, seed=1)
     assert not v.holds  # a sampled failure is definitive
     assert rs.coloring_escapes(pat, 3, v.witness["colors"])
-    good = rs.ColoredCompleteGraph(
-        4,
-        2,
-        (
-            rs.SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
-            rs.SimpleGraph.from_edges(4, [(0, 2), (1, 3)]),
-        ),
-        complete=True,
-    )
+    good = rs.ColoredCompleteGraph((
+        rs.SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+        rs.SimpleGraph.from_edges(4, [(0, 2), (1, 3)]),
+    ))
     v = rs.is_semisaturated(good, 3, samples=50, seed=1)
     assert v.holds and not v.exhaustive  # evidence only
     with pytest.raises(ValueError):
