@@ -29,20 +29,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations, compress
 from math import comb
 from typing import Optional
 
 from .errors import BudgetError
 from .geometry import build_affine_plane, fq3_line_family, parallel_classes, PrimeField
 from .graphs import (
-    ENUMERATION_CAP,
     THREAD_CAP,
     VERTEX_CAP,
     SimpleGraph,
     balance_tests,
+    exact_space,
     mask_of,
     scan_colex,
-    scan_subsets,
 )
 
 GENERATOR_NAME = "numpy-pcg64"
@@ -279,29 +279,16 @@ def sample_gnp(params: GnpParams) -> SimpleGraph:
     """
     n = params.N
     draws = seeded_rng(params.seed).random(comb(n, 2))
-    rows = [0] * n
-    i = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draws[i] < params.p:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            i += 1
-    return SimpleGraph(n, tuple(rows))
+    return SimpleGraph.from_edges(n, compress(combinations(range(n), 2), draws < params.p))
 
 
 def random_complete_pattern(n: int, r: int, seed: int) -> ColoredCompleteGraph:
     """Uniform random complete r-coloring of K_n (one ``seeded_rng`` draw per pair)."""
-    colors = seeded_rng(seed).integers(0, r, size=comb(n, 2))
-    rows = [[0] * n for _ in range(r)]
-    i = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            c = int(colors[i])
-            i += 1
-            rows[c][u] |= 1 << v
-            rows[c][v] |= 1 << u
-    return ColoredCompleteGraph(tuple(SimpleGraph(n, tuple(rs)) for rs in rows))
+    colors = seeded_rng(seed).integers(0, r, size=comb(n, 2)).tolist()
+    edges = [[] for _ in range(r)]
+    for e, c in zip(combinations(range(n), 2), colors):
+        edges[c].append(e)
+    return ColoredCompleteGraph(tuple(SimpleGraph.from_edges(n, es) for es in edges))
 
 
 def count_bad_sets(
@@ -316,11 +303,12 @@ def count_bad_sets(
 ) -> BadSetCount:
     """Count n-subsets whose induced subgraph misses K_s or misses I_t.
 
-    Exact mode enumerates all C(N, n) subsets in colex order (budget 10^7,
-    N <= 64) and may shard the scan across processes; the reduction is a
-    sum, so the count is order-independent.  Sampled mode draws ``trials``
-    uniform n-subsets with the seeded generator and scales the hit fraction
-    by C(N, n), an unbiased estimate of the exact count.
+    One ``scan_colex`` call per mode.  Exact mode enumerates all C(N, n)
+    subsets in colex order (budget 10^7, N <= 64) and may shard the scan
+    across processes; the reduction is a sum, so the count is
+    order-independent.  Sampled mode decides ``trials`` uniform n-subsets
+    drawn with the seeded generator and scales the hit fraction by C(N, n),
+    an unbiased estimate of the exact count.
     """
     N = g.n
     if not 0 < n <= N:
@@ -329,11 +317,9 @@ def count_bad_sets(
         raise ValueError("need s, t >= 2")
     if not 1 <= threads <= THREAD_CAP:
         raise ValueError(f"need 1 <= threads <= {THREAD_CAP}, got {threads}")
-    space = comb(N, n)
     tests = balance_tests(g, s, t)
     if mode == "exact":
-        if N > ENUMERATION_CAP:
-            raise ValueError(f"exact mode capped at {ENUMERATION_CAP} vertices")
+        space = exact_space(N, n)
         if space > EXACT_SUBSET_BUDGET:
             raise BudgetError(
                 f"C({N},{n}) = {space} exceeds exact budget {EXACT_SUBSET_BUDGET}"
@@ -341,13 +327,9 @@ def count_bad_sets(
         hits = scan_colex(tests, N, n, threads, False)[1]
         return BadSetCount("exact", float(hits), space, space, hits)
     if mode == "sampled":
-        if trials is None or trials < 1:
+        if trials is None:
             raise ValueError("sampled mode requires a positive trial count")
-        rng = seeded_rng(seed)
-        hits = 0
-        for _ in range(trials):
-            x = mask_of(int(v) for v in rng.choice(N, size=n, replace=False))
-            hits += scan_subsets(tests, x, x, False)[1]
-        estimate = space * hits / trials
-        return BadSetCount("sampled", estimate, trials, space, hits)
+        hits = scan_colex(tests, N, n, threads, False, trials, seeded_rng(seed))[1]
+        space = comb(N, n)
+        return BadSetCount("sampled", space * hits / trials, trials, space, hits)
     raise ValueError(f"unknown mode {mode!r}")

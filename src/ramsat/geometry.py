@@ -181,7 +181,8 @@ def incidence_sum(
     Returns ``(count, bound)`` where count = sum over lines of |line ∩ U|
     and bound = |U|·|F|/q − 2·sqrt(q)·sqrt(|U|·|F|).  The caller compares
     the two; for families that are unions of parallel classes the count
-    equals |U|·|F|/q exactly, so the bound always holds there.
+    equals |U|·|F|/q exactly, so the bound always holds there.  F and U are
+    sets, so a repeated index raises ValueError.
     """
     family = list(family)
     if any(not 0 <= i < len(structure.lines) for i in family):
@@ -189,6 +190,8 @@ def incidence_sum(
     members = list(u)
     if any(not 0 <= p < structure.point_count for p in members):
         raise ValueError("point index out of range")
+    if len(set(family)) < len(family) or len(set(members)) < len(members):
+        raise ValueError("the bound is about sets: a line or point index repeats")
     umask = mask_of(members)
     masks = structure.line_masks
     count = sum((masks[i] & umask).bit_count() for i in family)

@@ -12,8 +12,9 @@ C(c_i, i).  ``scan_subsets`` decides every subset of a colex window of
 masks by a depth-first walk over descending prefixes: the subsets that
 share their top elements form one colex block, and a block whose top
 elements already hold every clique asked for passes whole, without a visit.
-``scan_colex`` splits a whole C(n, m) scan over worker processes; every
-subset scan in the package runs through these two.
+``scan_colex`` scans all C(n, m) subsets, split over worker processes, or
+a seeded sample of them; every subset scan in the package runs through
+these two.
 
 All types are immutable after construction and every operation is a pure
 function, so concurrent use from multiple threads or worker processes is
@@ -23,7 +24,6 @@ smallest witness, which keeps certificates reproducible.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -416,25 +416,49 @@ def balance_tests(g: SimpleGraph, s: int, t: int):
     return ((g.rows, s), (g.complement.rows, t))
 
 
-def scan_colex(
-    tests, n: int, m: int, threads: int = 1, stop: bool = True
-) -> tuple[int, int, Optional[int]]:
-    """``scan_subsets`` over all m-subsets of range(n), sharded over processes.
+def exact_space(n: int, m: int) -> int:
+    """C(n, m) for an exact scan, which stops at ``ENUMERATION_CAP`` vertices before any budget."""
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"subset enumeration capped at {ENUMERATION_CAP} vertices")
+    return comb(n, m)
 
-    The C(n, m) colex ranks are cut into ``threads`` consecutive ranges, one
-    per worker process, each given its unranked first and last subsets.  With
-    one thread, or fewer than four subsets per worker, the scan runs in this
-    process.  Returns ``(scanned, failures, first_failure)`` as
-    ``scan_subsets`` does, summed over the ranges, with the first failure in
-    colex order; with ``stop`` each range ends at its own first failure, so
-    ``scanned`` counts the subsets up to each.
+
+def scan_colex(
+    tests, n: int, m: int, threads: int = 1, stop: bool = True, samples=None, rng=None
+) -> tuple[int, int, Optional[int]]:
+    """``scan_subsets`` over all m-subsets of range(n), or over ``samples`` draws of them.
+
+    An exact scan (``samples`` None) checks ``exact_space`` and cuts the
+    C(n, m) colex ranks into ``threads`` consecutive ranges, one per worker
+    process; with one thread, or fewer than four subsets per worker, it runs
+    in this process.  A sampled scan decides ``samples`` draws of
+    ``rng.choice(n, size=m, replace=False)`` here, each whole, in draw order.
+    Returns ``(scanned, failures, first_failure)`` as ``scan_subsets`` does,
+    summed over the ranges, with the first failure in colex or draw order;
+    with ``stop`` each range ends at its own first failure.
     """
     if not 1 <= threads <= THREAD_CAP:
         raise ValueError(f"need 1 <= threads <= {THREAD_CAP}, got {threads}")
-    space = comb(n, m)
+    if samples is not None:
+        if samples < 1:
+            raise ValueError(f"need samples >= 1, got {samples}")
+        scanned, failures, first_failure = 0, 0, None
+        for _ in range(samples):
+            x = mask_of(int(v) for v in rng.choice(n, size=m, replace=False))
+            scanned += 1
+            if _fails(tests, x):
+                failures += 1
+                if first_failure is None:
+                    first_failure = x
+                if stop:
+                    break
+        return scanned, failures, first_failure
+    space = exact_space(n, m)
     if threads == 1 or space < 4 * threads:
         last = ((1 << m) - 1) << (n - m) if space else 0  # no m-subsets when m > n
         return scan_subsets(tests, (1 << m) - 1, last, stop)
+    from concurrent.futures import ProcessPoolExecutor  # only a sharded scan loads it
+
     chunk = space // threads
     cuts = [j * chunk for j in range(threads)] + [space]
     firsts = [mask_of(subset_unrank(cuts[j], m)) for j in range(threads)]

@@ -92,11 +92,7 @@ def parse_simple_graph(text: str) -> SimpleGraph:
         raise ParseError(lineno, f"bad vertex count {head[1]!r}") from None
     if not 0 <= n <= VERTEX_CAP:
         raise ParseError(lineno, f"vertex count {n} outside [0, {VERTEX_CAP}]")
-    rows = [0] * n
-    for _, (u, v) in _pair_lines(it, n, "u v"):
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return SimpleGraph(n, tuple(rows))
+    return SimpleGraph.from_edges(n, (pair for _, pair in _pair_lines(it, n, "u v")))
 
 
 def dump_simple_graph(g: SimpleGraph) -> str:
@@ -120,13 +116,12 @@ def parse_colored_graph(text: str) -> ColoredCompleteGraph:
         raise ParseError(
             lineno, f"sizes n={n}, r={r} outside [0, {VERTEX_CAP}] x [1, {COLOR_CAP}]"
         )
-    rows = [[0] * n for _ in range(r)]
+    edges = [[] for _ in range(r)]
     for lineno, (u, v, c) in _pair_lines(it, n, "u v c"):
         if not 1 <= c <= r:
             raise ParseError(lineno, f"color {c} outside [1, {r}]")
-        rows[c - 1][u] |= 1 << v
-        rows[c - 1][v] |= 1 << u
-    return ColoredCompleteGraph(tuple(SimpleGraph(n, tuple(rs)) for rs in rows))
+        edges[c - 1].append((u, v))
+    return ColoredCompleteGraph(tuple(SimpleGraph.from_edges(n, es) for es in edges))
 
 
 def dump_colored_graph(c: ColoredCompleteGraph) -> str:

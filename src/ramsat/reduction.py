@@ -41,7 +41,6 @@ from typing import Optional
 from .constructions import seeded_rng
 from .errors import BudgetError, ConsistencyError
 from .graphs import (
-    ENUMERATION_CAP,
     SimpleGraph,
     balance_tests,
     find_clique_mask,
@@ -182,20 +181,15 @@ def has_unbalanced_set(
 ) -> Optional[tuple[int, ...]]:
     """First (colex) n-subset missing a K_s or missing an independent t-set.
 
-    Returns it ascending, or None when every n-subset contains both.
+    Returns it ascending, or None when every n-subset contains both.  The
+    scan is exact, so ``scan_colex`` refuses graphs past 64 vertices.
     """
     if not 0 < n <= g.n:
         raise ValueError(f"subset size {n} outside [1, {g.n}]")
     if s < 2 or t < 2:
         raise ValueError("need s, t >= 2")
-    if g.n > ENUMERATION_CAP:
-        raise ValueError(f"subset enumeration capped at {ENUMERATION_CAP} vertices")
-    first = _first_unbalanced(g, n, s, t)
+    first = scan_colex(balance_tests(g, s, t), g.n, n)[2]
     return None if first is None else tuple(iter_bits(first))
-
-
-def _first_unbalanced(g: SimpleGraph, n: int, s: int, t: int) -> Optional[int]:
-    return scan_colex(balance_tests(g, s, t), g.n, n)[2]
 
 
 @lru_cache(maxsize=None)
@@ -243,7 +237,7 @@ def g_oracle(n: int, s: int, t: int, n_max: int) -> OracleResult:
                 continue
             examined += 1
             g = graph_from_edge_mask(N, mask)
-            if _first_unbalanced(g, n, s, t) is None:
+            if scan_colex(balance_tests(g, s, t), N, n)[2] is None:
                 return g, examined
         return None, examined
 

@@ -22,8 +22,8 @@ a K_{k-1} inside chi^{-1}(i).  So the pattern is semisaturated iff no
 subset of ceil(n/r) vertices spans a K_{k-1} in each of the first r
 classes; a new vertex has at least ceil(n/r) same-colored edges by
 pigeonhole, so this implies semisaturation.  (ceil, rather than exact n/r,
-keeps the implication sound when r does not divide n.)  Its subset scan
-is ``graphs.scan_colex``.
+keeps the implication sound when r does not divide n.)  Each class is
+one ``graphs.scan_colex`` call, exact or sampled.
 
 (r, K_k)-saturated additionally requires every class to be K_k-free right
 now, which ``check_kkfree`` decides.  ``ssat_search`` hunts for the
@@ -36,21 +36,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb
 from typing import Optional
 
 from .constructions import ColoredCompleteGraph, seeded_rng
 from .errors import BudgetError
 from .graphs import (
-    ENUMERATION_CAP,
     THREAD_CAP,
     SimpleGraph,
+    exact_space,
     find_clique_mask,
     iter_bits,
     iter_subsets_colex,
     mask_of,
     scan_colex,
-    scan_subsets,
 )
 
 EXACT_COLORING_CAP = 10**9
@@ -234,14 +232,12 @@ def check_observation(
     """Sufficient condition: every ceil(n/r)-subset spans a K_{k-1} in each class.
 
     Checks the first r classes (the pattern may carry more, or be partial —
-    classes only need to be edge-disjoint).  Scans classes in order and
-    subsets in colex order; on failure the witness is the first failing
-    (color, subset) pair, deterministic for a fixed thread count.
-    ``checked`` counts the subsets decided, up to the failure; the scan
-    decides whole colex blocks at once, so it is not a count of clique
-    searches.  Subset enumeration (n <= 64,
-    C(n, ceil(n/r)) <= 10^8) may be sharded over processes with ``threads``;
-    sampled mode draws seeded random subsets instead, with no such cap.
+    classes only need to be edge-disjoint) by one ``scan_colex`` call each:
+    exact (n <= 64, C(n, ceil(n/r)) <= 10^8, sharded over ``threads``) or of
+    ``samples`` seeded draws per class, with no such cap.  On failure the
+    witness is the first failing (color, subset) pair, deterministic for a
+    fixed thread count.  ``checked`` counts the subsets decided, up to the
+    failure; an exact scan passes whole colex blocks at once.
     """
     if r < 2:
         raise ValueError("need r >= 2")
@@ -249,52 +245,28 @@ def check_observation(
         raise ValueError("need k >= 3")
     if not 1 <= threads <= THREAD_CAP:
         raise ValueError(f"need 1 <= threads <= {THREAD_CAP}, got {threads}")
-    if samples is not None and samples < 1:
-        raise ValueError(f"need samples >= 1, got {samples}")
     if len(c.classes) < r:
         raise ValueError(f"pattern has {len(c.classes)} classes, need >= {r}")
     n = c.n
     m = -(-n // r)  # ceil(n/r)
-    target = k - 1
+    exhaustive = samples is None
+    if exhaustive:
+        space = exact_space(n, m)
+        if space > OBSERVATION_SUBSET_CAP:
+            raise BudgetError(
+                f"C({n},{m}) = {space} exceeds cap {OBSERVATION_SUBSET_CAP}; use samples="
+            )
+    rng = None if exhaustive else seeded_rng(seed)
     checked = 0
-    if samples is not None:
-        rng = seeded_rng(seed)
-        for i in range(r):
-            tests = ((c.classes[i].rows, target),)
-            for _ in range(samples):
-                x = mask_of(int(v) for v in rng.choice(n, size=m, replace=False))
-                checked += 1
-                if scan_subsets(tests, x, x)[1]:
-                    return Verdict(
-                        holds=False,
-                        witness=_observation_witness(i, x),
-                        checked=checked,
-                        exhaustive=False,
-                    )
-        return Verdict(holds=True, witness=None, checked=checked, exhaustive=False)
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"subset enumeration capped at {ENUMERATION_CAP} vertices")
-    space = comb(n, m)
-    if space > OBSERVATION_SUBSET_CAP:
-        raise BudgetError(
-            f"C({n},{m}) = {space} exceeds cap {OBSERVATION_SUBSET_CAP}; use samples="
-        )
     for i in range(r):
-        scanned, _, fail = scan_colex(((c.classes[i].rows, target),), n, m, threads)
+        tests = ((c.classes[i].rows, k - 1),)
+        scanned, _, fail = scan_colex(tests, n, m, threads, True, samples, rng)
         checked += scanned
         if fail is not None:
-            return Verdict(
-                holds=False, witness=_observation_witness(i, fail), checked=checked
-            )
-    return Verdict(holds=True, witness=None, checked=checked)
-
-
-def _observation_witness(class_index: int, mask: int) -> dict:
-    return {
-        "kind": "clique-free-subset",
-        "color": class_index + 1,
-        "vertices": list(iter_bits(mask)),
-    }
+            witness = {"kind": "clique-free-subset", "color": i + 1,
+                       "vertices": list(iter_bits(fail))}
+            return Verdict(False, witness, checked, exhaustive)
+    return Verdict(True, None, checked, exhaustive)
 
 
 def observation_fails_at(

@@ -89,7 +89,7 @@ def no_worker_processes(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no worker process may start")
 
-    monkeypatch.setattr(rs.graphs, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
 
 
 @pytest.fixture

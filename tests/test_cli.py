@@ -187,6 +187,11 @@ def test_geom_commands(tmp_path, capsys):
     assert code == 0
     assert cert["witness"]["count"] == 5
 
+    # a repeated point is no set: exit 3, not a "fails" certificate
+    points = ",".join(["0"] * 200)
+    assert run(["geom", "incidence", "--in", str(inc), "--lines", "0", "--points", points]) == 3
+    assert capsys.readouterr().out == ""
+
 
 def test_usage_and_io_errors(tmp_path, capsys):
     assert run(["verify", "ssat", "--k", "3"]) == 3  # missing --in
@@ -230,13 +235,15 @@ def test_module_entry_point(tmp_path):
 
 
 def test_cli_import_leaves_numpy_unloaded():
+    # numpy loads on the first draw, the process pool on the first sharded scan
     import subprocess
     import sys
 
-    code = "import sys, ramsat.cli; print('numpy' in sys.modules)"
+    lazy = ("numpy", "concurrent.futures.process", "multiprocessing")
+    code = f"import sys, ramsat.cli; print([m for m in {lazy!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=checkout_env())
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 
 def test_sampled_verify_requires_seed(tmp_path, capsys):

@@ -1,0 +1,154 @@
+"""Fuzz the four text parsers through ``cli.run`` against the exit-code contract.
+
+Exit 0, 1 or 2 comes with exactly one certificate line on stdout that
+passes ``validate_certificate``, and exit 1 with a witness; exit 3 or more
+prints nothing on stdout.  Bodies are small, so each run stays cheap, and
+the ``--threads`` values drawn never start a worker process.
+"""
+
+import contextlib
+import io
+import json
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ramsat as rs
+from ramsat.cli import run
+
+SMALL = st.integers(-2, 12)
+JUNK = st.sampled_from(["x", "1.5", "0x3", "-", "#", "ff", "g", "cg", "inc", "", "99999999999"])
+TOKEN = st.one_of(SMALL.map(str), JUNK)
+SIZE = st.sampled_from(["2", "3", "4", "1"])  # a clique or independent-set size flag
+
+
+def _text(lines) -> str:
+    return "\n".join(" ".join(map(str, line)) for line in lines) + "\n"
+
+
+@st.composite
+def numbers_body(draw, header, width):
+    """A header from ``header`` and body lines of ``width`` small integers, with junk mixed in."""
+    line = st.one_of(st.lists(SMALL, min_size=width, max_size=width),
+                     st.lists(TOKEN, min_size=0, max_size=width + 1))
+    return _text([draw(header)] + draw(st.lists(line, max_size=25)))
+
+
+def _well_formed(draw) -> bool:
+    """Whether to start from a body the library wrote (three times in four)."""
+    return draw(st.integers(0, 3)) > 0
+
+
+def _mutated(draw, text: str) -> str:
+    """``text`` as is, with one line dropped or doubled, or with one token replaced."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["keep", "keep", "drop", "double", "token"]))
+    if how == "drop":
+        del lines[i]
+    elif how == "double":
+        lines.insert(i, lines[i])
+    elif how == "token":
+        words = lines[i].split() or [""]
+        words[draw(st.integers(0, len(words) - 1))] = draw(TOKEN)
+        lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def g_bodies(draw):
+    if _well_formed(draw):
+        n = draw(st.integers(1, 12))
+        g = rs.sample_gnp(rs.GnpParams(n, draw(st.sampled_from([0.2, 0.5, 0.8])),
+                                       draw(st.integers(0, 99))))
+        return _mutated(draw, rs.dump_simple_graph(g))
+    return draw(numbers_body(st.tuples(st.just("g"), TOKEN), 2))
+
+
+@st.composite
+def cg_bodies(draw):
+    if _well_formed(draw):
+        n, r = draw(st.integers(1, 9)), draw(st.integers(2, 3))
+        pattern = rs.random_complete_pattern(n, r, draw(st.integers(0, 99)))
+        return _mutated(draw, rs.dump_colored_graph(pattern))
+    return draw(numbers_body(st.tuples(st.just("cg"), TOKEN, TOKEN), 3))
+
+
+@st.composite
+def ksc_bodies(draw):
+    if _well_formed(draw):
+        k = draw(st.integers(2, 6))
+        N = draw(st.integers(k, 8))
+        bits = draw(st.integers(0, (1 << comb(N, k)) - 1))
+        return _mutated(draw, rs.dump_ksubset_coloring(rs.KSubsetColoring(N, k, bits)))
+    digits = st.text("0123456789abcdefABCDEFxz ", max_size=40)
+    head = ("ksc", draw(st.integers(-1, 9)), draw(st.integers(-1, 9)))
+    return _text([head] + draw(st.lists(st.tuples(digits), max_size=2)))
+
+
+@st.composite
+def inc_bodies(draw):
+    if _well_formed(draw):
+        q = draw(st.sampled_from([2, 3, 5]))
+        structure = (rs.build_affine_plane(q) if draw(st.booleans())
+                     else rs.fq3_line_family(q, draw(st.integers(0, q - 1))))
+        return _mutated(draw, rs.dump_incidence(structure))
+    kind = st.sampled_from(["affine-plane", "fq3-family", "plane"])
+    head = st.tuples(st.just("inc"), kind, TOKEN) | st.tuples(st.just("inc"), kind, TOKEN, TOKEN)
+    return draw(numbers_body(head, 3))
+
+
+def _index_list():
+    return st.lists(st.integers(-1, 30), max_size=8).map(lambda xs: ",".join(map(str, xs))) | JUNK
+
+
+COMMANDS = {
+    "kkfree": (cg_bodies(), st.tuples(
+        st.just(["verify", "kkfree", "--k"]), st.sampled_from([-1, 2, 3, 4, 5, 513]).map(str))),
+    "chi-to-graph": (ksc_bodies(), st.tuples(
+        st.just(["reduce", "chi-to-graph"]), st.just("--s"), SIZE, st.just("--t"), SIZE,
+        st.just("--tie-break"), st.sampled_from(["nonedge", "edge"]))),
+    "bad-sets": (g_bodies(), st.tuples(
+        st.just(["experiment", "bad-sets", "--n"]), st.integers(-1, 8).map(str),
+        st.just("--s"), SIZE, st.just("--t"), SIZE,
+        st.just("--threads"), st.sampled_from(["1", "0", "65", "-1"]),
+        st.sampled_from([[], ["--mode", "sampled", "--trials", "7", "--seed", "3"],
+                         ["--mode", "sampled", "--trials", "0", "--seed", "3"]]))),
+    "incidence": (inc_bodies(), st.tuples(
+        st.just(["geom", "incidence"]), st.just("--lines"), _index_list(),
+        st.just("--points"), _index_list())),
+}
+
+
+def _argv(parts, path) -> list[str]:
+    argv = []
+    for part in parts:
+        argv.extend(part if isinstance(part, list) else [part])
+    return argv + ["--in", str(path)]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_parsed_inputs_keep_the_exit_code_contract(no_worker_processes, tmp_path, command):
+    bodies, flags = COMMANDS[command]
+    path = tmp_path / "input.txt"
+
+    @settings(max_examples=120, deadline=None)
+    @given(bodies, flags)
+    def check(body, parts):
+        path.write_text(body)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(_argv(parts, path))
+        out = out.getvalue()
+        if code in (0, 1, 2):
+            assert out.endswith("\n") and out.count("\n") == 1
+            cert = json.loads(out)
+            rs.validate_certificate(cert)
+            assert code != 1 or cert["witness"] is not None
+        else:
+            assert code >= 3 and out == ""
+            assert not err.getvalue().startswith("internal error"), err.getvalue()
+
+    check()

@@ -173,3 +173,12 @@ def test_incidence_sum_rejects_bad_indices():
         rs.incidence_sum(plane, [99], [0])
     with pytest.raises(ValueError):
         rs.incidence_sum(plane, [0], [99])
+
+
+def test_incidence_sum_rejects_repeated_indices():
+    # 200 copies of one point would make the bound exceed the count of 1
+    plane = rs.build_affine_plane(3)
+    with pytest.raises(ValueError, match="repeats"):
+        rs.incidence_sum(plane, [0, 1, 2], [0] * 200)
+    with pytest.raises(ValueError, match="repeats"):
+        rs.incidence_sum(plane, [0] * 200, [1, 2])

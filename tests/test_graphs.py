@@ -209,6 +209,55 @@ def test_scan_subsets_matches_reference(case):
     assert rs.graphs.scan_subsets(tests, first, last, stop) == reference_scan(tests, first, count, stop)
 
 
+def reference_sampled_scan(tests, n: int, m: int, samples: int, seed: int, stop: bool):
+    """The sampled ``scan_colex`` literally: one seeded draw and one clique search per test."""
+    rng = rs.constructions.seeded_rng(seed)
+    scanned, failures, first_failure = 0, 0, None
+    for _ in range(samples):
+        x = mask_of(int(v) for v in rng.choice(n, size=m, replace=False))
+        scanned += 1
+        if any(find_clique_mask(rows, x, need) is None for rows, need in tests):
+            failures += 1
+            if first_failure is None:
+                first_failure = x
+            if stop:
+                break
+    return scanned, failures, first_failure
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_cases(), st.integers(1, 30), st.integers(0, 2**32))
+def test_sampled_scan_colex_matches_reference(case, samples, seed):
+    tests, first, _, _, stop = case
+    n, m = len(tests[0][0]), first.bit_count()
+    rng = rs.constructions.seeded_rng(seed)
+    got = rs.graphs.scan_colex(tests, n, m, 1, stop, samples, rng)
+    assert got == reference_sampled_scan(tests, n, m, samples, seed, stop)
+
+
+def test_scan_colex_rejects_samples_below_1():
+    tests = rs.graphs.balance_tests(rs.SimpleGraph.complete(8), 3, 3)
+    rng = rs.constructions.seeded_rng(1)
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples"):
+            rs.graphs.scan_colex(tests, 8, 4, samples=samples, rng=rng)
+
+
+def test_scan_colex_caps_exact_scans_only():
+    tests = rs.graphs.balance_tests(rs.SimpleGraph.complete(65), 3, 2)
+    with pytest.raises(ValueError, match="capped at 64"):
+        rs.graphs.scan_colex(tests, 65, 2)
+    rng = rs.constructions.seeded_rng(1)
+    scanned, failures, first_failure = rs.graphs.scan_colex(tests, 65, 2, samples=3, rng=rng)
+    assert (scanned, failures, first_failure.bit_count()) == (1, 1, 2)  # no K_3 in a pair
+
+
+def test_no_worker_processes_refuses_a_sharded_scan(no_worker_processes):
+    tests = rs.graphs.balance_tests(rs.SimpleGraph.complete(12), 3, 3)
+    with pytest.raises(AssertionError, match="no worker process"):
+        rs.graphs.scan_colex(tests, 12, 6, 2)
+
+
 def test_scan_subsets_empty_and_single_windows():
     rows = rs.SimpleGraph.cycle(5).rows
     assert rs.graphs.scan_subsets(((rows, 2),), 0b00111, 0b00011) == (0, 0, None)

@@ -96,6 +96,11 @@ def test_has_unbalanced_set_range_errors():
         rs.has_unbalanced_set(rs.SimpleGraph.complete(4), 5, 2, 2)
 
 
+def test_has_unbalanced_set_capped_at_64_vertices():
+    with pytest.raises(ValueError, match="capped at 64"):
+        rs.has_unbalanced_set(rs.SimpleGraph.complete(65), 2, 2, 2)
+
+
 # -- g oracle ----------------------------------------------------------------
 
 
