@@ -23,17 +23,17 @@ def main():
 
     print()
     print("== the coloring oracle f_k(n, s, t) ==")
-    print("f_2(3,2,2) =", rs.f_oracle(rs.RamseyParams(3, 2, 2, k=2), 6).value,
+    print("f_2(3,2,2) =", rs.f_oracle(3, 2, 2, 2, 6).value,
           " (this is the classical Ramsey number R(3))")
     print("k = s+t-1 closed form 2n-s-t+1:")
     for n in (3, 4):
-        val = rs.f_oracle(rs.RamseyParams(n, 2, 2, k=3), 6).value
+        val = rs.f_oracle(n, 2, 2, 3, 6).value
         print(f"  f_3({n},2,2) = {val}   formula gives {2 * n - 3}")
 
     print()
     print("== the equality f_(s+t-2) = g ==")
     for n in (3, 4):
-        fv = rs.f_oracle(rs.RamseyParams(n, 2, 3), 6).value
+        fv = rs.f_oracle(n, 2, 3, 3, 6).value
         gv = rs.g_oracle(n, 2, 3, 6).value
         print(f"  n={n}, s=2, t=3:  f = {fv},  g = {gv}")
 
@@ -43,7 +43,7 @@ def main():
     chi = rs.graph_to_coloring(g, 2, 3)
     print("graph -> coloring: C(6,3) =", chi.subset_count, "triples colored;")
     unbalanced = rs.has_unbalanced_set(g, 4, 2, 3)
-    good = rs.good_set_witness(chi, rs.RamseyParams(4, 2, 3, N=6))
+    good = rs.good_set_witness(chi, 4, 2, 3)
     print(f"  unbalanced 4-set of the graph: {unbalanced}")
     print(f"  good 4-set of the coloring:    {good}")
     back = rs.coloring_to_graph(chi, 2, 3)

@@ -31,7 +31,7 @@ def main():
     print(f"exact: {int(exact.value)} of {exact.space} subsets miss a K_3 "
           f"or an independent 3-set")
     for seed in (1, 2, 3):
-        est = rs.count_bad_sets(g, 5, 3, 3, mode="sampled", trials=2000, seed=seed)
+        est = rs.count_bad_sets(g, 5, 3, 3, trials=2000, seed=seed)
         phat = est.hits / est.checked
         se = est.space * math.sqrt(phat * (1 - phat) / est.checked)
         print(f"sampled (seed {seed}): estimate {est.value:8.1f}   "

@@ -27,12 +27,12 @@ from .constructions import (
 from .errors import BudgetError, ConsistencyError, ParseError
 from .geometry import (
     IncidenceStructure,
-    PrimeField,
     build_affine_plane,
     fq3_line_family,
     incidence_sum,
     is_prime,
     parallel_classes,
+    require_prime,
 )
 from .graphs import (
     SimpleGraph,
@@ -57,7 +57,6 @@ from .io import (
 from .reduction import (
     KSubsetColoring,
     OracleResult,
-    RamseyParams,
     coloring_to_graph,
     f_oracle,
     g_oracle,
@@ -72,7 +71,6 @@ from .saturation import (
     check_kkfree,
     check_observation,
     coloring_escapes,
-    is_kkfree_pattern,
     is_saturated,
     is_semisaturated,
     is_semisaturated_direct,

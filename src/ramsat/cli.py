@@ -19,7 +19,8 @@ Subcommands::
     geom      {plane|fq3-family|incidence}
 
 The CLI itself is a thin single-threaded shell; ``--threads`` is forwarded
-to the library operations that shard their enumeration.
+to the library operations that shard their enumeration.  Only exact scans
+shard: a value above 1 with ``--samples`` or ``--mode sampled`` exits 3.
 """
 
 from __future__ import annotations
@@ -240,13 +241,12 @@ def _handle_oracle(args) -> io.Certificate:
     claim = f"oracle-{args.command}"
     params = {"n": args.n, "s": args.s, "t": args.t, "n_max": args.n_max}
     if args.command == "f":
-        rp = reduction.RamseyParams(args.n, args.s, args.t, args.k)
-        params["k"] = rp.k
+        params["k"] = args.s + args.t - 2 if args.k is None else args.k  # where f = g
     try:
         if args.command == "g":
             res = reduction.g_oracle(args.n, args.s, args.t, args.n_max)
         else:
-            res = reduction.f_oracle(rp, args.n_max)
+            res = reduction.f_oracle(args.n, args.s, args.t, params["k"], args.n_max)
     except BudgetError as err:
         return _unknown(claim, params, err)
     dump = io.dump_simple_graph if args.command == "g" else io.dump_ksubset_coloring
@@ -302,13 +302,14 @@ def _handle_experiment(args) -> io.Certificate:
                   "generator": constructions.GENERATOR_NAME}
     params = {**source, "n": args.n, "s": args.s, "t": args.t, "mode": args.mode,
               "threads": args.threads}
+    trials = None  # an exact count
     if args.mode == "sampled":
         if args.trials is None or args.seed is None:
             raise _UsageError("sampled mode requires --trials and --seed")
-        params["trials"] = args.trials
+        params["trials"] = trials = args.trials
     try:
         res = constructions.count_bad_sets(
-            g, args.n, args.s, args.t, args.mode, args.trials, args.seed, args.threads
+            g, args.n, args.s, args.t, trials, args.seed, args.threads
         )
     except BudgetError as err:
         return _unknown(claim, params, err, seed=args.seed)

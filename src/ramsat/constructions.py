@@ -34,7 +34,7 @@ from math import comb
 from typing import Optional
 
 from .errors import BudgetError
-from .geometry import build_affine_plane, fq3_line_family, parallel_classes, PrimeField
+from .geometry import build_affine_plane, fq3_line_family, parallel_classes, require_prime
 from .graphs import (
     THREAD_CAP,
     VERTEX_CAP,
@@ -226,7 +226,7 @@ def fq3_coloring(q: int, r: int) -> ColoredCompleteGraph:
     only ever adds edges to a class and therefore preserves every clique
     the core already had.
     """
-    PrimeField(q)
+    require_prime(q)
     if not 1 <= r <= q:
         raise ValueError(f"need 1 <= r <= q, got r={r}")
     n = q**3
@@ -296,19 +296,19 @@ def count_bad_sets(
     n: int,
     s: int,
     t: int,
-    mode: str = "exact",
     trials: Optional[int] = None,
     seed: Optional[int] = None,
     threads: int = 1,
 ) -> BadSetCount:
     """Count n-subsets whose induced subgraph misses K_s or misses I_t.
 
-    One ``scan_colex`` call per mode.  Exact mode enumerates all C(N, n)
-    subsets in colex order (budget 10^7, N <= 64) and may shard the scan
-    across processes; the reduction is a sum, so the count is
-    order-independent.  Sampled mode decides ``trials`` uniform n-subsets
-    drawn with the seeded generator and scales the hit fraction by C(N, n),
-    an unbiased estimate of the exact count.
+    One ``scan_colex`` call.  With ``trials`` None the count is exact: all
+    C(N, n) subsets in colex order (budget 10^7, N <= 64), sharded over
+    ``threads`` processes; the reduction is a sum, so the count is
+    order-independent.  Otherwise ``trials`` uniform n-subsets drawn with
+    the generator seeded by ``seed`` are decided in this process (``threads``
+    must be 1), and the hit fraction scaled by C(N, n) is an unbiased
+    estimate of the exact count.
     """
     N = g.n
     if not 0 < n <= N:
@@ -318,7 +318,7 @@ def count_bad_sets(
     if not 1 <= threads <= THREAD_CAP:
         raise ValueError(f"need 1 <= threads <= {THREAD_CAP}, got {threads}")
     tests = balance_tests(g, s, t)
-    if mode == "exact":
+    if trials is None:
         space = exact_space(N, n)
         if space > EXACT_SUBSET_BUDGET:
             raise BudgetError(
@@ -326,10 +326,6 @@ def count_bad_sets(
             )
         hits = scan_colex(tests, N, n, threads, False)[1]
         return BadSetCount("exact", float(hits), space, space, hits)
-    if mode == "sampled":
-        if trials is None:
-            raise ValueError("sampled mode requires a positive trial count")
-        hits = scan_colex(tests, N, n, threads, False, trials, seeded_rng(seed))[1]
-        space = comb(N, n)
-        return BadSetCount("sampled", space * hits / trials, trials, space, hits)
-    raise ValueError(f"unknown mode {mode!r}")
+    hits = scan_colex(tests, N, n, threads, False, trials, seeded_rng(seed))[1]
+    space = comb(N, n)
+    return BadSetCount("sampled", space * hits / trials, trials, space, hits)

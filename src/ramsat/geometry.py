@@ -46,17 +46,12 @@ def is_prime(m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """The field of integers modulo a prime q (primality checked, q <= 2^20)."""
-
-    q: int
-
-    def __post_init__(self):
-        if self.q > PRIME_CAP:
-            raise ValueError(f"modulus {self.q} exceeds cap {PRIME_CAP}")
-        if not is_prime(self.q):
-            raise ValueError(f"{self.q} is not prime")
+def require_prime(q: int) -> None:
+    """Raise ValueError unless q is a prime <= 2^20, a field modulus F_q."""
+    if q > PRIME_CAP:
+        raise ValueError(f"modulus {q} exceeds cap {PRIME_CAP}")
+    if not is_prime(q):
+        raise ValueError(f"{q} is not prime")
 
 
 @dataclass(frozen=True)
@@ -130,7 +125,7 @@ def build_affine_plane(q: int) -> IncidenceStructure:
     (b = 0..q-1), and class q holds the vertical lines x = c.  Line index
     is class*q + intercept.
     """
-    PrimeField(q)
+    require_prime(q)
     lines: list[tuple[int, ...]] = []
     for m in range(q):
         for b in range(q):
@@ -160,7 +155,7 @@ def fq3_line_family(q: int, lam: int) -> IncidenceStructure:
     the slope parameter and that base point, names each line once; lines
     are enumerated in that order, and their distinctness is asserted.
     """
-    PrimeField(q)
+    require_prime(q)
     if not 0 <= lam < q:
         raise ValueError(f"lambda {lam} outside [0, {q})")
     q2 = q * q

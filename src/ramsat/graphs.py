@@ -432,16 +432,20 @@ def scan_colex(
     C(n, m) colex ranks into ``threads`` consecutive ranges, one per worker
     process; with one thread, or fewer than four subsets per worker, it runs
     in this process.  A sampled scan decides ``samples`` draws of
-    ``rng.choice(n, size=m, replace=False)`` here, each whole, in draw order.
-    Returns ``(scanned, failures, first_failure)`` as ``scan_subsets`` does,
-    summed over the ranges, with the first failure in colex or draw order;
-    with ``stop`` each range ends at its own first failure.
+    ``rng.choice(n, size=m, replace=False)`` here, each whole, in draw order;
+    it never shards, so ``threads`` above 1 raises ValueError, and a recorded
+    thread count always describes an exact scan.  Returns ``(scanned,
+    failures, first_failure)`` as ``scan_subsets`` does, summed over the
+    ranges, with the first failure in colex or draw order; with ``stop``
+    each range ends at its own first failure.
     """
     if not 1 <= threads <= THREAD_CAP:
         raise ValueError(f"need 1 <= threads <= {THREAD_CAP}, got {threads}")
     if samples is not None:
         if samples < 1:
             raise ValueError(f"need samples >= 1, got {samples}")
+        if threads > 1:
+            raise ValueError(f"a sampled scan runs in one process, got threads={threads}")
         scanned, failures, first_failure = 0, 0, None
         for _ in range(samples):
             x = mask_of(int(v) for v in rng.choice(n, size=m, replace=False))

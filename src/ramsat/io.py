@@ -31,7 +31,7 @@ from typing import Optional
 
 from .constructions import COLOR_CAP, ColoredCompleteGraph
 from .errors import ParseError
-from .geometry import AFFINE_PLANE, FQ3_FAMILY, IncidenceStructure, PrimeField
+from .geometry import AFFINE_PLANE, FQ3_FAMILY, IncidenceStructure, require_prime
 from .graphs import VERTEX_CAP, SimpleGraph
 from .reduction import KSubsetColoring, coloring_bit_count
 
@@ -185,7 +185,7 @@ def parse_incidence(text: str) -> IncidenceStructure:
     except ValueError:
         raise ParseError(head_no, "q and lambda must be integers") from None
     try:
-        PrimeField(q)
+        require_prime(q)
     except ValueError as err:
         raise ParseError(head_no, str(err)) from None
     point_count = IncidenceStructure(kind, q, (), lam).point_count

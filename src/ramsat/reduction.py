@@ -26,8 +26,10 @@ of S, the family of k-subsets containing S: S lies in a red k-superset when
 each search stops at its first answer.  Edge bitmasks of graphs use the
 colex rank of pairs.
 
-Both oracles walk N upward through one loop and return an ``OracleResult``;
-vertex sets come back as ascending tuples.
+Both oracles take n, s, t (and f_oracle its k, always given) as plain ints,
+walk N upward through one loop and return an ``OracleResult``;
+``good_set_witness`` reads k and N off the coloring.  Vertex sets come back
+as ascending tuples.
 """
 
 from __future__ import annotations
@@ -78,34 +80,6 @@ def coloring_bit_count(N: int, k: int) -> int:
         if m > COLORING_BIT_CAP:
             raise ValueError(f"C({N},{k}) exceeds cap {COLORING_BIT_CAP}")
     return m
-
-
-@dataclass(frozen=True)
-class RamseyParams:
-    """Parameter bundle (n, s, t, k, N).
-
-    ``k`` defaults to s + t - 2, the regime where the coloring and graph
-    problems coincide; any k >= max(s, t) is accepted for the direct f
-    oracle.  ``N`` is the ground-set size when one is fixed.
-    """
-
-    n: int
-    s: int
-    t: int
-    k: Optional[int] = None
-    N: Optional[int] = None
-
-    def __post_init__(self):
-        if self.s < 2 or self.t < 2:
-            raise ValueError("need s, t >= 2")
-        if self.k is None:
-            object.__setattr__(self, "k", self.s + self.t - 2)
-        if self.k < max(self.s, self.t):
-            raise ValueError(f"need k >= max(s, t), got k={self.k}")
-        if self.n < self.k:
-            raise ValueError(f"need n >= k, got n={self.n}, k={self.k}")
-        if self.N is not None and self.N < self.n:
-            raise ValueError(f"need N >= n, got N={self.N}")
 
 
 @dataclass(frozen=True)
@@ -258,18 +232,19 @@ def _superset_mask(N: int, k: int, S: tuple[int, ...]) -> int:
 
 
 def _good_set_rows(N: int, k: int, n: int, s: int, t: int):
-    """(U, A, B) per n-subset U in colex order: A and B hold the superset masks
-    of the s- and of the t-subsets of U.  U is good when every mask of A meets
-    a red bit or every mask of B meets a blue bit.
+    """(U, A, B) per n-subset U in colex order: A and B iterate over the superset
+    masks of the s- and of the t-subsets of U, so a row builds its masks only
+    up to the first that fails.  U is good when every mask of A meets a red
+    bit or every mask of B meets a blue bit.
     """
     for U in iter_subsets_colex(N, n):
-        yield (U, tuple(_superset_mask(N, k, S) for S in combinations(U, s)),
-               tuple(_superset_mask(N, k, T) for T in combinations(U, t)))
+        yield (U, (_superset_mask(N, k, S) for S in combinations(U, s)),
+               (_superset_mask(N, k, T) for T in combinations(U, t)))
 
 
 @lru_cache(maxsize=None)  # the f oracle scans one table with every coloring
 def _good_set_table(N: int, k: int, n: int, s: int, t: int):
-    return tuple(_good_set_rows(N, k, n, s, t))
+    return tuple((U, tuple(A), tuple(B)) for U, A, B in _good_set_rows(N, k, n, s, t))
 
 
 def _first_good_set(bits: int, rows) -> Optional[tuple[int, ...]]:
@@ -280,34 +255,39 @@ def _first_good_set(bits: int, rows) -> Optional[tuple[int, ...]]:
 
 
 def good_set_witness(
-    chi: KSubsetColoring, params: RamseyParams
+    chi: KSubsetColoring, n: int, s: int, t: int
 ) -> Optional[tuple[int, ...]]:
     """First (colex) n-subset that is good for the coloring, ascending, or None.
 
     Good means: every s-subset lies in at least one red k-subset of the
-    whole ground set, or every t-subset lies in at least one blue one.
+    whole ground set, or every t-subset lies in at least one blue one.  k
+    and N are the coloring's own.  The rows are built lazily, so the scan
+    builds no mask past the first good set.
     """
-    if params.k != chi.k:
-        raise ValueError(f"params.k={params.k} does not match coloring k={chi.k}")
-    if params.N is not None and params.N != chi.N:
-        raise ValueError("params.N does not match the coloring ground set")
-    if not params.k <= params.n <= chi.N:
-        raise ValueError("need k <= n <= N")
-    # word-sized masks: the cached table, as the f oracle uses; larger: built lazily
-    table = _good_set_table if chi.subset_count <= 64 else _good_set_rows
-    rows = table(chi.N, chi.k, params.n, params.s, params.t)
-    return _first_good_set(chi.bits, rows)
+    k, N = chi.k, chi.N
+    if not (2 <= s <= k and 2 <= t <= k):
+        raise ValueError(f"need 2 <= s, t <= k = {k}, got s={s}, t={t}")
+    if not k <= n <= N:
+        raise ValueError(f"need k <= n <= N, got n={n}, k={k}, N={N}")
+    return _first_good_set(chi.bits, _good_set_rows(N, k, n, s, t))
 
 
-def f_oracle(params: RamseyParams, n_max: int) -> OracleResult:
+def f_oracle(n: int, s: int, t: int, k: int, n_max: int) -> OracleResult:
     """Exhaustively compute f_k(n, s, t) for candidates N <= n_max.
 
-    For each N all 2^C(N,k) colorings are enumerated by ascending bit
-    value; the first with no good n-subset is the counterexample keeping
-    the search going.  The first N where every coloring admits a good
-    n-subset is the value.  Capped at C(n_max, k) <= 20 color positions.
+    Needs s, t >= 2 and max(s, t) <= k <= n; k = s + t - 2 is where the
+    coloring and graph problems coincide.  For each N all 2^C(N,k)
+    colorings are enumerated by ascending bit value against one cached
+    table of rows; the first with no good n-subset is the counterexample
+    keeping the search going.  The first N where every coloring admits a
+    good n-subset is the value.  Capped at C(n_max, k) <= 20 color positions.
     """
-    n, s, t, k = params.n, params.s, params.t, params.k
+    if s < 2 or t < 2:
+        raise ValueError("need s, t >= 2")
+    if k < max(s, t):
+        raise ValueError(f"need k >= max(s, t), got k={k}")
+    if n < k:
+        raise ValueError(f"need n >= k, got n={n}, k={k}")
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     if comb(n_max, k) > F_ORACLE_SUBSET_CAP:

@@ -234,9 +234,9 @@ def check_observation(
     Checks the first r classes (the pattern may carry more, or be partial —
     classes only need to be edge-disjoint) by one ``scan_colex`` call each:
     exact (n <= 64, C(n, ceil(n/r)) <= 10^8, sharded over ``threads``) or of
-    ``samples`` seeded draws per class, with no such cap.  On failure the
-    witness is the first failing (color, subset) pair, deterministic for a
-    fixed thread count.  ``checked`` counts the subsets decided, up to the
+    ``samples`` seeded draws per class, with no such cap, in one process.
+    On failure the witness is the first failing (color, subset) pair,
+    deterministic for a fixed thread count.  ``checked`` counts the subsets decided, up to the
     failure; an exact scan passes whole colex blocks at once.
     """
     if r < 2:
@@ -299,11 +299,6 @@ def check_kkfree(c: ColoredCompleteGraph, k: int) -> Verdict:
                 checked=i + 1,
             )
     return Verdict(holds=True, witness=None, checked=c.r)
-
-
-def is_kkfree_pattern(c: ColoredCompleteGraph, k: int) -> bool:
-    """True when no color class contains a K_k."""
-    return check_kkfree(c, k).holds
 
 
 def is_saturated(c: ColoredCompleteGraph, k: int) -> Verdict:

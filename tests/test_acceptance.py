@@ -98,15 +98,15 @@ def test_criterion_05_reduction_equality():
     with _criterion(5, "f_{s+t-2}(n,s,t) = g(n,s,t) at (3,2,3) and (4,2,3)",
                     limit_s=600.0):
         for n in (3, 4):
-            fval = rs.f_oracle(rs.RamseyParams(n, 2, 3), 6).value
+            fval = rs.f_oracle(n, 2, 3, 3, 6).value
             gval = rs.g_oracle(n, 2, 3, 6).value
             assert fval is not None and fval == gval
 
 
 def test_criterion_06_exact_formula_k_eq_s_plus_t_minus_1():
     with _criterion(6, "k=s+t-1 formula: f_3(3,2,2)=3 and f_3(4,2,2)=5", limit_s=60.0):
-        assert rs.f_oracle(rs.RamseyParams(3, 2, 2, k=3), 6).value == 3 == 2 * 3 - 2 - 2 + 1
-        assert rs.f_oracle(rs.RamseyParams(4, 2, 2, k=3), 6).value == 5 == 2 * 4 - 2 - 2 + 1
+        assert rs.f_oracle(3, 2, 2, 3, 6).value == 3 == 2 * 3 - 2 - 2 + 1
+        assert rs.f_oracle(4, 2, 2, 3, 6).value == 5 == 2 * 4 - 2 - 2 + 1
 
 
 def _seeded_patterns_500():
@@ -188,7 +188,7 @@ def test_criterion_11_random_graph_plumbing():
         g = rs.sample_gnp(rs.GnpParams(12, 0.5, 3))
         exact = rs.count_bad_sets(g, 5, 3, 3)
         for seed in range(20):
-            est = rs.count_bad_sets(g, 5, 3, 3, mode="sampled", trials=2000, seed=seed)
+            est = rs.count_bad_sets(g, 5, 3, 3, trials=2000, seed=seed)
             phat = est.hits / est.checked
             se = est.space * math.sqrt(phat * (1 - phat) / est.checked)
             assert abs(est.value - exact.value) <= 5 * se
@@ -197,7 +197,7 @@ def test_criterion_11_random_graph_plumbing():
 def test_criterion_12_saturated_pattern(c4_diagonals):
     with _criterion(12, "C_4/diagonals is (2,K_3)-saturated: sat_2(K_3) <= 4",
                     limit_s=1.0):
-        assert rs.is_kkfree_pattern(c4_diagonals, 3)
+        assert rs.check_kkfree(c4_diagonals, 3).holds
         assert rs.is_semisaturated(c4_diagonals, 3).holds
         verdict = rs.is_saturated(c4_diagonals, 3)
         assert verdict.holds and verdict.exhaustive

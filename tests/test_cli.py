@@ -64,6 +64,10 @@ def test_oracle_f_certificate(capsys):
         ["oracle", "f", "--n", "3", "--s", "2", "--t", "3", "--n-max", "8"],
     )
     assert code == 2 and cert["verdict"] == "unknown" and cert["params"]["k"] == 3
+    # k below t is refused, with no certificate
+    assert run(["oracle", "f", "--n", "3", "--s", "2", "--t", "3", "--k", "2",
+                "--n-max", "6"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_construct_verify_cycle(tmp_path, capsys):
@@ -288,6 +292,24 @@ def test_threads_below_1_rejected_on_every_path(
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 3
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "bad-sets", "--gnp-n", "12", "--gnp-p", "0.5", "--gnp-seed", "1",
+     "--n", "4", "--s", "3", "--t", "3", "--mode", "sampled", "--trials", "5", "--seed", "1",
+     "--threads", "2"],
+    ["verify", "observation", "--in", "a.cg", "--k", "4", "--r", "2",
+     "--samples", "5", "--seed", "1", "--threads", "2"],
+], ids=["bad-sets", "observation"])
+def test_sampled_scans_refuse_threads_above_1(
+    no_worker_processes, tmp_path, monkeypatch, capsys, argv
+):
+    # a sampled scan never shards, so a recorded thread count must not claim it did
+    (tmp_path / "a.cg").write_text(rs.dump_colored_graph(rs.affine_coloring(5, 2)))
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "one process" in err
 
 
 def test_internal_error_exits_5_without_certificate(monkeypatch, capsys):

@@ -1,9 +1,11 @@
-"""Fuzz the four text parsers through ``cli.run`` against the exit-code contract.
+"""Fuzz ``cli.run`` against the exit-code contract: the four text parsers,
+and the argv of the commands that take no input file.
 
 Exit 0, 1 or 2 comes with exactly one certificate line on stdout that
 passes ``validate_certificate``, and exit 1 with a witness; exit 3 or more
-prints nothing on stdout.  Bodies are small, so each run stays cheap, and
-the ``--threads`` values drawn never start a worker process.
+prints nothing on stdout.  Bodies and sizes are small, so each run stays
+cheap, and the ``--threads`` values drawn never start a worker process: a
+value above 1 goes only with a sampled scan, which refuses it.
 """
 
 import contextlib
@@ -129,6 +131,21 @@ def _argv(parts, path) -> list[str]:
     return argv + ["--in", str(path)]
 
 
+def _keeps_the_contract(argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    out = out.getvalue()
+    if code in (0, 1, 2):
+        assert out.endswith("\n") and out.count("\n") == 1
+        cert = json.loads(out)
+        rs.validate_certificate(cert)
+        assert code != 1 or cert["witness"] is not None
+    else:
+        assert code >= 3 and out == ""
+        assert not err.getvalue().startswith("internal error"), err.getvalue()
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_parsed_inputs_keep_the_exit_code_contract(no_worker_processes, tmp_path, command):
     bodies, flags = COMMANDS[command]
@@ -138,17 +155,54 @@ def test_parsed_inputs_keep_the_exit_code_contract(no_worker_processes, tmp_path
     @given(bodies, flags)
     def check(body, parts):
         path.write_text(body)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(_argv(parts, path))
-        out = out.getvalue()
-        if code in (0, 1, 2):
-            assert out.endswith("\n") and out.count("\n") == 1
-            cert = json.loads(out)
-            rs.validate_certificate(cert)
-            assert code != 1 or cert["witness"] is not None
-        else:
-            assert code >= 3 and out == ""
-            assert not err.getvalue().startswith("internal error"), err.getvalue()
+        _keeps_the_contract(_argv(parts, path))
+
+    check()
+
+
+@st.composite
+def command_argv(draw, head, flags):
+    """``head`` and one ``--name value`` pair per entry of ``flags`` (name ->
+    (valid values, invalid values); ``n_max`` is ``--n-max``, None leaves
+    the flag out).  About one argv in two takes an invalid value for one flag.
+    """
+    flags = dict(flags)
+    if head[-1] == "bad-sets":  # two threads only with a sampled scan, which refuses them
+        sampled = draw(st.booleans())
+        flags["mode"] = (["sampled"] if sampled else [None, "exact"], ["all"])
+        flags["threads"] = ([1, 2] if sampled else [1], [0, -1, 65])
+    broken = draw(st.sampled_from([None] * len(flags) + list(flags)))
+    argv = list(head)
+    for name, (valid, invalid) in flags.items():
+        value = draw(st.sampled_from(invalid if name == broken else valid))
+        if value is not None:
+            argv += [f"--{name.replace('_', '-')}", str(value)]
+    return argv
+
+
+SIZES = ([2, 3, 4], [-1, 1])  # clique and independent-set sizes
+ARGV = {
+    "oracle-f": command_argv(["oracle", "f"], {
+        "n": ([2, 3, 4, 5], [-1, 0, 1]), "s": SIZES, "t": SIZES,
+        "k": ([None, 2, 3, 4], [-1, 0, 1]), "n_max": ([3, 4, 5, 9], [-1, 0])}),
+    "oracle-g": command_argv(["oracle", "g"], {
+        "n": ([2, 3, 4, 5], [-1, 0, 1]), "s": SIZES, "t": SIZES,
+        "n_max": ([3, 4, 5, 9], [-1, 0])}),
+    "search-ssat": command_argv(["search", "ssat"], {
+        "r": ([2, 3], [-1, 1, 9]), "k": ([3, 4], [-1, 2, 9]), "n": ([1, 3, 5, 8], [-1, 0, 33]),
+        "node_budget": ([1, 50, 300], [-1, 0])}),
+    "bad-sets-gnp": command_argv(["experiment", "bad-sets"], {
+        "gnp_n": ([4, 8, 12], [None, -1, 0]), "gnp_p": ([0.0, 0.5, 1.0], [None, -0.5, 1.5, "nan"]),
+        "gnp_seed": ([0, 3], [None, -1]), "n": ([1, 3, 4, 6], [-1, 0, 13]), "s": SIZES,
+        "t": SIZES, "trials": ([5, 7], [None, -1, 0]), "seed": ([3], [None])}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARGV))
+def test_flag_values_keep_the_exit_code_contract(no_worker_processes, command):
+    @settings(max_examples=150, deadline=None)
+    @given(ARGV[command])
+    def check(argv):
+        _keeps_the_contract(argv)
 
     check()

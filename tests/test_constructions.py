@@ -183,7 +183,7 @@ def test_count_bad_sets_c5_balanced():
 def test_count_bad_sets_sampler_agrees_with_exact():
     g = rs.sample_gnp(rs.GnpParams(12, 0.5, 3))
     exact = rs.count_bad_sets(g, 5, 3, 3)
-    est = rs.count_bad_sets(g, 5, 3, 3, mode="sampled", trials=3000, seed=1)
+    est = rs.count_bad_sets(g, 5, 3, 3, trials=3000, seed=1)
     phat = est.hits / est.checked
     se = est.space * math.sqrt(phat * (1 - phat) / est.checked)
     assert abs(est.value - exact.value) <= 5 * se
@@ -192,7 +192,7 @@ def test_count_bad_sets_sampler_agrees_with_exact():
 def test_count_bad_sets_sampled_past_enumeration_cap():
     # each draw is a one-subset window, decided whole: no recursion per element
     g = rs.SimpleGraph.complete(1100)
-    out = rs.count_bad_sets(g, 1050, 3, 2, mode="sampled", trials=2, seed=1)
+    out = rs.count_bad_sets(g, 1050, 3, 2, trials=2, seed=1)
     assert out.hits == 2 and out.checked == 2
 
 
@@ -232,7 +232,7 @@ def test_count_bad_sets_budget():
     with pytest.raises(BudgetError):
         rs.count_bad_sets(g, 20, 2, 2)
     with pytest.raises(ValueError):
-        rs.count_bad_sets(g, 5, 2, 2, mode="sampled", trials=10)  # no seed
+        rs.count_bad_sets(g, 5, 2, 2, trials=10)  # no seed
 
 
 def test_random_complete_pattern():

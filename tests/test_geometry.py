@@ -10,11 +10,11 @@ import ramsat as rs
 
 
 def test_prime_field_validation():
-    rs.PrimeField(2)
-    rs.PrimeField(1048573)
+    rs.require_prime(2)
+    rs.require_prime(1048573)
     for bad in (0, 1, 4, 6, 9, 1 << 21):
         with pytest.raises(ValueError):
-            rs.PrimeField(bad)
+            rs.require_prime(bad)
 
 
 def test_affine_plane_counts():

@@ -243,6 +243,13 @@ def test_scan_colex_rejects_samples_below_1():
             rs.graphs.scan_colex(tests, 8, 4, samples=samples, rng=rng)
 
 
+def test_scan_colex_refuses_a_sharded_sampled_scan(no_worker_processes):
+    tests = rs.graphs.balance_tests(rs.SimpleGraph.complete(8), 3, 3)
+    rng = rs.constructions.seeded_rng(1)
+    with pytest.raises(ValueError, match="one process"):
+        rs.graphs.scan_colex(tests, 8, 4, threads=2, samples=3, rng=rng)
+
+
 def test_scan_colex_caps_exact_scans_only():
     tests = rs.graphs.balance_tests(rs.SimpleGraph.complete(65), 3, 2)
     with pytest.raises(ValueError, match="capped at 64"):

@@ -145,11 +145,10 @@ def test_g_oracle_budget():
 
 
 def test_good_set_witness_monochromatic():
-    params = rs.RamseyParams(4, 2, 3)
     chi = rs.KSubsetColoring.all_blue(5, 3)
-    assert rs.good_set_witness(chi, params) == (0, 1, 2, 3)
+    assert rs.good_set_witness(chi, 4, 2, 3) == (0, 1, 2, 3)
     chi = rs.KSubsetColoring.all_red(5, 3)
-    assert rs.good_set_witness(chi, params) == (0, 1, 2, 3)
+    assert rs.good_set_witness(chi, 4, 2, 3) == (0, 1, 2, 3)
 
 
 def _naive_good_set(chi: rs.KSubsetColoring, n, s, t):
@@ -180,45 +179,59 @@ def _naive_good_set(chi: rs.KSubsetColoring, n, s, t):
 
 
 def test_good_set_witness_matches_naive_on_seeded_colorings():
-    params = rs.RamseyParams(4, 2, 3)
     for seed in range(50):
         chi = rs.KSubsetColoring.random(5, 3, seed)
-        got = rs.good_set_witness(chi, params)
+        got = rs.good_set_witness(chi, 4, 2, 3)
         want = _naive_good_set(chi, 4, 2, 3)
         assert got == want
         assert got is None or is_increasing_tuple(got)
 
 
 def test_good_set_witness_past_word_masks_matches_naive():
-    # over 64 colour bits the rows are built lazily instead of cached
-    # (graph colourings give late first good sets and None as well)
+    # over 64 colour bits (graph colourings give late first good sets and
+    # None as well)
     N = 9
     for n, s, t in [(4, 2, 3), (6, 2, 3), (7, 3, 3)]:
-        params = rs.RamseyParams(n, s, t)
-        chis = [rs.KSubsetColoring.random(N, params.k, seed) for seed in range(2)]
+        chis = [rs.KSubsetColoring.random(N, s + t - 2, seed) for seed in range(2)]
         chis += [rs.graph_to_coloring(rs.sample_gnp(rs.GnpParams(N, p, seed)), s, t)
                  for p in (0.2, 0.5, 0.7) for seed in range(2)]
         for chi in chis:
             assert chi.subset_count > 64
-            got = rs.good_set_witness(chi, params)
+            got = rs.good_set_witness(chi, n, s, t)
             assert got == _naive_good_set(chi, n, s, t)
 
 
 def test_f_oracle_exact_formula_cases():
     # k = s+t-1 has the closed form 2n - s - t + 1
-    assert rs.f_oracle(rs.RamseyParams(3, 2, 2, k=3), 6).value == 3
-    assert rs.f_oracle(rs.RamseyParams(4, 2, 2, k=3), 6).value == 5
+    assert rs.f_oracle(3, 2, 2, 3, 6).value == 3
+    assert rs.f_oracle(4, 2, 2, 3, 6).value == 5
 
 
 def test_f_oracle_is_ramsey_number_at_k2():
-    res = rs.f_oracle(rs.RamseyParams(3, 2, 2, k=2), 6)
+    res = rs.f_oracle(3, 2, 2, 2, 6)
     assert res.value == 6
     assert res.witness is not None  # a 2-coloring of K_5 pairs, no mono triangle
 
 
+@pytest.mark.parametrize("n, s, t, k", [(4, 1, 3, 3), (4, 3, 1, 3), (4, 2, 3, 2),
+                                        (4, 3, 2, 2), (2, 2, 3, 3)])
+def test_f_oracle_rejects_bad_parameters(n, s, t, k):
+    # s, t >= 2 and max(s, t) <= k <= n, each checked before the budget
+    with pytest.raises(ValueError):
+        rs.f_oracle(n, s, t, k, 6)
+
+
+@pytest.mark.parametrize("n, s, t", [(2, 2, 3), (6, 2, 3), (4, 1, 3), (4, 2, 1),
+                                     (4, 4, 2), (4, 2, 4)])
+def test_good_set_witness_rejects_bad_parameters(n, s, t):
+    # n must lie in [k, N] and s, t in [2, k], for the coloring's k = 3, N = 5
+    with pytest.raises(ValueError):
+        rs.good_set_witness(rs.KSubsetColoring.all_red(5, 3), n, s, t)
+
+
 def test_f_oracle_budget():
     with pytest.raises(BudgetError):
-        rs.f_oracle(rs.RamseyParams(4, 2, 3), 7)
+        rs.f_oracle(4, 2, 3, 3, 7)
 
 
 # -- transforms ---------------------------------------------------------------
@@ -358,8 +371,7 @@ def test_round_trip_law_exhaustive():
             chi = rs.graph_to_coloring(g, s, t)
             for n in range(3, N + 1):
                 if rs.has_unbalanced_set(g, n, s, t) is not None:
-                    params = rs.RamseyParams(n, s, t, N=N)
-                    assert rs.good_set_witness(chi, params) is not None
+                    assert rs.good_set_witness(chi, n, s, t) is not None
 
 
 def test_round_trip_law_n6():
@@ -368,5 +380,4 @@ def test_round_trip_law_n6():
         chi = rs.graph_to_coloring(g, s, t)
         for n in (3, 4, 5, 6):
             if rs.has_unbalanced_set(g, n, s, t) is not None:
-                params = rs.RamseyParams(n, s, t, N=6)
-                assert rs.good_set_witness(chi, params) is not None
+                assert rs.good_set_witness(chi, n, s, t) is not None

@@ -158,11 +158,11 @@ def test_check_observation_partial_pattern_allowed():
     assert v.checked > 0
 
 
-def test_is_kkfree_pattern(c4_diagonals):
-    assert rs.is_kkfree_pattern(c4_diagonals, 3)
-    assert not rs.is_kkfree_pattern(_single_color_pattern(4, 2), 3)
+def test_check_kkfree_on_patterns(c4_diagonals):
+    assert rs.check_kkfree(c4_diagonals, 3).holds
+    assert not rs.check_kkfree(_single_color_pattern(4, 2), 3).holds
     # each affine class contains a 5-point line, hence K_5 and so K_3
-    assert not rs.is_kkfree_pattern(rs.affine_coloring(5, 2), 3)
+    assert not rs.check_kkfree(rs.affine_coloring(5, 2), 3).holds
 
 
 def test_is_saturated(c4_diagonals):
