@@ -59,26 +59,37 @@ BLUE = 1
 COLORING_BIT_CAP = 1 << 24
 G_ORACLE_VERTEX_CAP = 7
 F_ORACLE_SUBSET_CAP = 20
+SUPERSET_CACHE_BITS = 1 << 27  # 16 MB of cached superset masks
 
 
 # -- domain types ----------------------------------------------------------
 
 
-def coloring_bit_count(N: int, k: int) -> int:
-    """C(N, k), the bit count of a k-subset coloring of [N], capped.
+def _comb_upto(N: int, k: int, cap: int) -> Optional[int]:
+    """C(N, k), or None when it exceeds ``cap``, never computing a larger binomial.
 
-    Raises ValueError when it exceeds ``COLORING_BIT_CAP``, without ever
-    computing a larger binomial: with j = min(k, N - k) the partial
-    products C(N - j + i, i), i = 1..j, at least double at each step.
+    With j = min(k, N - k) the partial products C(N - j + i, i), i = 1..j,
+    at least double at each step, so the loop stops soon after ``cap``.
     """
-    if k < 0 or N < 0:
-        raise ValueError("N and k must be non-negative")
     j = min(k, N - k)
     m = int(j >= 0)
     for i in range(1, j + 1):
         m = m * (N - j + i) // i
-        if m > COLORING_BIT_CAP:
-            raise ValueError(f"C({N},{k}) exceeds cap {COLORING_BIT_CAP}")
+        if m > cap:
+            return None
+    return m
+
+
+def coloring_bit_count(N: int, k: int) -> int:
+    """C(N, k), the bit count of a k-subset coloring of [N], capped.
+
+    Raises ValueError when it exceeds ``COLORING_BIT_CAP``.
+    """
+    if k < 0 or N < 0:
+        raise ValueError("N and k must be non-negative")
+    m = _comb_upto(N, k, COLORING_BIT_CAP)
+    if m is None:
+        raise ValueError(f"C({N},{k}) exceeds cap {COLORING_BIT_CAP}")
     return m
 
 
@@ -172,8 +183,8 @@ def _pairs_of(N: int) -> tuple[tuple[int, int], ...]:
     return tuple(iter_subsets_colex(N, 2))
 
 
-def graph_from_edge_mask(N: int, mask: int) -> SimpleGraph:
-    """Graph on N vertices whose edge set is the colex-rank bitmask ``mask``."""
+def _edge_rows(N: int, mask: int) -> tuple[int, ...]:
+    """Adjacency rows of the graph on N vertices with colex-rank edge bitmask ``mask``."""
     rows = [0] * N
     pairs = _pairs_of(N)
     while mask:
@@ -182,7 +193,12 @@ def graph_from_edge_mask(N: int, mask: int) -> SimpleGraph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
         mask ^= low
-    return SimpleGraph(N, tuple(rows))
+    return tuple(rows)
+
+
+def graph_from_edge_mask(N: int, mask: int) -> SimpleGraph:
+    """Graph on N vertices whose edge set is the colex-rank bitmask ``mask``."""
+    return SimpleGraph(N, _edge_rows(N, mask))
 
 
 def g_oracle(n: int, s: int, t: int, n_max: int) -> OracleResult:
@@ -194,7 +210,9 @@ def g_oracle(n: int, s: int, t: int, n_max: int) -> OracleResult:
     both a K_s and an independent t-set — is kept as the witness for that
     level.  Complement pairing halves the scan when s = t; for s != t the
     complement swaps the two roles, so no halving is applied.  The answer
-    is the first N with no counterexample.
+    is the first N with no counterexample.  Each graph is scanned as its
+    plain rows and complement rows, which are valid by construction; only
+    the witness becomes a ``SimpleGraph``.
     """
     if s < 2 or t < 2:
         raise ValueError("need s, t >= 2")
@@ -205,14 +223,16 @@ def g_oracle(n: int, s: int, t: int, n_max: int) -> OracleResult:
 
     def search(N: int):
         full = (1 << comb(N, 2)) - 1
+        loopless = [((1 << N) - 1) ^ (1 << v) for v in range(N)]
         examined = 0
         for mask in range(full + 1):
             if s == t and mask > full ^ mask:
                 continue
             examined += 1
-            g = graph_from_edge_mask(N, mask)
-            if scan_colex(balance_tests(g, s, t), N, n)[2] is None:
-                return g, examined
+            rows = _edge_rows(N, mask)
+            comp = tuple(x ^ row for x, row in zip(loopless, rows))
+            if scan_colex(((rows, s), (comp, t)), N, n)[2] is None:
+                return graph_from_edge_mask(N, mask), examined
         return None, examined
 
     return _least_level(n, n_max, search)
@@ -221,14 +241,37 @@ def g_oracle(n: int, s: int, t: int, n_max: int) -> OracleResult:
 # -- good sets and the f oracle ---------------------------------------------
 
 
+_superset_masks: dict[tuple[int, int, tuple[int, ...]], int] = {}
+_superset_mask_bits = 0  # total bits of the masks held in _superset_masks
+
+
 def _superset_mask(N: int, k: int, S: tuple[int, ...]) -> int:
-    """Mask of the k-subsets of range(N) containing the sorted subset S."""
+    """Mask of the k-subsets of range(N) containing the sorted subset S.
+
+    Masks are cached by (N, k, S).  The cache holds at most
+    ``SUPERSET_CACHE_BITS`` mask bits in all and is emptied when the next
+    mask would pass that, so a 2^24-bit coloring's 2 MB masks cannot fill
+    memory.
+    """
+    global _superset_mask_bits
+    key = (N, k, S)
+    mask = _superset_masks.get(key)
+    if mask is not None:
+        return mask
     rest = [v for v in range(N) if v not in S]
-    buf = bytearray((comb(N, k) + 7) >> 3)
+    size = comb(N, k)
+    buf = bytearray((size + 7) >> 3)
     for extra in combinations(rest, k - len(S)):
         r = subset_rank(tuple(sorted(S + extra)))
         buf[r >> 3] |= 1 << (r & 7)
-    return int.from_bytes(buf, "little")
+    mask = int.from_bytes(buf, "little")
+    if _superset_mask_bits + size > SUPERSET_CACHE_BITS:
+        _superset_masks.clear()
+        _superset_mask_bits = 0
+    if size <= SUPERSET_CACHE_BITS:
+        _superset_masks[key] = mask
+        _superset_mask_bits += size
+    return mask
 
 
 def _good_set_rows(N: int, k: int, n: int, s: int, t: int):
@@ -290,10 +333,10 @@ def f_oracle(n: int, s: int, t: int, k: int, n_max: int) -> OracleResult:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    if comb(n_max, k) > F_ORACLE_SUBSET_CAP:
-        raise BudgetError(
-            f"C({n_max},{k}) = {comb(n_max, k)} exceeds f-oracle cap {F_ORACLE_SUBSET_CAP}"
-        )
+    positions = _comb_upto(n_max, k, COLORING_BIT_CAP)  # None: too large to name
+    if positions is None or positions > F_ORACLE_SUBSET_CAP:
+        size = "" if positions is None else f" = {positions}"
+        raise BudgetError(f"C({n_max},{k}){size} exceeds f-oracle cap {F_ORACLE_SUBSET_CAP}")
 
     def search(N: int):
         table = _good_set_table(N, k, n, s, t)

@@ -29,7 +29,12 @@ one ``graphs.scan_colex`` call, exact or sampled.
 now, which ``check_kkfree`` decides.  ``ssat_search`` hunts for the
 smallest semisaturated patterns by backtracking over edge colorings; its
 doom check is the backtracking of ``is_semisaturated`` run on an
-optimistic completion.
+optimistic completion.  Below the root that check is incremental: a node
+is searched only when its parent had no escaping coloring, and coloring
+{u, v} with c deletes only the edge uv from the classes other than c, so
+a coloring escaping at the node must give u and v one class other than
+c (in any other coloring every class looks as it did at the parent).  The
+node's escape search is pinned to such colorings.
 """
 
 from __future__ import annotations
@@ -161,7 +166,9 @@ def is_semisaturated(
     return Verdict(holds=True, witness=None, checked=nodes)
 
 
-def _escape_search(rows_per_class, n: int, k: int, masks: list[int]) -> tuple[bool, int]:
+def _escape_search(
+    rows_per_class, n: int, k: int, masks: list[int], pin=None
+) -> tuple[bool, int]:
     """Backtrack for a coloring of vertices 0..n-1 that gives no class a K_{k-1}.
 
     Vertices go in index order and colors ascending, so the first escaping
@@ -169,18 +176,34 @@ def _escape_search(rows_per_class, n: int, k: int, masks: list[int]) -> tuple[bo
     coloring is the bit mask ``masks[i]``, which the search extends in place
     and, on success, leaves holding the escaping coloring.  Returns
     ``(escaped, nodes)``, where nodes counts the colors tried.
+
+    ``pin = (u, v, c)`` with u < v restricts the search to colorings that
+    give u and v one class other than c: vertex u tries only the classes
+    other than c, and vertex v only the class u took.  This is complete for
+    the graphs left after deleting the edge uv from every class but c,
+    provided the graphs before the deletion had no escaping coloring
+    (``ssat_search`` states why).  Without a pin every coloring is tried.
     """
     r = len(rows_per_class)
     target = k - 2  # a K_{k-1} through v = a K_{k-2} in its class neighbourhood
     nodes = 0
+    every = tuple(range(r))
+    pu, pv, pc = pin if pin is not None else (-1, -1, -1)
+    not_pc = tuple(i for i in every if i != pc)
 
     def esc(v: int) -> bool:
         nonlocal nodes
         if v == n:
             return True
-        nodes += r
+        if v == pu:
+            classes = not_pc
+        elif v == pv:
+            classes = (next(i for i in every if masks[i] >> pu & 1),)
+        else:
+            classes = every
+        nodes += len(classes)
         bit = 1 << v
-        for i in range(r):
+        for i in classes:
             rows = rows_per_class[i]
             neigh = rows[v] & masks[i]
             created = (neigh != 0) if target == 1 else (
@@ -189,7 +212,7 @@ def _escape_search(rows_per_class, n: int, k: int, masks: list[int]) -> tuple[bo
             if not created:
                 masks[i] |= bit
                 if esc(v + 1):
-                    nodes -= r - 1 - i
+                    nodes -= len(classes) - 1 - classes.index(i)
                     return True
                 masks[i] ^= bit
         return False
@@ -374,6 +397,15 @@ def ssat_search(
     from every class but c, so along a branch these graphs only lose edges;
     at full depth nothing is uncolored and ``opt`` is the pattern itself.
 
+    A child is searched only when its parent's doom check found no escaping
+    coloring.  A coloring that puts u and v in different classes, or both
+    in class c, meets every class of the child exactly as it met that
+    class at the parent, so it does not escape at the child either.  The
+    child's check therefore runs ``_escape_search`` pinned to (u, v, c),
+    which tries only colorings giving u and v one class other than c; the
+    root's check is unpinned.  Node counts and patterns are those of the
+    unpinned check.
+
     Returns found / exhausted / budget; ``nodes`` counts search nodes.
     """
     if not 2 <= r <= 8:
@@ -397,26 +429,26 @@ def ssat_search(
                 opt[i][u] ^= 1 << v
                 opt[i][v] ^= 1 << u
 
-    def dfs(d: int, used: int) -> Optional[ColoredCompleteGraph]:
+    def dfs(d: int, used: int, pin) -> Optional[ColoredCompleteGraph]:
         nonlocal nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise _BudgetHit
-        if _escape_search(opt, n, k, [0] * r)[0]:
+        if _escape_search(opt, n, k, [0] * r, pin)[0]:
             return None
         if d == len(pairs):
             return ColoredCompleteGraph(tuple(SimpleGraph(n, tuple(rows)) for rows in opt))
         u, v = pairs[d]
         for color in range(min(used + 1, r)):
             flip(u, v, color)
-            res = dfs(d + 1, max(used, color + 1))
+            res = dfs(d + 1, max(used, color + 1), (u, v, color))
             if res is not None:
                 return res
             flip(u, v, color)
         return None
 
     try:
-        pattern = dfs(0, 0)
+        pattern = dfs(0, 0, None)
     except _BudgetHit:
         return SsatSearchResult("budget", None, nodes)
     if pattern is None:

@@ -70,6 +70,17 @@ def test_oracle_f_certificate(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_oracle_f_cap_refuses_before_the_binomial(capsys):
+    # C(6000000, 3000000) is never computed: the cap answers at once, with
+    # the "unknown" certificate of any other over-cap oracle f
+    start = time.perf_counter()
+    code, cert = _run(capsys, ["oracle", "f", "--n", "3000000", "--s", "2", "--t", "2",
+                               "--k", "3000000", "--n-max", "6000000"])
+    assert time.perf_counter() - start < 2
+    assert code == 2 and cert["verdict"] == "unknown" and cert["checked"] == 0
+    assert cert["params"]["budget"] == "C(6000000,3000000) exceeds f-oracle cap 20"
+
+
 def test_construct_verify_cycle(tmp_path, capsys):
     out = tmp_path / "a.cg"
     code, _ = _run(

@@ -201,6 +201,22 @@ def test_good_set_witness_past_word_masks_matches_naive():
             assert got == _naive_good_set(chi, n, s, t)
 
 
+def test_superset_mask_cache_stays_within_its_bit_bound(monkeypatch):
+    # a cache too small for every mask of the scan is emptied as it goes,
+    # never holds more than its bound, and changes no answer
+    red = rs.reduction
+    monkeypatch.setattr(red, "SUPERSET_CACHE_BITS", 100)
+    monkeypatch.setattr(red, "_superset_masks", {})
+    monkeypatch.setattr(red, "_superset_mask_bits", 0)
+    for seed in range(20):
+        chi = rs.KSubsetColoring.random(6, 3, seed)  # 20-bit masks, five fit
+        assert rs.good_set_witness(chi, 5, 2, 3) == _naive_good_set(chi, 5, 2, 3)
+        assert red._superset_mask_bits == 20 * len(red._superset_masks) <= 100
+    monkeypatch.setattr(red, "SUPERSET_CACHE_BITS", 10)  # a mask past the bound is not kept
+    assert red._superset_mask(6, 3, (0, 1)) == red._superset_mask(6, 3, (0, 1))
+    assert red._superset_masks == {} and red._superset_mask_bits == 0
+
+
 def test_f_oracle_exact_formula_cases():
     # k = s+t-1 has the closed form 2n - s - t + 1
     assert rs.f_oracle(3, 2, 2, 3, 6).value == 3
@@ -230,8 +246,11 @@ def test_good_set_witness_rejects_bad_parameters(n, s, t):
 
 
 def test_f_oracle_budget():
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"^C\(7,3\) = 35 exceeds f-oracle cap 20$"):
         rs.f_oracle(4, 2, 3, 3, 7)
+    # past the coloring bit cap the binomial is not named, nor computed
+    with pytest.raises(BudgetError, match=r"^C\(10000,5000\) exceeds f-oracle cap 20$"):
+        rs.f_oracle(5000, 2, 2, 5000, 10000)
 
 
 # -- transforms ---------------------------------------------------------------

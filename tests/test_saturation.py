@@ -1,9 +1,14 @@
 """Semisaturation: dual checkers, the pigeonhole condition, bounds, search."""
 
+from itertools import combinations, product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ramsat as rs
 from ramsat.errors import BudgetError
+from ramsat.saturation import _escape_search
 
 from conftest import all_patterns
 
@@ -279,3 +284,133 @@ def test_check_observation_sampled_past_enumeration_cap():
     assert not v.exhaustive and v.checked == 150
     with pytest.raises(ValueError, match="capped at 64"):
         rs.check_observation(pat, 4, 3)
+
+
+# -- the pinned doom check -----------------------------------------------------
+
+
+def _unpinned_ssat_search(r, k, n):
+    """``ssat_search`` with the full, unpinned escape search at every node.
+
+    Returns (status, nodes, pattern), for comparison with the pinned search.
+    """
+    pairs = list(rs.graphs.iter_subsets_colex(n, 2))
+    opt = [[((1 << n) - 1) & ~(1 << x) for x in range(n)] for _ in range(r)]
+    nodes = 0
+
+    def flip(u, v, color):
+        for i in range(r):
+            if i != color:
+                opt[i][u] ^= 1 << v
+                opt[i][v] ^= 1 << u
+
+    def dfs(d, used):
+        nonlocal nodes
+        nodes += 1
+        if _escape_search(opt, n, k, [0] * r)[0]:
+            return None
+        if d == len(pairs):
+            return rs.ColoredCompleteGraph(tuple(rs.SimpleGraph(n, tuple(rows)) for rows in opt))
+        u, v = pairs[d]
+        for color in range(min(used + 1, r)):
+            flip(u, v, color)
+            res = dfs(d + 1, max(used, color + 1))
+            if res is not None:
+                return res
+            flip(u, v, color)
+        return None
+
+    pattern = dfs(0, 0)
+    return ("exhausted" if pattern is None else "found"), nodes, pattern
+
+
+@pytest.mark.parametrize("r, k, n", [(r, k, n) for r in (2, 3) for k in (3, 4)
+                                     for n in range(1, 7)] + [(2, 5, 8)])
+def test_ssat_search_matches_unpinned_reference(r, k, n):
+    got = rs.ssat_search(r, k, n)
+    assert (got.status, got.nodes, got.pattern) == _unpinned_ssat_search(r, k, n)
+
+
+def _naive_escapes(rows_per_class, k, chi):
+    """Whether the vertex coloring ``chi`` leaves every class K_{k-1}-free, by itertools."""
+    for i, rows in enumerate(rows_per_class):
+        part = [v for v, col in enumerate(chi) if col == i]
+        for cand in combinations(part, k - 1):
+            if all(rows[a] >> b & 1 for a, b in combinations(cand, 2)):
+                return False
+    return True
+
+
+def _rows_from_pairs(n, present):
+    """Adjacency rows holding the colex-ordered pairs p with ``present[p]`` true."""
+    rows = [0] * n
+    for p, (a, b) in enumerate(rs.graphs.iter_subsets_colex(n, 2)):
+        if present[p]:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return rows
+
+
+@st.composite
+def pinned_cases(draw):
+    n = draw(st.integers(2, 6))
+    r = draw(st.integers(2, 3))
+    k = draw(st.integers(3, 4))
+    m = n * (n - 1) // 2
+    classes = [_rows_from_pairs(n, draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+               for _ in range(r)]
+    u, v = draw(st.sampled_from(list(rs.graphs.iter_subsets_colex(n, 2))))
+    return classes, n, k, (u, v, draw(st.integers(0, r - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pinned_cases())
+def test_pinned_escape_search_tries_exactly_the_pinned_colorings(case):
+    # on any graphs, a pinned search finds the lexicographically smallest
+    # escaping coloring that gives u and v one class other than c
+    classes, n, k, (u, v, c) = case
+    r = len(classes)
+    first = next((chi for chi in product(range(r), repeat=n)
+                  if chi[u] == chi[v] != c and _naive_escapes(classes, k, chi)), None)
+    masks = [0] * r
+    escaped, _ = _escape_search(classes, n, k, masks, (u, v, c))
+    assert escaped == (first is not None)
+    if escaped:
+        assert masks == [rs.graphs.mask_of(x for x in range(n) if first[x] == i) for i in range(r)]
+
+
+@st.composite
+def optimistic_children(draw):
+    """Optimistic graphs of a partial pattern, and an uncolored pair to color."""
+    n = draw(st.integers(2, 7))
+    r = draw(st.integers(2, 3))
+    k = draw(st.integers(3, 4))
+    m = n * (n - 1) // 2
+    # a pair's color, or a negative value for uncolored (in every class)
+    uncolored_weight = draw(st.integers(1, 6))
+    colors = draw(st.lists(st.integers(-uncolored_weight, r - 1), min_size=m, max_size=m))
+    uncolored = [p for p in range(m) if colors[p] < 0]
+    if not uncolored:
+        colors[0], uncolored = -1, [0]
+    p = draw(st.sampled_from(uncolored))
+    c = draw(st.integers(0, r - 1))
+    opt = [_rows_from_pairs(n, [col < 0 or col == i for col in colors]) for i in range(r)]
+    return opt, n, k, p, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(optimistic_children())
+def test_pin_sound_on_optimistic_child(case):
+    # when the parent has no escaping coloring, coloring one uncolored pair
+    # {u, v} with c leaves the pinned and unpinned searches agreeing
+    opt, n, k, p, c = case
+    r = len(opt)
+    if _escape_search(opt, n, k, [0] * r)[0]:
+        return
+    u, v = rs.subset_unrank(p, 2)
+    for i in range(r):
+        if i != c:
+            opt[i][u] ^= 1 << v
+            opt[i][v] ^= 1 << u
+    pinned = _escape_search(opt, n, k, [0] * r, (u, v, c))[0]
+    assert pinned == _escape_search(opt, n, k, [0] * r)[0]
