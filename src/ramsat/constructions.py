@@ -105,20 +105,9 @@ class ColoredCompleteGraph:
         for name, value in (("n", n), ("r", r), ("complete", complete)):
             object.__setattr__(self, name, value)
 
-    def color_of(self, u: int, v: int) -> Optional[int]:
-        """0-based class index of pair {u, v}, or None if uncolored."""
-        for i, cls in enumerate(self.classes):
-            if cls.has_edge(u, v):
-                return i
-        return None
-
-    def colored_pairs(self):
-        """Yield (u, v, class index) with u < v, ascending."""
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                c = self.color_of(u, v)
-                if c is not None:
-                    yield u, v, c
+    def colored_pairs(self) -> list[tuple[int, int, int]]:
+        """(u, v, class index) for every coloured pair, u < v, ascending."""
+        return sorted((u, v, i) for i, cls in enumerate(self.classes) for u, v in cls.edges())
 
     def permute_colors(self, perm) -> "ColoredCompleteGraph":
         """Pattern with class i moved to position perm[i]."""

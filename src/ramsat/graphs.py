@@ -8,13 +8,14 @@ induced-subgraph copies: the search simply intersects candidate masks.
 prunes with the greedy colour bound at every level of 4 or more.
 
 Subsets are ranked in colex order: rank(c_1 < ... < c_k) = sum of
-C(c_i, i).  ``scan_subsets`` decides every subset of a colex window of
-masks by a depth-first walk over descending prefixes: the subsets that
-share their top elements form one colex block, and a block whose top
-elements already hold every clique asked for passes whole, without a visit.
-``scan_colex`` scans all C(n, m) subsets, split over worker processes, or
-a seeded sample of them; every subset scan in the package runs through
-these two.
+C(c_i, i).  ``scan_subsets`` decides the m-subsets whose rank lies in a
+window [lo, hi) by a depth-first walk over descending prefixes: the subsets
+that share their top elements form one colex block, an interval of ranks,
+so blocks outside the window are skipped by arithmetic, and a block whose
+top elements already hold every clique asked for passes whole, without a
+visit.  ``scan_colex`` scans all C(n, m) ranks, cut into consecutive rank
+windows over worker processes, or a seeded sample of subsets; every subset
+scan in the package runs through these two.
 
 All types are immutable after construction and every operation is a pure
 function, so concurrent use from multiple threads or worker processes is
@@ -320,87 +321,82 @@ def iter_subsets_colex(n: int, k: int) -> Iterator[tuple[int, ...]]:
         yield tuple(iter_bits(x))
 
 
-def scan_subsets(
-    tests, first: int, last: int, stop: bool = True
-) -> tuple[int, int, Optional[int]]:
-    """Check the subsets of the colex window from mask ``first`` to mask ``last``.
+def scan_subsets(tests, n: int, m: int, lo: int, hi: int,
+                 stop: bool = True) -> tuple[int, int, Optional[int]]:
+    """Check the m-subsets of range(n) whose colex rank lies in [lo, hi).
 
-    The window holds every mask of their popcount from ``first`` to
-    ``last``, both included; it is empty when ``last < first``.  A subset x
-    passes a test ``(rows, need)`` when ``rows`` has a ``need``-clique inside
-    x, and fails when it fails any test.  Returns ``(scanned, failures,
-    first_failure)``: subsets decided, failing subsets among them, and the
-    first failing mask in colex order (None when all pass).  With ``stop``
-    the scan ends at the first failure, so ``scanned`` counts the subsets up
-    to it.
-
-    The first subset is decided whole.  The rest of the window is walked
-    depth first over descending prefixes: colex order picks the largest
-    element first, so the subsets sharing a prefix H of top elements form
-    one colex block.  When the walk adds the next-lower element a to H, a
-    test H still fails is asked only for a clique through a, inside
-    ``rows[a] & H``.  Once H passes every test, the whole block passes (the
-    tests are monotone) and is counted without a visit.  A block of one
-    subset is decided whole, and a failing subset is still decided alone,
-    in colex order.
+    The window is empty when ``hi <= lo``; for m = 0 it holds at most the
+    empty subset, of rank 0.  A subset x passes a test ``(rows, need)`` when
+    ``rows`` has a ``need``-clique inside x, and fails when it fails any
+    test.  Returns ``(scanned, failures, first_failure)``: subsets decided,
+    failing subsets among them, and the first failing mask in colex order
+    (None when all pass).  With ``stop`` the scan ends at the first failure,
+    so ``scanned`` counts the subsets up to it.  ``_walk`` does the work.
     """
-    if last < first:
-        return 0, 0, None
-    failed = _fails(tests, first)
-    if failed and stop or first == last:
-        return 1, int(failed), first if failed else None
-    lo = gosper_next(first)  # the walk decides lo to last
-    scanned, failures, first_failure = 1, int(failed), first if failed else None
+    out = [0, 0, None]
+    if m and lo < hi:
+        _walk(out, lo, hi, stop, 0, 0, m, tests, n, lo <= 0 and comb(n, m) <= hi)
+    elif lo <= 0 < hi:  # m = 0: the empty subset alone
+        out = [1, 1, 0] if _fails(tests, 0) else [1, 0, None]
+    return tuple(out)
 
-    def walk(prefix: int, j: int, todo, bound: int, lo_tight: bool, hi_tight: bool) -> bool:
-        """Decide the window's subsets made of ``prefix`` and j elements below ``bound``.
 
-        ``todo`` holds the tests ``prefix`` fails.  ``lo_tight`` and
-        ``hi_tight`` say whether ``prefix`` is the top of ``lo`` or of
-        ``last``, where the window cuts the block.  True when the scan stops.
-        """
-        nonlocal scanned, failures, first_failure
-        below = (1 << bound) - 1
-        a_lo = (lo & below).bit_length() - 1 if lo_tight else j - 1
-        a_hi = (last & below).bit_length() - 1 if hi_tight else bound - 1
-        j -= 1
-        for a in range(a_lo, a_hi + 1):
-            x = prefix | (1 << a)
-            if j and a == j:  # a block of one subset: x and every element below a
-                x |= (1 << a) - 1
-                fails = _fails(todo, x)
-            else:
-                # a closes a need-clique when its neighbours in the prefix
-                # hold a (need - 1)-clique; up to need 2 that needs no search
-                left = []
-                for test in todo:
-                    rows, need = test
-                    nbrs = rows[a] & prefix
-                    if need > 1 and (
-                        not nbrs or need > 2 and find_clique_mask(rows, nbrs, need - 1) is None
-                    ):
-                        left.append(test)
-                if j:
-                    t_lo, t_hi = lo_tight and a == a_lo, hi_tight and a == a_hi
-                    if left or t_lo or t_hi:
-                        if walk(x, j, left, a, t_lo, t_hi):
-                            return True
-                    else:
-                        scanned += comb(a, j)
-                    continue
-                fails = bool(left)
-            scanned += 1
-            if fails:
-                failures += 1
-                if first_failure is None:
-                    first_failure = x
-                if stop:
+def _walk(out, lo, hi, stop, prefix, base, j, todo, bound, inside) -> bool:
+    """Decide the subsets of window [lo, hi) made of ``prefix`` and j elements below ``bound``.
+
+    Colex order picks the largest element first, so the walk is depth first
+    over descending prefixes.  ``base`` is the rank ``prefix`` adds: the
+    subsets whose next element is a form one block, with the ranks
+    base + [C(a, j), C(a + 1, j)).  Blocks outside the window are skipped, and
+    a block wholly inside it is walked with ``inside`` set, which computes no
+    binomial.  ``todo`` holds the tests ``prefix`` fails; when the walk adds
+    a, each is asked only for a clique through a, inside ``rows[a] & prefix``.
+    Once a prefix passes every test, its whole block passes (the tests are
+    monotone), and the block's part in the window is counted without a
+    visit.  A block of one subset is decided whole, and a failing subset is
+    decided alone, in colex order.  ``out`` holds ``scan_subsets``' result so
+    far.  True when the scan stops.
+    """
+    rest = j - 1  # the elements still to add below a
+    start = end = base  # a's block holds the ranks [start, end), tracked only when not inside
+    for a in range(rest, bound):
+        if not inside:
+            start, end = end, base + comb(a + 1, j)
+            if end <= lo:
+                continue
+            if start >= hi:
+                return False
+        x = prefix | (1 << a)
+        if rest and a == rest:  # a block of one subset: x and every element below a
+            x |= (1 << a) - 1
+            fails = _fails(todo, x)
+        else:
+            # a closes a need-clique when its neighbours in the prefix
+            # hold a (need - 1)-clique; up to need 2 that needs no search
+            left = []
+            for test in todo:
+                rows, need = test
+                nbrs = rows[a] & prefix
+                if need > 1 and (
+                    not nbrs or need > 2 and find_clique_mask(rows, nbrs, need - 1) is None
+                ):
+                    left.append(test)
+            if rest:
+                if not left:
+                    out[0] += comb(a, rest) if inside else min(end, hi) - max(start, lo)
+                elif _walk(out, lo, hi, stop, x, start, rest, left, a,
+                           inside or lo <= start and end <= hi):
                     return True
-        return False
-
-    todo = [(rows, need) for rows, need in tests if need > 0]  # the empty prefix passes need 0
-    walk(0, first.bit_count(), todo, last.bit_length(), True, True)
-    return scanned, failures, first_failure
+                continue
+            fails = bool(left)
+        out[0] += 1
+        if fails:
+            out[1] += 1
+            if out[2] is None:
+                out[2] = x
+            if stop:
+                return True
+    return False
 
 
 def _fails(tests, x: int) -> bool:
@@ -429,15 +425,17 @@ def scan_colex(
     """``scan_subsets`` over all m-subsets of range(n), or over ``samples`` draws of them.
 
     An exact scan (``samples`` None) checks ``exact_space`` and cuts the
-    C(n, m) colex ranks into ``threads`` consecutive ranges, one per worker
-    process; with one thread, or fewer than four subsets per worker, it runs
+    ranks [0, C(n, m)) at multiples of C(n, m) // threads into ``threads``
+    consecutive windows, the last taking the remainder, and hands each
+    window to ``scan_subsets`` in its own worker process; with one thread,
+    or fewer than four subsets per worker, the one window [0, C(n, m)) runs
     in this process.  A sampled scan decides ``samples`` draws of
     ``rng.choice(n, size=m, replace=False)`` here, each whole, in draw order;
     it never shards, so ``threads`` above 1 raises ValueError, and a recorded
     thread count always describes an exact scan.  Returns ``(scanned,
     failures, first_failure)`` as ``scan_subsets`` does, summed over the
-    ranges, with the first failure in colex or draw order; with ``stop``
-    each range ends at its own first failure.
+    windows, with the first failure in colex or draw order; with ``stop``
+    each window ends at its own first failure.
     """
     if not 1 <= threads <= THREAD_CAP:
         raise ValueError(f"need 1 <= threads <= {THREAD_CAP}, got {threads}")
@@ -459,15 +457,13 @@ def scan_colex(
         return scanned, failures, first_failure
     space = exact_space(n, m)
     if threads == 1 or space < 4 * threads:
-        last = ((1 << m) - 1) << (n - m) if space else 0  # no m-subsets when m > n
-        return scan_subsets(tests, (1 << m) - 1, last, stop)
+        return scan_subsets(tests, n, m, 0, space, stop)
     from concurrent.futures import ProcessPoolExecutor  # only a sharded scan loads it
 
     chunk = space // threads
     cuts = [j * chunk for j in range(threads)] + [space]
-    firsts = [mask_of(subset_unrank(cuts[j], m)) for j in range(threads)]
-    lasts = [mask_of(subset_unrank(cuts[j + 1] - 1, m)) for j in range(threads)]
     with ProcessPoolExecutor(max_workers=threads) as ex:
-        shards = ex.map(scan_subsets, [tests] * threads, firsts, lasts, [stop] * threads)
+        shards = ex.map(scan_subsets, [tests] * threads, [n] * threads, [m] * threads,
+                        cuts[:-1], cuts[1:], [stop] * threads)
         scanned, failures, fails = zip(*shards)
     return sum(scanned), sum(failures), next((x for x in fails if x is not None), None)

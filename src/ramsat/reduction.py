@@ -46,9 +46,9 @@ from .graphs import (
     SimpleGraph,
     balance_tests,
     find_clique_mask,
+    gosper_next,
     iter_bits,
     iter_subsets_colex,
-    mask_of,
     scan_colex,
     subset_rank,
 )
@@ -285,11 +285,6 @@ def _good_set_rows(N: int, k: int, n: int, s: int, t: int):
                (_superset_mask(N, k, T) for T in combinations(U, t)))
 
 
-@lru_cache(maxsize=None)  # the f oracle scans one table with every coloring
-def _good_set_table(N: int, k: int, n: int, s: int, t: int):
-    return tuple((U, tuple(A), tuple(B)) for U, A, B in _good_set_rows(N, k, n, s, t))
-
-
 def _first_good_set(bits: int, rows) -> Optional[tuple[int, ...]]:
     for U, a_masks, b_masks in rows:
         if all(~bits & m for m in a_masks) or all(bits & m for m in b_masks):
@@ -320,10 +315,11 @@ def f_oracle(n: int, s: int, t: int, k: int, n_max: int) -> OracleResult:
 
     Needs s, t >= 2 and max(s, t) <= k <= n; k = s + t - 2 is where the
     coloring and graph problems coincide.  For each N all 2^C(N,k)
-    colorings are enumerated by ascending bit value against one cached
-    table of rows; the first with no good n-subset is the counterexample
-    keeping the search going.  The first N where every coloring admits a
-    good n-subset is the value.  Capped at C(n_max, k) <= 20 color positions.
+    colorings are enumerated by ascending bit value against one table of
+    rows, built once for that N; the first with no good n-subset is the
+    counterexample keeping the search going.  The first N where every
+    coloring admits a good n-subset is the value.  Capped at C(n_max, k) <=
+    20 color positions.
     """
     if s < 2 or t < 2:
         raise ValueError("need s, t >= 2")
@@ -339,7 +335,7 @@ def f_oracle(n: int, s: int, t: int, k: int, n_max: int) -> OracleResult:
         raise BudgetError(f"C({n_max},{k}){size} exceeds f-oracle cap {F_ORACLE_SUBSET_CAP}")
 
     def search(N: int):
-        table = _good_set_table(N, k, n, s, t)
+        table = [(U, tuple(A), tuple(B)) for U, A, B in _good_set_rows(N, k, n, s, t)]
         colorings = 1 << comb(N, k)
         for bits in range(colorings):
             if _first_good_set(bits, table) is None:
@@ -419,14 +415,16 @@ def graph_to_coloring(
     comp_rows = g.complement.rows
     bits = 0
     default_blue = default == "blue"
-    for rank, K in enumerate(iter_subsets_colex(g.n, k)):
-        kmask = mask_of(K)
+    kmask = (1 << k) - 1  # the k-subset of colex rank ``rank``
+    for rank in range(comb(g.n, k)):
         is_blue = find_clique_mask(rows, kmask, s) is not None
         is_red = find_clique_mask(comp_rows, kmask, t) is not None
         if is_blue and is_red:
             raise ConsistencyError(
-                f"k-subset {K} hosts both structures; graph transform is broken"
+                f"k-subset {tuple(iter_bits(kmask))} hosts both structures; "
+                "graph transform is broken"
             )
         if is_blue or (not is_red and default_blue):
             bits |= 1 << rank
+        kmask = gosper_next(kmask)
     return KSubsetColoring(g.n, k, bits)

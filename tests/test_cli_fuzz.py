@@ -1,11 +1,12 @@
 """Fuzz ``cli.run`` against the exit-code contract: the four text parsers,
-and the argv of the commands that take no input file.
+and the argv of every command group.
 
 Exit 0, 1 or 2 comes with exactly one certificate line on stdout that
 passes ``validate_certificate``, and exit 1 with a witness; exit 3 or more
-prints nothing on stdout.  Bodies and sizes are small, so each run stays
-cheap, and the ``--threads`` values drawn never start a worker process: a
-value above 1 goes only with a sampled scan, which refuses it.
+prints nothing on stdout, and never an internal error.  Bodies and sizes
+are small, so each run stays cheap, and the ``--threads`` values drawn never
+start a worker process: a value above 1 goes only with a sampled scan,
+which refuses it.
 """
 
 import contextlib
@@ -165,11 +166,16 @@ def command_argv(draw, head, flags):
     """``head`` and one ``--name value`` pair per entry of ``flags`` (name ->
     (valid values, invalid values); ``n_max`` is ``--n-max``, None leaves
     the flag out).  About one argv in two takes an invalid value for one flag.
+    A ``threads`` entry, whatever its values, is replaced by threads drawn
+    together with ``--mode`` (bad-sets) or ``--samples`` (verify observation).
     """
     flags = dict(flags)
-    if head[-1] == "bad-sets":  # two threads only with a sampled scan, which refuses them
+    if "threads" in flags:  # two threads only with a sampled scan, which refuses them
         sampled = draw(st.booleans())
-        flags["mode"] = (["sampled"] if sampled else [None, "exact"], ["all"])
+        if head[-1] == "bad-sets":
+            flags["mode"] = (["sampled"] if sampled else [None, "exact"], ["all"])
+        else:
+            flags["samples"] = ([1, 20] if sampled else [None], [0, -1])
         flags["threads"] = ([1, 2] if sampled else [1], [0, -1, 65])
     broken = draw(st.sampled_from([None] * len(flags) + list(flags)))
     argv = list(head)
@@ -181,6 +187,12 @@ def command_argv(draw, head, flags):
 
 
 SIZES = ([2, 3, 4], [-1, 1])  # clique and independent-set sizes
+# Files named by --in, written by ``_write_inputs`` into the working
+# directory; "missing" names none, and a file of the wrong format is invalid.
+OUT = ([None, "out.txt"], ["missing/out.txt"])
+PATTERNS = (["c4diag.cg", "a3.cg", "partial.cg"], ["missing.cg", "g.txt"])
+VERIFY_K = ([3, 4, 5], [-1, 0, 2, 513])
+SEED = ([None, 0, 5], [-1])
 ARGV = {
     "oracle-f": command_argv(["oracle", "f"], {
         "n": ([2, 3, 4, 5], [-1, 0, 1]), "s": SIZES, "t": SIZES,
@@ -195,12 +207,60 @@ ARGV = {
         "gnp_n": ([4, 8, 12], [None, -1, 0]), "gnp_p": ([0.0, 0.5, 1.0], [None, -0.5, 1.5, "nan"]),
         "gnp_seed": ([0, 3], [None, -1]), "n": ([1, 3, 4, 6], [-1, 0, 13]), "s": SIZES,
         "t": SIZES, "trials": ([5, 7], [None, -1, 0]), "seed": ([3], [None])}),
+    "construct-affine": command_argv(["construct", "affine"], {
+        "q": ([2, 3, 5], [-1, 0, 1, 4]), "r": ([2, 3, 6], [-1, 0, 1, 99]),
+        "strategy": ([None, "parallel-balanced", "round-robin"], ["greedy"]),
+        "seed": SEED, "out": OUT}),
+    "construct-fq3": command_argv(["construct", "fq3"], {
+        "q": ([2, 3], [-1, 0, 1, 4]), "r": ([2, 3, 4], [-1, 0, 1, 99]), "out": OUT}),
+    "construct-gnp": command_argv(["construct", "gnp"], {
+        "n": ([0, 1, 9, 30], [-1, 4097]), "p": ([0.0, 0.3, 1.0], [-0.1, 1.5, "nan", "x"]),
+        "seed": ([0, 7], [None, -1]), "out": OUT}),
+    **{f"verify-{name}": command_argv(["verify", name], {
+        "in": PATTERNS, "k": VERIFY_K, **extra})
+       for name, extra in [("ssat", {"samples": ([None, 1, 20], [0, -1]), "seed": SEED}),
+                           ("ssat-direct", {}), ("kkfree", {}), ("saturated", {}),
+                           ("observation", {"r": ([2, 3], [-1, 0, 1, 65]), "seed": SEED,
+                                            "threads": None})]},
+    "reduce-chi-to-graph": command_argv(["reduce", "chi-to-graph"], {
+        "in": (["chi2.ksc", "chi3.ksc", "chi4.ksc"], ["missing.ksc", "a3.cg"]),
+        "s": SIZES, "t": SIZES, "tie_break": ([None, "nonedge", "edge"], ["random"]),
+        "out": OUT}),
+    "reduce-graph-to-chi": command_argv(["reduce", "graph-to-chi"], {
+        "in": (["g.txt"], ["missing.txt", "chi3.ksc"]), "s": SIZES, "t": SIZES,
+        "default": ([None, "red", "blue"], ["green"]), "out": OUT}),
+    "geom-plane": command_argv(["geom", "plane"], {
+        "q": ([2, 3, 5], [-1, 0, 1, 4]), "out": OUT}),
+    "geom-fq3-family": command_argv(["geom", "fq3-family"], {
+        "q": ([2, 3], [-1, 0, 1, 4]), "lambda": ([0, 1, 2], [-1, 3, 5]), "out": OUT}),
 }
 
 
+# The commands that read no file draw 150 argvs each; the rest draw 60
+# each, so that their twelve runs together take a few seconds.
+FILELESS = ("oracle-f", "oracle-g", "search-ssat", "bad-sets-gnp")
+
+
+def _write_inputs(directory, c4_diagonals) -> None:
+    partial = rs.ColoredCompleteGraph((rs.SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3)]),
+                                       rs.SimpleGraph.from_edges(5, [(0, 2), (2, 4)])))
+    files = {"c4diag.cg": rs.dump_colored_graph(c4_diagonals),
+             "a3.cg": rs.dump_colored_graph(rs.affine_coloring(3, 2)),
+             "partial.cg": rs.dump_colored_graph(partial),
+             "g.txt": rs.dump_simple_graph(rs.sample_gnp(rs.GnpParams(9, 0.5, 2)))}
+    for k, N in ((2, 6), (3, 7), (4, 7)):
+        files[f"chi{k}.ksc"] = rs.dump_ksubset_coloring(rs.KSubsetColoring.random(N, k, k))
+    for name, text in files.items():
+        (directory / name).write_text(text)
+
+
 @pytest.mark.parametrize("command", sorted(ARGV))
-def test_flag_values_keep_the_exit_code_contract(no_worker_processes, command):
-    @settings(max_examples=150, deadline=None)
+def test_flag_values_keep_the_exit_code_contract(no_worker_processes, tmp_path, monkeypatch,
+                                                 c4_diagonals, command):
+    _write_inputs(tmp_path, c4_diagonals)
+    monkeypatch.chdir(tmp_path)
+
+    @settings(max_examples=150 if command in FILELESS else 60, deadline=None)
     @given(ARGV[command])
     def check(argv):
         _keeps_the_contract(argv)

@@ -250,3 +250,15 @@ def test_pattern_permutations_preserve_structure():
     assert sorted(c.edge_count for c in relabeled.classes) == sorted(
         c.edge_count for c in pat.classes
     )
+
+
+@pytest.mark.parametrize("pat", [
+    rs.random_complete_pattern(7, 3, 5),
+    rs.ColoredCompleteGraph((rs.SimpleGraph.from_edges(5, [(3, 4), (0, 2)]),
+                             rs.SimpleGraph.from_edges(5, [(1, 4), (0, 1)]))),
+    rs.affine_coloring(3, 4, rs.constructions.ROUND_ROBIN, seed=3),
+])
+def test_colored_pairs_lists_each_coloured_pair_once_ascending(pat):
+    want = [(u, v, i) for u in range(pat.n) for v in range(u + 1, pat.n)
+            for i, cls in enumerate(pat.classes) if cls.has_edge(u, v)]
+    assert list(pat.colored_pairs()) == want

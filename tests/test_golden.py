@@ -9,7 +9,9 @@ must reproduce the recorded body and every file it writes byte for byte.
 
 The cases cover the README commands, sharded and serial observation scans
 with failing witnesses (on the seeded round-robin affine coloring they
-fail deep in the second class), exact and sampled bad-set counts, sampled
+fail deep in the second class, so ``checked`` depends on every shard's
+rank window), an observation on the empty pattern, whose one subset is
+the empty one, exact and sampled bad-set counts, sampled
 verification, failing verdicts of every verify command, K_4 to K_6 checks
 that take the clique search below depth 3, budget-limited searches,
 exhausted searches of up to 738 nodes and a found pattern, every "unknown"

@@ -193,20 +193,34 @@ def scan_cases(draw):
         edges = [e for e, keep in zip(pairs, draw(st.lists(st.floats(0, 1), min_size=len(pairs),
                                                            max_size=len(pairs)))) if keep < p]
         tests.append((rs.SimpleGraph.from_edges(n, edges).rows, draw(st.integers(1, 4))))
-    m = draw(st.integers(1, n))
+    m = draw(st.integers(0, n))
     space = math.comb(n, m)
-    start = draw(st.integers(0, space - 1))
-    count = draw(st.sampled_from([0, 1, draw(st.integers(0, space - start))]))
-    first = mask_of(subset_unrank(start, m))
-    last = mask_of(subset_unrank(start + count - 1, m)) if count else first - 1
-    return tuple(tests), first, last, count, draw(st.booleans())
+    lo = draw(st.integers(0, space - 1))
+    hi = lo + draw(st.sampled_from([0, 1, draw(st.integers(0, space - lo))]))
+    return tuple(tests), n, m, lo, hi, draw(st.booleans())
 
 
 @settings(max_examples=400, deadline=None)
 @given(scan_cases())
 def test_scan_subsets_matches_reference(case):
-    tests, first, last, count, stop = case
-    assert rs.graphs.scan_subsets(tests, first, last, stop) == reference_scan(tests, first, count, stop)
+    tests, n, m, lo, hi, stop = case
+    first = mask_of(subset_unrank(lo, m))
+    got = rs.graphs.scan_subsets(tests, n, m, lo, hi, stop)
+    assert got == reference_scan(tests, first, hi - lo, stop)
+
+
+@pytest.mark.parametrize("stop", [False, True])
+def test_scan_subsets_cuts_passing_blocks(stop):
+    # In K_6 with need 2 the prefix {3, 4} passes, so its block of 3-subsets,
+    # ranks [7, 10), passes whole; every window cuts it somewhere.
+    k6 = rs.SimpleGraph.complete(6).rows
+    c6 = rs.SimpleGraph.cycle(6).rows
+    for tests in (((k6, 2),), ((k6, 2), (c6, 2))):
+        for lo in range(21):
+            for hi in range(lo, 21):
+                first = mask_of(subset_unrank(lo, 3)) if lo < 20 else 0
+                got = rs.graphs.scan_subsets(tests, 6, 3, lo, hi, stop)
+                assert got == reference_scan(tests, first, hi - lo, stop), (tests, lo, hi)
 
 
 def reference_sampled_scan(tests, n: int, m: int, samples: int, seed: int, stop: bool):
@@ -228,8 +242,7 @@ def reference_sampled_scan(tests, n: int, m: int, samples: int, seed: int, stop:
 @settings(max_examples=200, deadline=None)
 @given(scan_cases(), st.integers(1, 30), st.integers(0, 2**32))
 def test_sampled_scan_colex_matches_reference(case, samples, seed):
-    tests, first, _, _, stop = case
-    n, m = len(tests[0][0]), first.bit_count()
+    tests, n, m, _, _, stop = case
     rng = rs.constructions.seeded_rng(seed)
     got = rs.graphs.scan_colex(tests, n, m, 1, stop, samples, rng)
     assert got == reference_sampled_scan(tests, n, m, samples, seed, stop)
@@ -267,7 +280,11 @@ def test_no_worker_processes_refuses_a_sharded_scan(no_worker_processes):
 
 def test_scan_subsets_empty_and_single_windows():
     rows = rs.SimpleGraph.cycle(5).rows
-    assert rs.graphs.scan_subsets(((rows, 2),), 0b00111, 0b00011) == (0, 0, None)
-    assert rs.graphs.scan_subsets(((rows, 2),), 0b00101, 0b00101) == (1, 1, 0b00101)
-    assert rs.graphs.scan_subsets(((rows, 0),), 0, 0) == (1, 0, None)
+    assert rs.graphs.scan_subsets(((rows, 2),), 5, 3, 1, 1) == (0, 0, None)
+    assert rs.graphs.scan_subsets(((rows, 2),), 5, 2, 1, 2) == (1, 1, 0b00101)
+    assert rs.graphs.scan_subsets(((rows, 2),), 5, 2, 4, 1) == (0, 0, None)
+    # m = 0: the empty subset, rank 0, passes need 0 and fails any larger need
+    assert rs.graphs.scan_subsets(((rows, 0),), 5, 0, 0, 1) == (1, 0, None)
+    assert rs.graphs.scan_subsets(((rows, 0), (rows, 2)), 5, 0, 0, 1) == (1, 1, 0)
+    assert rs.graphs.scan_subsets(((rows, 2),), 5, 0, 1, 2) == (0, 0, None)
     assert rs.graphs.scan_colex(((rows, 2),), 3, 4) == (0, 0, None)
