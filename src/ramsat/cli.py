@@ -6,7 +6,9 @@ out or only sampled evidence was gathered), or, with no certificate, 3
 (usage or parameter error), 4 (input error) or 5 (internal error: an
 unexpected exception, such as a recursion too deep for the interpreter).
 Randomized commands refuse to run without an explicit ``--seed`` so
-certificates never depend on hidden entropy.
+certificates never depend on hidden entropy, and a flag that would change
+nothing (``--seed`` where nothing is drawn, ``--trials`` in an exact count)
+exits 3, so a certificate records only parameters that acted.
 
 Subcommands::
 
@@ -19,8 +21,9 @@ Subcommands::
     geom      {plane|fq3-family|incidence}
 
 The CLI itself is a thin single-threaded shell; ``--threads`` is forwarded
-to the library operations that shard their enumeration.  Only exact scans
-shard: a value above 1 with ``--samples`` or ``--mode sampled`` exits 3.
+to the library operations that shard their enumeration, and bounds the
+worker processes they start without changing their answer.  Only exact
+scans shard: a value above 1 with ``--samples`` or ``--mode sampled`` exits 3.
 """
 
 from __future__ import annotations
@@ -186,11 +189,19 @@ def _unknown(claim, params, budget, witness=None, checked=0, seed=None) -> io.Ce
     return io.Certificate(claim, params, "unknown", witness, checked, seed)
 
 
+def _refuse(given, flag: str, where: str) -> None:
+    """A usage error when ``flag`` was given ``where`` it changes nothing."""
+    if given is not None:
+        raise _UsageError(f"{flag} changes nothing {where}")
+
+
 # -- handlers -----------------------------------------------------------------
 
 
 def _handle_construct(args) -> io.Certificate:
     if args.command == "affine":
+        if args.strategy == constructions.PARALLEL_BALANCED:
+            _refuse(args.seed, "--seed", "with --strategy parallel-balanced, which draws nothing")
         params = {"q": args.q, "r": args.r, "strategy": args.strategy}
         pattern = constructions.affine_coloring(args.q, args.r, args.strategy, args.seed)
         return _artifact("construct-affine", args, params, io.dump_colored_graph(pattern),
@@ -217,6 +228,8 @@ _VERIFIERS = {
 
 
 def _handle_verify(args) -> io.Certificate:
+    if getattr(args, "samples", None) is None:
+        _refuse(getattr(args, "seed", None), "--seed", "without --samples")
     pattern = io.parse_colored_graph(args.infile.read_text())
     claim = f"verify-{args.command}"
     params = {"in": str(args.infile), "k": args.k, "n": pattern.n, "r": pattern.r}
@@ -289,6 +302,11 @@ def _handle_experiment(args) -> io.Certificate:
     claim = "experiment-bad-sets"
     if (args.infile is None) == (args.gnp_n is None):
         raise _UsageError("bad-sets needs exactly one of --in or --gnp-n/--gnp-p/--gnp-seed")
+    if args.mode == "exact":
+        _refuse(args.trials, "--trials", "in an exact count")
+        _refuse(args.seed, "--seed", "in an exact count")
+    elif args.trials is None or args.seed is None:
+        raise _UsageError("sampled mode requires --trials and --seed")
     if args.infile is not None:
         g = io.parse_simple_graph(args.infile.read_text())
         source = {"in": str(args.infile)}
@@ -302,14 +320,11 @@ def _handle_experiment(args) -> io.Certificate:
                   "generator": constructions.GENERATOR_NAME}
     params = {**source, "n": args.n, "s": args.s, "t": args.t, "mode": args.mode,
               "threads": args.threads}
-    trials = None  # an exact count
-    if args.mode == "sampled":
-        if args.trials is None or args.seed is None:
-            raise _UsageError("sampled mode requires --trials and --seed")
-        params["trials"] = trials = args.trials
+    if args.trials is not None:  # a sampled count
+        params["trials"] = args.trials
     try:
         res = constructions.count_bad_sets(
-            g, args.n, args.s, args.t, trials, args.seed, args.threads
+            g, args.n, args.s, args.t, args.trials, args.seed, args.threads
         )
     except BudgetError as err:
         return _unknown(claim, params, err, seed=args.seed)

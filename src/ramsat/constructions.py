@@ -292,12 +292,12 @@ def count_bad_sets(
     """Count n-subsets whose induced subgraph misses K_s or misses I_t.
 
     One ``scan_colex`` call.  With ``trials`` None the count is exact: all
-    C(N, n) subsets in colex order (budget 10^7, N <= 64), sharded over
-    ``threads`` processes; the reduction is a sum, so the count is
-    order-independent.  Otherwise ``trials`` uniform n-subsets drawn with
-    the generator seeded by ``seed`` are decided in this process (``threads``
-    must be 1), and the hit fraction scaled by C(N, n) is an unbiased
-    estimate of the exact count.
+    C(N, n) subsets in colex order (budget 10^7, N <= 64), sharded over up
+    to ``threads`` processes, with the same count for every ``threads``.
+    Otherwise ``trials`` uniform n-subsets drawn with the generator seeded
+    by ``seed`` are decided in this process (``threads`` must be 1), and the
+    hit fraction scaled by C(N, n) is an unbiased estimate of the exact
+    count.
     """
     N = g.n
     if not 0 < n <= N:

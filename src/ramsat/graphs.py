@@ -14,8 +14,9 @@ that share their top elements form one colex block, an interval of ranks,
 so blocks outside the window are skipped by arithmetic, and a block whose
 top elements already hold every clique asked for passes whole, without a
 visit.  ``scan_colex`` scans all C(n, m) ranks, cut into consecutive rank
-windows over worker processes, or a seeded sample of subsets; every subset
-scan in the package runs through these two.
+windows over worker processes and folded to the one-window answer, or a
+seeded sample of subsets; every subset scan in the package runs through
+these two.
 
 All types are immutable after construction and every operation is a pure
 function, so concurrent use from multiple threads or worker processes is
@@ -25,16 +26,18 @@ smallest witness, which keeps certificates reproducible.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from typing import Iterator, Optional
 
 # Hard caps.  Exhaustive subset/graph enumeration is only offered up to 64
-# vertices; general search works up to 4096.  A sharded scan starts at most
-# THREAD_CAP worker processes: a constant, so that a certificate recording
-# its thread count reproduces on any machine.  CLIQUE_DEPTH_CAP keeps the
-# clique search, one recursion per vertex, inside Python's recursion limit.
+# vertices; general search works up to 4096.  ``threads`` may be at most
+# THREAD_CAP on every machine; a scan starts min(threads, usable CPUs)
+# worker processes and gives the same answer for any count.
+# CLIQUE_DEPTH_CAP keeps the clique search, one recursion per vertex, inside
+# Python's recursion limit.
 ENUMERATION_CAP = 64
 VERTEX_CAP = 4096
 THREAD_CAP = 64
@@ -419,23 +422,31 @@ def exact_space(n: int, m: int) -> int:
     return comb(n, m)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def scan_colex(
     tests, n: int, m: int, threads: int = 1, stop: bool = True, samples=None, rng=None
 ) -> tuple[int, int, Optional[int]]:
     """``scan_subsets`` over all m-subsets of range(n), or over ``samples`` draws of them.
 
-    An exact scan (``samples`` None) checks ``exact_space`` and cuts the
-    ranks [0, C(n, m)) at multiples of C(n, m) // threads into ``threads``
-    consecutive windows, the last taking the remainder, and hands each
-    window to ``scan_subsets`` in its own worker process; with one thread,
-    or fewer than four subsets per worker, the one window [0, C(n, m)) runs
-    in this process.  A sampled scan decides ``samples`` draws of
-    ``rng.choice(n, size=m, replace=False)`` here, each whole, in draw order;
-    it never shards, so ``threads`` above 1 raises ValueError, and a recorded
-    thread count always describes an exact scan.  Returns ``(scanned,
-    failures, first_failure)`` as ``scan_subsets`` does, summed over the
-    windows, with the first failure in colex or draw order; with ``stop``
-    each window ends at its own first failure.
+    An exact scan (``samples`` None) checks ``exact_space`` and returns
+    ``scan_subsets(tests, n, m, 0, C(n, m), stop)`` for every ``threads``.
+    It starts w = min(threads, usable CPUs) worker processes, cuts the ranks
+    at multiples of C(n, m) // w into w consecutive windows, the last taking
+    the remainder, and folds their answers in rank order: with ``stop`` up
+    to the first window with a failure (every window before it passed
+    whole), else all of them.  With w = 1, or fewer than four subsets per
+    worker, the one window runs in this process.  A sampled scan decides
+    ``samples`` draws of ``rng.choice(n, size=m, replace=False)`` here, each
+    whole, in draw order; it never shards, so ``threads`` above 1 raises
+    ValueError, and a recorded thread count always describes an exact scan.
+    Returns ``(scanned, failures, first_failure)`` as ``scan_subsets`` does,
+    the first failure in colex or draw order.
     """
     if not 1 <= threads <= THREAD_CAP:
         raise ValueError(f"need 1 <= threads <= {THREAD_CAP}, got {threads}")
@@ -456,14 +467,18 @@ def scan_colex(
                     break
         return scanned, failures, first_failure
     space = exact_space(n, m)
-    if threads == 1 or space < 4 * threads:
+    workers = min(threads, _usable_cpus())
+    if workers == 1 or space < 4 * workers:
         return scan_subsets(tests, n, m, 0, space, stop)
     from concurrent.futures import ProcessPoolExecutor  # only a sharded scan loads it
 
-    chunk = space // threads
-    cuts = [j * chunk for j in range(threads)] + [space]
-    with ProcessPoolExecutor(max_workers=threads) as ex:
-        shards = ex.map(scan_subsets, [tests] * threads, [n] * threads, [m] * threads,
-                        cuts[:-1], cuts[1:], [stop] * threads)
+    chunk = space // workers
+    cuts = [j * chunk for j in range(workers)] + [space]
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        shards = ex.map(scan_subsets, [tests] * workers, [n] * workers, [m] * workers,
+                        cuts[:-1], cuts[1:], [stop] * workers)
         scanned, failures, fails = zip(*shards)
-    return sum(scanned), sum(failures), next((x for x in fails if x is not None), None)
+    j = next((j for j, x in enumerate(fails) if x is not None), workers)  # first failing window
+    if stop:  # the one-window scan ends inside window j
+        scanned, failures = scanned[:j + 1], failures[:j + 1]
+    return sum(scanned), sum(failures), fails[j] if j < workers else None

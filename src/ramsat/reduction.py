@@ -140,8 +140,16 @@ class OracleResult:
     checked: int  # graphs or colorings examined
 
 
-def _least_level(n: int, n_max: int, search) -> OracleResult:
-    """The least N from max(1, n - 1) to ``n_max`` where ``search`` finds nothing.
+def _levels(n: int, n_max: int) -> range:
+    """The levels N = max(1, n - 1) .. ``n_max`` an oracle searches; ValueError when none."""
+    first = max(1, n - 1)
+    if n_max < first:
+        raise ValueError(f"need n_max >= max(1, n - 1) = {first}, got n_max={n_max}")
+    return range(first, n_max + 1)
+
+
+def _least_level(levels: range, search) -> OracleResult:
+    """The least N in ``levels`` where ``search`` finds nothing.
 
     ``search(N)`` returns ``(counterexample, examined)``, the counterexample
     None when there is none on N points.  The witness is the counterexample
@@ -149,7 +157,7 @@ def _least_level(n: int, n_max: int, search) -> OracleResult:
     """
     checked = 0
     witness = None
-    for N in range(max(1, n - 1), n_max + 1):
+    for N in levels:
         counterexample, examined = search(N)
         checked += examined
         if counterexample is None:
@@ -212,12 +220,14 @@ def g_oracle(n: int, s: int, t: int, n_max: int) -> OracleResult:
     complement swaps the two roles, so no halving is applied.  The answer
     is the first N with no counterexample.  Each graph is scanned as its
     plain rows and complement rows, which are valid by construction; only
-    the witness becomes a ``SimpleGraph``.
+    the witness becomes a ``SimpleGraph``.  Needs s, t, n >= 2 and
+    n - 1 <= n_max <= 7.
     """
     if s < 2 or t < 2:
         raise ValueError("need s, t >= 2")
     if n < 2:
         raise ValueError("need n >= 2")
+    levels = _levels(n, n_max)
     if n_max > G_ORACLE_VERTEX_CAP:
         raise BudgetError(f"g oracle capped at n_max <= {G_ORACLE_VERTEX_CAP}")
 
@@ -235,7 +245,7 @@ def g_oracle(n: int, s: int, t: int, n_max: int) -> OracleResult:
                 return graph_from_edge_mask(N, mask), examined
         return None, examined
 
-    return _least_level(n, n_max, search)
+    return _least_level(levels, search)
 
 
 # -- good sets and the f oracle ---------------------------------------------
@@ -313,13 +323,13 @@ def good_set_witness(
 def f_oracle(n: int, s: int, t: int, k: int, n_max: int) -> OracleResult:
     """Exhaustively compute f_k(n, s, t) for candidates N <= n_max.
 
-    Needs s, t >= 2 and max(s, t) <= k <= n; k = s + t - 2 is where the
-    coloring and graph problems coincide.  For each N all 2^C(N,k)
-    colorings are enumerated by ascending bit value against one table of
-    rows, built once for that N; the first with no good n-subset is the
-    counterexample keeping the search going.  The first N where every
-    coloring admits a good n-subset is the value.  Capped at C(n_max, k) <=
-    20 color positions.
+    Needs s, t >= 2, max(s, t) <= k <= n and n_max >= n - 1; k = s + t - 2
+    is where the coloring and graph problems coincide.  For each N all
+    2^C(N,k) colorings are enumerated by ascending bit value against one
+    table of rows, built once for that N; the first with no good n-subset
+    is the counterexample keeping the search going.  The first N where
+    every coloring admits a good n-subset is the value.  Capped at
+    C(n_max, k) <= 20 color positions.
     """
     if s < 2 or t < 2:
         raise ValueError("need s, t >= 2")
@@ -327,8 +337,7 @@ def f_oracle(n: int, s: int, t: int, k: int, n_max: int) -> OracleResult:
         raise ValueError(f"need k >= max(s, t), got k={k}")
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
+    levels = _levels(n, n_max)
     positions = _comb_upto(n_max, k, COLORING_BIT_CAP)  # None: too large to name
     if positions is None or positions > F_ORACLE_SUBSET_CAP:
         size = "" if positions is None else f" = {positions}"
@@ -342,7 +351,7 @@ def f_oracle(n: int, s: int, t: int, k: int, n_max: int) -> OracleResult:
                 return KSubsetColoring(N, k, bits), bits + 1
         return None, colorings
 
-    return _least_level(n, n_max, search)
+    return _least_level(levels, search)
 
 
 # -- the two directions of the equivalence ----------------------------------

@@ -201,9 +201,9 @@ def _escape_search(
             classes = (next(i for i in every if masks[i] >> pu & 1),)
         else:
             classes = every
-        nodes += len(classes)
         bit = 1 << v
         for i in classes:
+            nodes += 1
             rows = rows_per_class[i]
             neigh = rows[v] & masks[i]
             created = (neigh != 0) if target == 1 else (
@@ -212,7 +212,6 @@ def _escape_search(
             if not created:
                 masks[i] |= bit
                 if esc(v + 1):
-                    nodes -= len(classes) - 1 - classes.index(i)
                     return True
                 masks[i] ^= bit
         return False
@@ -256,11 +255,12 @@ def check_observation(
 
     Checks the first r classes (the pattern may carry more, or be partial —
     classes only need to be edge-disjoint) by one ``scan_colex`` call each:
-    exact (n <= 64, C(n, ceil(n/r)) <= 10^8, sharded over ``threads``) or of
-    ``samples`` seeded draws per class, with no such cap, in one process.
-    On failure the witness is the first failing (color, subset) pair,
-    deterministic for a fixed thread count.  ``checked`` counts the subsets decided, up to the
-    failure; an exact scan passes whole colex blocks at once.
+    exact (n <= 64, C(n, ceil(n/r)) <= 10^8, sharded over up to ``threads``
+    processes) or of ``samples`` seeded draws per class, with no such cap,
+    in one process.  On failure the witness is the first failing (color,
+    subset) pair.  ``checked`` counts the subsets decided, up to the
+    failure; an exact scan passes whole colex blocks at once.  Witness and
+    ``checked`` are those of a serial scan for every ``threads``.
     """
     if r < 2:
         raise ValueError("need r >= 2")

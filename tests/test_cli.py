@@ -323,6 +323,35 @@ def test_sampled_scans_refuse_threads_above_1(
     assert out == "" and "one process" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiment", "bad-sets", "--gnp-n", "10", "--gnp-p", "0.5", "--gnp-seed", "1",
+     "--n", "4", "--s", "3", "--t", "3", "--mode", "exact", "--trials", "5"],
+    ["experiment", "bad-sets", "--gnp-n", "10", "--gnp-p", "0.5", "--gnp-seed", "1",
+     "--n", "4", "--s", "3", "--t", "3", "--seed", "1"],
+    ["construct", "affine", "--q", "3", "--r", "2", "--seed", "1"],
+    ["verify", "ssat", "--in", "c4diag.cg", "--k", "3", "--seed", "1"],
+    ["verify", "observation", "--in", "c4diag.cg", "--k", "3", "--r", "2", "--seed", "1"],
+], ids=["bad-sets-trials", "bad-sets-seed", "affine", "ssat", "observation"])
+def test_flags_that_change_nothing_are_refused(
+    tmp_path, monkeypatch, capsys, c4_diagonals, argv
+):
+    # nothing is drawn, so a certificate recording the flag would claim what did not act
+    (tmp_path / "c4diag.cg").write_text(rs.dump_colored_graph(c4_diagonals))
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "changes nothing" in err
+
+
+@pytest.mark.parametrize("command", ["g", "f"])
+@pytest.mark.parametrize("n, n_max", [(3, -5), (3, 1), (5, 3)])
+def test_oracles_refuse_an_empty_level_range(capsys, command, n, n_max):
+    argv = ["oracle", command, "--n", str(n), "--s", "2", "--t", "2", "--n-max", str(n_max)]
+    assert run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "n_max" in err
+
+
 def test_internal_error_exits_5_without_certificate(monkeypatch, capsys):
     def overflow(args):
         raise RecursionError("maximum recursion depth exceeded")

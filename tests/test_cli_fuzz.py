@@ -167,7 +167,9 @@ def command_argv(draw, head, flags):
     (valid values, invalid values); ``n_max`` is ``--n-max``, None leaves
     the flag out).  About one argv in two takes an invalid value for one flag.
     A ``threads`` entry, whatever its values, is replaced by threads drawn
-    together with ``--mode`` (bad-sets) or ``--samples`` (verify observation).
+    together with ``--mode`` (bad-sets) or ``--samples`` (verify observation);
+    in an exact scan a seed or a trial count is invalid, since it changes
+    nothing.
     """
     flags = dict(flags)
     if "threads" in flags:  # two threads only with a sampled scan, which refuses them
@@ -177,6 +179,10 @@ def command_argv(draw, head, flags):
         else:
             flags["samples"] = ([1, 20] if sampled else [None], [0, -1])
         flags["threads"] = ([1, 2] if sampled else [1], [0, -1, 65])
+        if not sampled:
+            flags["seed"] = ([None], [0])
+            if "trials" in flags:
+                flags["trials"] = ([None], [5])
     broken = draw(st.sampled_from([None] * len(flags) + list(flags)))
     argv = list(head)
     for name, (valid, invalid) in flags.items():
@@ -206,7 +212,7 @@ ARGV = {
     "bad-sets-gnp": command_argv(["experiment", "bad-sets"], {
         "gnp_n": ([4, 8, 12], [None, -1, 0]), "gnp_p": ([0.0, 0.5, 1.0], [None, -0.5, 1.5, "nan"]),
         "gnp_seed": ([0, 3], [None, -1]), "n": ([1, 3, 4, 6], [-1, 0, 13]), "s": SIZES,
-        "t": SIZES, "trials": ([5, 7], [None, -1, 0]), "seed": ([3], [None])}),
+        "t": SIZES, "trials": ([5, 7], [None, -1, 0]), "seed": ([3], [None]), "threads": None}),
     "construct-affine": command_argv(["construct", "affine"], {
         "q": ([2, 3, 5], [-1, 0, 1, 4]), "r": ([2, 3, 6], [-1, 0, 1, 99]),
         "strategy": ([None, "parallel-balanced", "round-robin"], ["greedy"]),

@@ -9,9 +9,9 @@ must reproduce the recorded body and every file it writes byte for byte.
 
 The cases cover the README commands, sharded and serial observation scans
 with failing witnesses (on the seeded round-robin affine coloring they
-fail deep in the second class, so ``checked`` depends on every shard's
-rank window), an observation on the empty pattern, whose one subset is
-the empty one, exact and sampled bad-set counts, sampled
+fail deep in the second class, and on a five-vertex pattern in the first
+window of a two-way cut), an observation on the empty pattern, whose one
+subset is the empty one, exact and sampled bad-set counts, sampled
 verification, failing verdicts of every verify command, K_4 to K_6 checks
 that take the clique search below depth 3, budget-limited searches,
 exhausted searches of up to 738 nodes and a found pattern, every "unknown"
@@ -20,6 +20,10 @@ bad-set budgets) and the seeded round-robin affine coloring.
 
 Record a new case, before the change it guards, with
 ``python tests/golden/record.py ARGV...`` (see that script).
+
+A sharded scan answers as the serial one does, so every case run with
+``--threads`` above 1 must also replay at ``--threads 1``, to the same body
+apart from ``params.threads``.
 """
 
 import contextlib
@@ -36,17 +40,39 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = [json.loads(line) for line in (GOLDEN / "certificates.jsonl").read_text().splitlines()]
 
 
-@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
-def test_certificate_body_replays(case, tmp_path, monkeypatch):
+SHARDED = [c for c in CASES if "--threads" in c["argv"]
+           and int(c["argv"][c["argv"].index("--threads") + 1]) > 1]
+
+
+def _replay(argv, tmp_path, monkeypatch):
+    """Exit code and certificate, without ``wall_time_ms``, of ``argv`` run on a copy of the inputs."""
     shutil.copytree(GOLDEN / "inputs", tmp_path, dirs_exist_ok=True)
     monkeypatch.chdir(tmp_path)
-    argv = case["argv"]
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.run(argv)
-    assert code == case["exit"]
     cert = json.loads(out.getvalue())
     cert.pop("wall_time_ms")
+    return code, cert
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+def test_certificate_body_replays(case, tmp_path, monkeypatch):
+    argv = case["argv"]
+    code, cert = _replay(argv, tmp_path, monkeypatch)
+    assert code == case["exit"]
     assert json.dumps(cert, sort_keys=True, separators=(",", ":")) == case["body"]
     if "--out" in argv:
         name = argv[argv.index("--out") + 1]
         assert (tmp_path / name).read_bytes() == (GOLDEN / "inputs" / name).read_bytes()
+
+
+@pytest.mark.parametrize("case", SHARDED, ids=[" ".join(c["argv"]) for c in SHARDED])
+def test_sharded_body_replays_at_one_thread(case, tmp_path, monkeypatch):
+    argv = list(case["argv"])
+    at = argv.index("--threads") + 1
+    threads, argv[at] = int(argv[at]), "1"
+    code, cert = _replay(argv, tmp_path, monkeypatch)
+    assert code == case["exit"]
+    assert cert["params"]["threads"] == 1
+    cert["params"]["threads"] = threads
+    assert json.dumps(cert, sort_keys=True, separators=(",", ":")) == case["body"]

@@ -1,6 +1,7 @@
 """Graph core: clique search, greedy colour bound, Turán independent sets, subset scans."""
 
 import math
+import os
 import random
 import time
 from itertools import combinations
@@ -183,21 +184,27 @@ def reference_scan(tests, first: int, count: int, stop: bool):
     return count, failures, first_failure
 
 
-@st.composite
-def scan_cases(draw):
-    n = draw(st.integers(1, 12))
+def draw_tests(draw, n: int, min_need: int):
+    """One or two ``scan_subsets`` tests on random graphs of n vertices, needs min_need to 4."""
     pairs = list(combinations(range(n), 2))
     p = draw(st.sampled_from([0.1, 0.5, 0.9]))
     tests = []
     for _ in range(draw(st.integers(1, 2))):
         edges = [e for e, keep in zip(pairs, draw(st.lists(st.floats(0, 1), min_size=len(pairs),
                                                            max_size=len(pairs)))) if keep < p]
-        tests.append((rs.SimpleGraph.from_edges(n, edges).rows, draw(st.integers(1, 4))))
+        tests.append((rs.SimpleGraph.from_edges(n, edges).rows, draw(st.integers(min_need, 4))))
+    return tuple(tests)
+
+
+@st.composite
+def scan_cases(draw):
+    n = draw(st.integers(1, 12))
+    tests = draw_tests(draw, n, 1)
     m = draw(st.integers(0, n))
     space = math.comb(n, m)
     lo = draw(st.integers(0, space - 1))
     hi = lo + draw(st.sampled_from([0, 1, draw(st.integers(0, space - lo))]))
-    return tuple(tests), n, m, lo, hi, draw(st.booleans())
+    return tests, n, m, lo, hi, draw(st.booleans())
 
 
 @settings(max_examples=400, deadline=None)
@@ -272,10 +279,70 @@ def test_scan_colex_caps_exact_scans_only():
     assert (scanned, failures, first_failure.bit_count()) == (1, 1, 2)  # no K_3 in a pair
 
 
-def test_no_worker_processes_refuses_a_sharded_scan(no_worker_processes):
+def test_no_worker_processes_refuses_a_sharded_scan(no_worker_processes, monkeypatch):
+    monkeypatch.setattr(rs.graphs, "_usable_cpus", lambda: 2)
     tests = rs.graphs.balance_tests(rs.SimpleGraph.complete(12), 3, 3)
     with pytest.raises(AssertionError, match="no worker process"):
         rs.graphs.scan_colex(tests, 12, 6, 2)
+
+
+def in_process_pool(sizes: list):
+    """A stand-in for ``ProcessPoolExecutor`` that maps in this process and
+    appends each pool's ``max_workers`` to ``sizes``."""
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    return Pool
+
+
+@st.composite
+def sharded_cases(draw):
+    """A scan with 2 to 5 threads over a space of at least four subsets per thread."""
+    threads = draw(st.integers(2, 5))
+    n = draw(st.sampled_from([n for n in range(1, 13) if math.comb(n, n // 2) >= 4 * threads]))
+    m = draw(st.sampled_from([m for m in range(n + 1) if math.comb(n, m) >= 4 * threads]))
+    return draw_tests(draw, n, 0), n, m, threads
+
+
+@settings(max_examples=300, deadline=None)
+@given(sharded_cases(), st.booleans())
+def test_sharded_scan_colex_matches_one_window(case, stop):
+    tests, n, m, threads = case
+    sizes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("concurrent.futures.ProcessPoolExecutor", in_process_pool(sizes))
+        mp.setattr(rs.graphs, "_usable_cpus", lambda: rs.graphs.THREAD_CAP)
+        got = rs.graphs.scan_colex(tests, n, m, threads, stop)
+    assert sizes == [threads]
+    assert got == rs.graphs.scan_subsets(tests, n, m, 0, math.comb(n, m), stop)
+
+
+@pytest.mark.parametrize("cpus, pools", [(1, []), (3, [3]), (8, [5])])
+def test_sharded_scan_starts_at_most_one_worker_per_cpu(monkeypatch, cpus, pools):
+    sizes = []
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", in_process_pool(sizes))
+    monkeypatch.setattr(rs.graphs, "_usable_cpus", lambda: cpus)
+    tests = rs.graphs.balance_tests(rs.SimpleGraph.cycle(12), 3, 3)
+    got = rs.graphs.scan_colex(tests, 12, 6, 5, False)
+    assert sizes == pools
+    assert got == rs.graphs.scan_subsets(tests, 12, 6, 0, math.comb(12, 6), False)
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    assert 1 <= rs.graphs._usable_cpus() <= (os.cpu_count() or 1)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert rs.graphs._usable_cpus() == (os.cpu_count() or 1)
 
 
 def test_scan_subsets_empty_and_single_windows():

@@ -141,6 +141,17 @@ def test_g_oracle_budget():
         rs.g_oracle(3, 2, 2, 8)
 
 
+@pytest.mark.parametrize("oracle", [lambda n, n_max: rs.g_oracle(n, 2, 2, n_max),
+                                    lambda n, n_max: rs.f_oracle(n, 2, 2, n, n_max)],
+                         ids=["g", "f"])
+def test_oracles_refuse_an_empty_level_range_before_any_cap(oracle):
+    # levels run from n - 1 to n_max; past either cap, the empty range is refused first
+    for n, n_max in [(3, -5), (3, 1), (12, 10), (5000, 100)]:
+        with pytest.raises(ValueError, match="n_max"):
+            oracle(n, n_max)
+    assert oracle(3, 2).value is None  # the one level n - 1 = 2 has a counterexample
+
+
 # -- good sets and the f oracle ------------------------------------------------
 
 
