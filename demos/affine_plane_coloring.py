@@ -35,7 +35,7 @@ def main():
     pattern = rs.affine_coloring(3, 2, "parallel-balanced")
     print("class edge counts:", [cls.edge_count for cls in pattern.classes],
           "(together all", comb(9, 2), "pairs)")
-    verdict = rs.check_observation(pattern, 3, 2)
+    verdict = rs.check_observation(pattern, 3)
     print(f"every 5-subset has an edge in both classes: {verdict.holds}"
           f"  ({verdict.checked} subsets decided)")
     print("semisaturated for K_3:", rs.is_semisaturated(pattern, 3).holds)
@@ -44,7 +44,7 @@ def main():
         print()
         print("== the q = 5 desk instance ==")
         big = rs.affine_coloring(5, 2, "parallel-balanced")
-        verdict = rs.check_observation(big, 4, 2, threads=args.threads)
+        verdict = rs.check_observation(big, 4, threads=args.threads)
         print(f"all C(25,13) = {comb(25, 13)} subsets contain a monochromatic "
               f"triangle in both classes: {verdict.holds}")
         print(f"({verdict.checked} subsets decided)")

@@ -28,7 +28,7 @@ def main():
     print()
     print(f"== coloring K_{q**3} from the families ==")
     pattern = rs.fq3_coloring(q, q)
-    core = pattern.precompletion
+    core = rs.fq3_core(q, q)
     print("core class edge counts:", [cls.edge_count for cls in core.classes])
     print("completed class edge counts:", [cls.edge_count for cls in pattern.classes])
     uncovered = sum(cls.edge_count for cls in pattern.classes) - sum(

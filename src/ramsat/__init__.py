@@ -20,6 +20,7 @@ from .constructions import (
     affine_coloring,
     count_bad_sets,
     fq3_coloring,
+    fq3_core,
     lower_bound_p,
     random_complete_pattern,
     sample_gnp,

@@ -75,18 +75,13 @@ def _build_parser() -> _Parser:
 
     verify = top.add_parser("verify", help="run a decision procedure on a pattern")
     vsub = verify.add_subparsers(dest="command", required=True)
-    for name, needs_r in [
-        ("ssat", False),
-        ("ssat-direct", False),
-        ("observation", True),
-        ("kkfree", False),
-        ("saturated", False),
-    ]:
+    for name in ("ssat", "ssat-direct", "observation", "kkfree", "saturated"):
         vp = vsub.add_parser(name)
         vp.add_argument("--in", dest="infile", type=Path, required=True)
         vp.add_argument("--k", type=int, required=True)
-        if needs_r:
-            vp.add_argument("--r", type=int, required=True)
+        if name == "observation":
+            vp.add_argument("--r", type=int, default=None,
+                            help="the pattern's color count; any other value exits 3")
             vp.add_argument("--threads", type=int, default=1)
         if name in ("ssat", "observation"):
             vp.add_argument("--samples", type=int, default=None)
@@ -220,7 +215,7 @@ _VERIFIERS = {
     "ssat": lambda c, a: saturation.is_semisaturated(c, a.k, a.samples, a.seed),
     "ssat-direct": lambda c, a: saturation.is_semisaturated_direct(c, a.k),
     "observation": lambda c, a: saturation.check_observation(
-        c, a.k, a.r, a.threads, a.samples, a.seed
+        c, a.k, threads=a.threads, samples=a.samples, seed=a.seed
     ),
     "kkfree": lambda c, a: saturation.check_kkfree(c, a.k),
     "saturated": lambda c, a: saturation.is_saturated(c, a.k),
@@ -234,7 +229,8 @@ def _handle_verify(args) -> io.Certificate:
     claim = f"verify-{args.command}"
     params = {"in": str(args.infile), "k": args.k, "n": pattern.n, "r": pattern.r}
     if args.command == "observation":
-        params["r"] = args.r
+        if args.r not in (None, pattern.r):
+            raise _UsageError(f"--r {args.r}, but the pattern has {pattern.r} colors")
         params["threads"] = args.threads
     if getattr(args, "samples", None) is not None:
         params["samples"] = args.samples

@@ -11,11 +11,11 @@ constructions live here:
   covered by a family-i line.  Since two points share exactly one line this
   always yields a complete coloring.
 
-* ``fq3_coloring`` — vertices are the q^3 points of F_q^3; color i's core
-  edges are the pairs covered by the slope family with parameter i-1.
-  Pairs left over (directions with first coordinate 0, or families beyond
-  r) are completed round-robin; the untouched core pattern stays available
-  on the result for inspection.
+* ``fq3_coloring`` — vertices are the q^3 points of F_q^3; it completes
+  ``fq3_core``, the partial pattern whose color i joins the pairs covered
+  by the slope family with parameter i-1, by handing the pairs left over
+  (directions with first coordinate 0, or families beyond r) out
+  round-robin.
 
 Randomness is always explicit: every random draw in the package comes from
 ``seeded_rng``, numpy's permuted congruential generator (``GENERATOR_NAME``)
@@ -70,17 +70,14 @@ def seeded_rng(seed: Optional[int]) -> "numpy.random.Generator":
 class ColoredCompleteGraph:
     """r pairwise edge-disjoint color classes on a common vertex set.
 
-    Built from the classes alone: ``n`` is their vertex count, ``r`` their
-    number, and ``complete`` whether they color every pair.  Class index i
+    A pattern is exactly its classes: ``n`` is their vertex count, ``r``
+    their number, and ``complete`` whether they color every pair; every
+    claim about the pattern reads n and r from here.  Class index i
     corresponds to color label i+1 in the ``.cg`` text format and in
-    witnesses.  ``precompletion`` optionally keeps the partial pattern a
-    construction was completed from; it is excluded from equality.
+    witnesses.
     """
 
     classes: tuple[SimpleGraph, ...]
-    precompletion: Optional["ColoredCompleteGraph"] = field(
-        default=None, compare=False, repr=False
-    )
     n: int = field(init=False)
     r: int = field(init=False)
     complete: bool = field(init=False)
@@ -205,31 +202,36 @@ def affine_coloring(
     return ColoredCompleteGraph(classes)
 
 
-def fq3_coloring(q: int, r: int) -> ColoredCompleteGraph:
-    """Complete r-coloring of K_{q^3} grown from r slope families.
+def fq3_core(q: int, r: int) -> ColoredCompleteGraph:
+    """Partial r-coloring of K_{q^3} by slope families.
 
-    Core class i holds the pairs covered by the family with parameter i;
-    the families are pairwise edge-disjoint, so the cores form a partial
-    pattern (exposed as ``.precompletion``).  Pairs covered by none of the
-    first r families are handed out round-robin by ascending (u, v), which
-    only ever adds edges to a class and therefore preserves every clique
-    the core already had.
+    Class i holds the pairs covered by the family with parameter i; the
+    families are pairwise edge-disjoint, so the classes are too.
     """
     require_prime(q)
     if not 1 <= r <= q:
         raise ValueError(f"need 1 <= r <= q, got r={r}")
-    n = q**3
     lines: list[tuple[int, ...]] = []
     assignment: list[int] = []
     for lam in range(r):
         fam = fq3_line_family(q, lam)
         lines.extend(fam.lines)
         assignment.extend([lam] * len(fam.lines))
-    core_classes = _lines_to_class_graphs(n, lines, assignment, r)
-    core = ColoredCompleteGraph(core_classes)
-    full_rows = [list(cls.rows) for cls in core_classes]
+    return ColoredCompleteGraph(_lines_to_class_graphs(q**3, lines, assignment, r))
+
+
+def fq3_coloring(q: int, r: int) -> ColoredCompleteGraph:
+    """Complete r-coloring of K_{q^3}: ``fq3_core(q, r)``, completed.
+
+    Pairs covered by none of the first r families are handed out
+    round-robin by ascending (u, v), which only ever adds edges to a class
+    and therefore preserves every clique the core already had.
+    """
+    core = fq3_core(q, r)
+    n = core.n
+    full_rows = [list(cls.rows) for cls in core.classes]
     covered = [0] * n
-    for cls in core_classes:
+    for cls in core.classes:
         for v in range(n):
             covered[v] |= cls.rows[v]
     counter = 0
@@ -241,8 +243,7 @@ def fq3_coloring(q: int, r: int) -> ColoredCompleteGraph:
             counter += 1
             full_rows[c][u] |= 1 << v
             full_rows[c][v] |= 1 << u
-    classes = tuple(SimpleGraph(n, tuple(rs)) for rs in full_rows)
-    return ColoredCompleteGraph(classes, precompletion=core)
+    return ColoredCompleteGraph(tuple(SimpleGraph(n, tuple(rs)) for rs in full_rows))
 
 
 def lower_bound_p(s: int, t: int) -> float:

@@ -444,7 +444,7 @@ def scan_colex(
     worker, the one window runs in this process.  A sampled scan decides
     ``samples`` draws of ``rng.choice(n, size=m, replace=False)`` here, each
     whole, in draw order; it never shards, so ``threads`` above 1 raises
-    ValueError, and a recorded thread count always describes an exact scan.
+    ValueError, and a thread count above 1 always describes an exact scan.
     Returns ``(scanned, failures, first_failure)`` as ``scan_subsets`` does,
     the first failure in colex or draw order.
     """

@@ -19,11 +19,11 @@ a K_{k-1} inside chi^{-1}(i).  So the pattern is semisaturated iff no
   exists solely as an independent oracle for the first.
 
 ``check_observation`` tests the stronger sufficient condition that every
-subset of ceil(n/r) vertices spans a K_{k-1} in each of the first r
-classes; a new vertex has at least ceil(n/r) same-colored edges by
-pigeonhole, so this implies semisaturation.  (ceil, rather than exact n/r,
-keeps the implication sound when r does not divide n.)  Each class is
-one ``graphs.scan_colex`` call, exact or sampled.
+subset of ceil(n/r) vertices spans a K_{k-1} in each class, with n and r
+the pattern's own; a new vertex has at least ceil(n/r) same-colored edges
+by pigeonhole, so this implies semisaturation.  (ceil, rather than exact
+n/r, keeps the implication sound when r does not divide n.)  Each class
+is one ``graphs.scan_colex`` call, exact or sampled.
 
 (r, K_k)-saturated additionally requires every class to be K_k-free right
 now, which ``check_kkfree`` decides.  ``ssat_search`` hunts for the
@@ -246,32 +246,30 @@ def is_semisaturated_direct(c: ColoredCompleteGraph, k: int) -> Verdict:
 def check_observation(
     c: ColoredCompleteGraph,
     k: int,
-    r: int,
+    *,
     threads: int = 1,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> Verdict:
     """Sufficient condition: every ceil(n/r)-subset spans a K_{k-1} in each class.
 
-    Checks the first r classes (the pattern may carry more, or be partial —
-    classes only need to be edge-disjoint) by one ``scan_colex`` call each:
-    exact (n <= 64, C(n, ceil(n/r)) <= 10^8, sharded over up to ``threads``
+    n and r are the pattern's own (it may be partial: classes only need to
+    be edge-disjoint).  Each class is one ``scan_colex`` call: exact
+    (n <= 64, C(n, ceil(n/r)) <= 10^8, sharded over up to ``threads``
     processes) or of ``samples`` seeded draws per class, with no such cap,
     in one process.  On failure the witness is the first failing (color,
     subset) pair.  ``checked`` counts the subsets decided, up to the
     failure; an exact scan passes whole colex blocks at once.  Witness and
     ``checked`` are those of a serial scan for every ``threads``.
     """
-    if r < 2:
-        raise ValueError("need r >= 2")
+    if c.r < 2:
+        raise ValueError("need at least two colors")
     if k < 3:
         raise ValueError("need k >= 3")
     if not 1 <= threads <= THREAD_CAP:
         raise ValueError(f"need 1 <= threads <= {THREAD_CAP}, got {threads}")
-    if len(c.classes) < r:
-        raise ValueError(f"pattern has {len(c.classes)} classes, need >= {r}")
     n = c.n
-    m = -(-n // r)  # ceil(n/r)
+    m = -(-n // c.r)  # ceil(n/r)
     exhaustive = samples is None
     if exhaustive:
         space = exact_space(n, m)
@@ -281,9 +279,8 @@ def check_observation(
             )
     rng = None if exhaustive else seeded_rng(seed)
     checked = 0
-    for i in range(r):
-        tests = ((c.classes[i].rows, k - 1),)
-        scanned, _, fail = scan_colex(tests, n, m, threads, True, samples, rng)
+    for i, cls in enumerate(c.classes):
+        scanned, _, fail = scan_colex(((cls.rows, k - 1),), n, m, threads, True, samples, rng)
         checked += scanned
         if fail is not None:
             witness = {"kind": "clique-free-subset", "color": i + 1,

@@ -68,7 +68,7 @@ def test_criterion_03_affine_desk_instance():
         pattern = rs.affine_coloring(5, 2, "parallel-balanced")
         # check_observation(k=4, r=2) is literally the claim: for both
         # classes and every ceil(25/2) = 13 subset, a K_3 inside the class
-        verdict = rs.check_observation(pattern, 4, 2, threads=2)
+        verdict = rs.check_observation(pattern, 4, threads=2)
         assert verdict.holds and verdict.exhaustive
         assert verdict.checked == 2 * comb(25, 13)
 
@@ -135,12 +135,12 @@ def test_criterion_08_observation_sufficiency():
             (rs.affine_coloring(5, 2, "parallel-balanced"), 4),
             (rs.affine_coloring(3, 2, "parallel-balanced"), 3),
         ]:
-            if rs.check_observation(pattern, k, 2, threads=2).holds:
+            if rs.check_observation(pattern, k, threads=2).holds:
                 if not rs.is_semisaturated(pattern, k).holds:
                     violations += 1
         # plus every seeded pattern from the dual-oracle pool
         for pat in _seeded_patterns_500():
-            obs = rs.check_observation(pat, 3, pat.r)
+            obs = rs.check_observation(pat, 3)
             if obs.holds and not rs.is_semisaturated(pat, 3).holds:
                 violations += 1
         assert violations == 0

@@ -129,6 +129,25 @@ def test_verify_failing_witness_feeds_back(tmp_path, capsys):
     assert code == 0  # the C_4/diagonals pattern is saturated
 
 
+def test_verify_observation_reads_r_from_the_pattern(tmp_path, capsys):
+    path = tmp_path / "a34.cg"
+    assert _run(capsys, ["construct", "affine", "--q", "3", "--r", "4", "--out", str(path)])[0] == 0
+    base = ["verify", "observation", "--in", str(path), "--k", "3"]
+    # every 5-subset spans an edge of the first two classes, but the pattern
+    # has four colors and a coloring escapes it: an --r that is not the
+    # pattern's is refused with no certificate
+    assert run(base + ["--r", "2"]) == 3
+    assert capsys.readouterr().out == ""
+    assert _run(capsys, ["verify", "ssat", "--in", str(path), "--k", "3"])[0] == 1
+    bodies = []
+    for extra in ([], ["--r", "4"]):
+        code, cert = _run(capsys, base + extra)
+        assert code == 1 and cert["params"]["r"] == 4
+        cert.pop("wall_time_ms")
+        bodies.append(cert)
+    assert bodies[0] == bodies[1]
+
+
 def test_reduce_commands(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     g = rs.sample_gnp(rs.GnpParams(6, 0.5, 21))

@@ -196,7 +196,7 @@ SIZES = ([2, 3, 4], [-1, 1])  # clique and independent-set sizes
 # Files named by --in, written by ``_write_inputs`` into the working
 # directory; "missing" names none, and a file of the wrong format is invalid.
 OUT = ([None, "out.txt"], ["missing/out.txt"])
-PATTERNS = (["c4diag.cg", "a3.cg", "partial.cg"], ["missing.cg", "g.txt"])
+PATTERNS = (["c4diag.cg", "a3.cg", "a33.cg", "partial.cg"], ["missing.cg", "g.txt"])
 VERIFY_K = ([3, 4, 5], [-1, 0, 2, 513])
 SEED = ([None, 0, 5], [-1])
 ARGV = {
@@ -226,7 +226,7 @@ ARGV = {
         "in": PATTERNS, "k": VERIFY_K, **extra})
        for name, extra in [("ssat", {"samples": ([None, 1, 20], [0, -1]), "seed": SEED}),
                            ("ssat-direct", {}), ("kkfree", {}), ("saturated", {}),
-                           ("observation", {"r": ([2, 3], [-1, 0, 1, 65]), "seed": SEED,
+                           ("observation", {"r": ([None, 2, 3], [-1, 0, 1, 65]), "seed": SEED,
                                             "threads": None})]},
     "reduce-chi-to-graph": command_argv(["reduce", "chi-to-graph"], {
         "in": (["chi2.ksc", "chi3.ksc", "chi4.ksc"], ["missing.ksc", "a3.cg"]),
@@ -252,6 +252,7 @@ def _write_inputs(directory, c4_diagonals) -> None:
                                        rs.SimpleGraph.from_edges(5, [(0, 2), (2, 4)])))
     files = {"c4diag.cg": rs.dump_colored_graph(c4_diagonals),
              "a3.cg": rs.dump_colored_graph(rs.affine_coloring(3, 2)),
+             "a33.cg": rs.dump_colored_graph(rs.affine_coloring(3, 3)),
              "partial.cg": rs.dump_colored_graph(partial),
              "g.txt": rs.dump_simple_graph(rs.sample_gnp(rs.GnpParams(9, 0.5, 2)))}
     for k, N in ((2, 6), (3, 7), (4, 7)):

@@ -74,7 +74,7 @@ def test_affine_coloring_errors():
 def test_fq3_coloring_q2():
     pattern = rs.fq3_coloring(2, 2)
     assert pattern.n == 8 and pattern.complete
-    core = pattern.precompletion
+    core = rs.fq3_core(2, 2)
     assert not core.complete
     assert [cls.edge_count for cls in core.classes] == [8, 8]
     leftover = comb(8, 2) - 16
@@ -84,7 +84,7 @@ def test_fq3_coloring_q2():
 
 def test_fq3_coloring_q3_core_classes():
     pattern = rs.fq3_coloring(3, 3)
-    core = pattern.precompletion
+    core = rs.fq3_core(3, 3)
     assert [cls.edge_count for cls in core.classes] == [81, 81, 81]
     # each core class is exactly the pair-union of its family's lines
     for lam in range(3):
@@ -95,11 +95,13 @@ def test_fq3_coloring_q3_core_classes():
                 if (lmask >> p) & 1:
                     rows[p] |= lmask & ~(1 << p)
         assert core.classes[lam] == rs.SimpleGraph(27, tuple(rows))
+        # and the completion keeps every core edge in its class
+        assert all(r & ~full == 0 for r, full in zip(rows, pattern.classes[lam].rows))
 
 
 def test_fq3_coloring_q3_r2_partition():
     pattern = rs.fq3_coloring(3, 2)
-    core = pattern.precompletion
+    core = rs.fq3_core(3, 2)
     core_total = sum(cls.edge_count for cls in core.classes)
     full_total = sum(cls.edge_count for cls in pattern.classes)
     assert full_total == comb(27, 2)

@@ -23,7 +23,9 @@ Record a new case, before the change it guards, with
 
 A sharded scan answers as the serial one does, so every case run with
 ``--threads`` above 1 must also replay at ``--threads 1``, to the same body
-apart from ``params.threads``.
+apart from ``params.threads``.  ``verify observation`` reads r from the
+pattern, so its case on the four-color ``a34.cg`` must also replay without
+``--r``, to the same body.
 """
 
 import contextlib
@@ -75,4 +77,17 @@ def test_sharded_body_replays_at_one_thread(case, tmp_path, monkeypatch):
     assert code == case["exit"]
     assert cert["params"]["threads"] == 1
     cert["params"]["threads"] = threads
+    assert json.dumps(cert, sort_keys=True, separators=(",", ":")) == case["body"]
+
+
+OBSERVED_R = [c for c in CASES if c["argv"][:4] == ["verify", "observation", "--in", "a34.cg"]]
+
+
+@pytest.mark.parametrize("case", OBSERVED_R, ids=[" ".join(c["argv"]) for c in OBSERVED_R])
+def test_observation_body_replays_without_r(case, tmp_path, monkeypatch):
+    argv = list(case["argv"])
+    at = argv.index("--r")
+    del argv[at:at + 2]
+    code, cert = _replay(argv, tmp_path, monkeypatch)
+    assert code == case["exit"]
     assert json.dumps(cert, sort_keys=True, separators=(",", ":")) == case["body"]

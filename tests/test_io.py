@@ -30,7 +30,7 @@ def test_colored_graph_roundtrip_complete_and_partial(c4_diagonals):
     for seed in range(5):
         pat = rs.random_complete_pattern(7, 3, seed)
         assert rs.parse_colored_graph(rs.dump_colored_graph(pat)) == pat
-    core = rs.fq3_coloring(2, 2).precompletion
+    core = rs.fq3_core(2, 2)
     back = rs.parse_colored_graph(rs.dump_colored_graph(core))
     assert back == core
     assert not back.complete

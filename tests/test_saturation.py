@@ -105,7 +105,7 @@ def test_sampled_semisaturation_modes():
 
 
 def test_check_observation_c4_diagonals(c4_diagonals):
-    v = rs.check_observation(c4_diagonals, 3, 2)
+    v = rs.check_observation(c4_diagonals, 3)
     assert not v.holds
     assert v.witness == {"kind": "clique-free-subset", "color": 1, "vertices": [0, 2]}
     assert rs.observation_fails_at(c4_diagonals, 3, 1, [0, 2])
@@ -113,16 +113,17 @@ def test_check_observation_c4_diagonals(c4_diagonals):
     assert rs.is_semisaturated(c4_diagonals, 3).holds
 
 
-def test_check_observation_rejects_r1(c4_diagonals):
-    with pytest.raises(ValueError):
-        rs.check_observation(c4_diagonals, 3, 1)
+def test_check_observation_rejects_r1():
+    one_class = rs.ColoredCompleteGraph((rs.SimpleGraph.complete(4),))
+    with pytest.raises(ValueError, match="at least two colors"):
+        rs.check_observation(one_class, 3)
 
 
 def test_check_observation_affine_q3():
     # K_9 from AG(2, 3), two classes of two parallel families each; every
     # 5-subset meets some line of each family in >= 2 points, giving a K_2
     pat = rs.affine_coloring(3, 2)
-    v = rs.check_observation(pat, 3, 2)
+    v = rs.check_observation(pat, 3)
     assert v.holds
     assert v.checked == 2 * 126  # C(9, 5) per class
     assert rs.is_semisaturated(pat, 3).holds  # sufficiency on this instance
@@ -130,37 +131,53 @@ def test_check_observation_affine_q3():
 
 def test_check_observation_threads_match():
     pat = rs.affine_coloring(3, 2)
-    solo = rs.check_observation(pat, 3, 2)
-    sharded = rs.check_observation(pat, 3, 2, threads=2)
+    solo = rs.check_observation(pat, 3)
+    sharded = rs.check_observation(pat, 3, threads=2)
     assert solo.holds == sharded.holds
     assert solo.checked == sharded.checked
 
 
 def test_check_observation_rejects_threads_below_1(no_worker_processes):
     with pytest.raises(ValueError, match="threads"):
-        rs.check_observation(rs.affine_coloring(3, 2), 3, 2, threads=0)
+        rs.check_observation(rs.affine_coloring(3, 2), 3, threads=0)
 
 
 def test_check_observation_rejects_threads_above_cap(no_worker_processes):
     with pytest.raises(ValueError, match="threads"):
-        rs.check_observation(rs.affine_coloring(5, 2), 4, 2, threads=rs.graphs.THREAD_CAP + 1)
+        rs.check_observation(rs.affine_coloring(5, 2), 4, threads=rs.graphs.THREAD_CAP + 1)
 
 
 def test_check_observation_sampled():
     pat = rs.affine_coloring(3, 2)
-    v = rs.check_observation(pat, 3, 2, samples=100, seed=5)
+    v = rs.check_observation(pat, 3, samples=100, seed=5)
     assert v.holds and not v.exhaustive
     assert v.checked == 200
     with pytest.raises(ValueError):
-        rs.check_observation(pat, 3, 2, samples=0, seed=5)
+        rs.check_observation(pat, 3, samples=0, seed=5)
 
 
 def test_check_observation_partial_pattern_allowed():
-    core = rs.fq3_coloring(2, 2).precompletion
+    core = rs.fq3_core(2, 2)
     assert not core.complete
-    v = rs.check_observation(core, 3, 2)
+    v = rs.check_observation(core, 3)
     # a verdict either way is fine; the call must accept partial patterns
     assert v.checked > 0
+
+
+_AFFINE_Q3 = ([("parallel-balanced", r, None) for r in (2, 3, 4)]
+              + [("round-robin", r, seed) for r in (2, 3) for seed in range(1, 6)])
+
+
+@pytest.mark.parametrize("strategy, r, seed", _AFFINE_Q3,
+                         ids=[f"{s}-r{r}-seed{d}" for s, r, d in _AFFINE_Q3])
+def test_check_observation_implies_semisaturation(strategy, r, seed):
+    # the pigeonhole holds only at the pattern's own color count, which
+    # check_observation reads off the pattern; n = 9, so at most 4^9 colorings
+    pat = rs.affine_coloring(3, r, strategy, seed)
+    assert pat.r == r
+    for k in (3, 4):
+        if rs.check_observation(pat, k).holds:
+            assert rs.is_semisaturated(pat, k).holds
 
 
 def test_check_kkfree_on_patterns(c4_diagonals):
@@ -280,10 +297,10 @@ def test_budget_guard():
 def test_check_observation_sampled_past_enumeration_cap():
     pat = rs.fq3_coloring(5, 3)
     assert pat.n == 125
-    v = rs.check_observation(pat, 4, 3, samples=50, seed=1)
+    v = rs.check_observation(pat, 4, samples=50, seed=1)
     assert not v.exhaustive and v.checked == 150
     with pytest.raises(ValueError, match="capped at 64"):
-        rs.check_observation(pat, 4, 3)
+        rs.check_observation(pat, 4)
 
 
 # -- the pinned doom check -----------------------------------------------------
