@@ -15,8 +15,9 @@ so blocks outside the window are skipped by arithmetic, and a block whose
 top elements already hold every clique asked for passes whole, without a
 visit.  ``scan_colex`` scans all C(n, m) ranks, cut into consecutive rank
 windows over worker processes and folded to the one-window answer, or a
-seeded sample of subsets; every subset scan in the package runs through
-these two.
+seeded sample of subsets; every scan of one graph's subsets in the package
+runs through these two.  The f and g oracles scan no single graph: they
+decide blocks of candidates on bit-planes (see ``ramsat.reduction``).
 
 All types are immutable after construction and every operation is a pure
 function, so concurrent use from multiple threads or worker processes is

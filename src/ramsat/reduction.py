@@ -30,14 +30,22 @@ Both oracles take n, s, t (and f_oracle its k, always given) as plain ints,
 walk N upward through one loop and return an ``OracleResult``;
 ``good_set_witness`` reads k and N off the coloring.  Vertex sets come back
 as ascending tuples.
+
+The oracles do not test their candidates (edge masks or colorings) one at
+a time.  They bit-slice them (Biham, FSE 1997): a block of 2^B consecutive
+candidates is held as one int per candidate bit, plane i, whose bit j is
+bit i of the block's candidate j.  AND, OR and complement of planes then
+evaluate the level's whole predicate for every candidate of the block at
+once, and the lowest set bit of the result is the first counterexample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
+from operator import and_, or_
 from typing import Optional
 
 from .constructions import seeded_rng
@@ -60,6 +68,7 @@ COLORING_BIT_CAP = 1 << 24
 G_ORACLE_VERTEX_CAP = 7
 F_ORACLE_SUBSET_CAP = 20
 SUPERSET_CACHE_BITS = 1 << 27  # 16 MB of cached superset masks
+BLOCK_BITS = 16  # an oracle decides 2^16 candidates at once, on 8 KB planes
 
 
 # -- domain types ----------------------------------------------------------
@@ -191,37 +200,80 @@ def _pairs_of(N: int) -> tuple[tuple[int, int], ...]:
     return tuple(iter_subsets_colex(N, 2))
 
 
-def _edge_rows(N: int, mask: int) -> tuple[int, ...]:
-    """Adjacency rows of the graph on N vertices with colex-rank edge bitmask ``mask``."""
-    rows = [0] * N
-    pairs = _pairs_of(N)
-    while mask:
-        low = mask & -mask
-        u, v = pairs[low.bit_length() - 1]
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        mask ^= low
-    return tuple(rows)
-
-
 def graph_from_edge_mask(N: int, mask: int) -> SimpleGraph:
     """Graph on N vertices whose edge set is the colex-rank bitmask ``mask``."""
-    return SimpleGraph(N, _edge_rows(N, mask))
+    rows = [0] * N
+    pairs = _pairs_of(N)
+    for i in iter_bits(mask):
+        u, v = pairs[i]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return SimpleGraph(N, tuple(rows))
+
+
+@lru_cache(maxsize=None)
+def _periodic_planes(B: int) -> tuple[int, ...]:
+    """Planes i < B of a block of 2^B candidates: bit j of plane i is bit i of j."""
+    ones = (1 << (1 << B)) - 1
+    return tuple((((1 << (1 << i)) - 1) << (1 << i)) * (ones // ((1 << (2 << i)) - 1))
+                 for i in range(B))
+
+
+def _first_hit(L: int, count_bits: int, ones, zeros, rows):
+    """(first, examined) over the L-bit candidates 0 .. 2^count_bits - 1.
+
+    A candidate is a hit when every row (A, Z) has an a in A whose bits
+    ``ones[a]`` are all set and a z in Z whose bits ``zeros[z]`` are all
+    clear.  Blocks of 2^B candidates, B = min(count_bits, ``BLOCK_BITS``),
+    are decided on planes: bit j of plane i is bit i of candidate
+    h·2^B + j, a fixed periodic pattern for i < B and all ones or 0 (bit
+    i - B of h) for i >= B.  ``first`` is the least hit or None;
+    ``examined`` counts the candidates up to it, or all of them.
+    """
+    B = min(count_bits, BLOCK_BITS)
+    full = (1 << (1 << B)) - 1
+    periodic = list(_periodic_planes(B))
+    for h in range(1 << (count_bits - B)):
+        planes = periodic + [full if h >> (i - B) & 1 else 0 for i in range(B, L)]
+        comp = [full ^ p for p in planes]
+        set_all = [reduce(and_, [planes[i] for i in a], full) for a in ones]
+        clear_all = [reduce(and_, [comp[i] for i in z], full) for z in zeros]
+        hits = full
+        for A, Z in rows:
+            hits &= (reduce(or_, [set_all[a] for a in A], 0)
+                     & reduce(or_, [clear_all[z] for z in Z], 0))
+            if not hits:
+                break
+        if hits:
+            first = (h << B) + (hits & -hits).bit_length() - 1
+            return first, first + 1
+    return None, 1 << count_bits
+
+
+def _sub_ranks(N: int, m: int, j: int) -> list[list[int]]:
+    """Per m-subset of range(N) in colex order, the colex ranks of its j-subsets."""
+    return [[subset_rank(S) for S in combinations(M, j)] for M in iter_subsets_colex(N, m)]
 
 
 def g_oracle(n: int, s: int, t: int, n_max: int) -> OracleResult:
     """Exhaustively compute g(n, s, t) for candidates N <= n_max.
 
     For each N (ascending from n-1, where the claim is vacuously refuted by
-    any graph) all 2^C(N,2) edge bitmasks are enumerated in ascending order
-    and the first counterexample — a graph in which every n-subset contains
-    both a K_s and an independent t-set — is kept as the witness for that
-    level.  Complement pairing halves the scan when s = t; for s != t the
-    complement swaps the two roles, so no halving is applied.  The answer
-    is the first N with no counterexample.  Each graph is scanned as its
-    plain rows and complement rows, which are valid by construction; only
-    the witness becomes a ``SimpleGraph``.  Needs s, t, n >= 2 and
-    n - 1 <= n_max <= 7.
+    any graph) the graphs are the 2^C(N,2) edge bitmasks in ascending
+    order, and the first counterexample — a graph in which every n-subset
+    contains both a K_s and an independent t-set — is kept as the witness
+    for that level.  Complement pairing halves the scan when s = t: only
+    masks below 2^(C(N,2)-1), those with mask <= its complement, are
+    examined; for s != t the complement swaps the two roles, so no halving
+    is applied.  The answer is the first N with no counterexample.
+
+    Each level is decided for a block of up to 2^16 graphs at once, on
+    bit-planes: plane e has bit j set when graph j of the block has edge e.
+    K_S, the AND of the planes of S's pairs, marks the graphs in which S is
+    a clique, and I_T, the AND of the complemented planes of T's pairs, those
+    in which T is independent; the counterexamples are the AND over n-sets U
+    of (OR of K_S, S in U) & (OR of I_T, T in U).  Only the witness becomes a
+    ``SimpleGraph``.  Needs s, t, n >= 2 and n - 1 <= n_max <= 7.
     """
     if s < 2 or t < 2:
         raise ValueError("need s, t >= 2")
@@ -232,18 +284,11 @@ def g_oracle(n: int, s: int, t: int, n_max: int) -> OracleResult:
         raise BudgetError(f"g oracle capped at n_max <= {G_ORACLE_VERTEX_CAP}")
 
     def search(N: int):
-        full = (1 << comb(N, 2)) - 1
-        loopless = [((1 << N) - 1) ^ (1 << v) for v in range(N)]
-        examined = 0
-        for mask in range(full + 1):
-            if s == t and mask > full ^ mask:
-                continue
-            examined += 1
-            rows = _edge_rows(N, mask)
-            comp = tuple(x ^ row for x, row in zip(loopless, rows))
-            if scan_colex(((rows, s), (comp, t)), N, n)[2] is None:
-                return graph_from_edge_mask(N, mask), examined
-        return None, examined
+        L = comb(N, 2)
+        rows = list(zip(_sub_ranks(N, n, s), _sub_ranks(N, n, t)))
+        mask, examined = _first_hit(L, L - 1 if s == t and L else L,
+                                    _sub_ranks(N, s, 2), _sub_ranks(N, t, 2), rows)
+        return (None if mask is None else graph_from_edge_mask(N, mask)), examined
 
     return _least_level(levels, search)
 
@@ -284,24 +329,6 @@ def _superset_mask(N: int, k: int, S: tuple[int, ...]) -> int:
     return mask
 
 
-def _good_set_rows(N: int, k: int, n: int, s: int, t: int):
-    """(U, A, B) per n-subset U in colex order: A and B iterate over the superset
-    masks of the s- and of the t-subsets of U, so a row builds its masks only
-    up to the first that fails.  U is good when every mask of A meets a red
-    bit or every mask of B meets a blue bit.
-    """
-    for U in iter_subsets_colex(N, n):
-        yield (U, (_superset_mask(N, k, S) for S in combinations(U, s)),
-               (_superset_mask(N, k, T) for T in combinations(U, t)))
-
-
-def _first_good_set(bits: int, rows) -> Optional[tuple[int, ...]]:
-    for U, a_masks, b_masks in rows:
-        if all(~bits & m for m in a_masks) or all(bits & m for m in b_masks):
-            return U
-    return None
-
-
 def good_set_witness(
     chi: KSubsetColoring, n: int, s: int, t: int
 ) -> Optional[tuple[int, ...]]:
@@ -309,15 +336,19 @@ def good_set_witness(
 
     Good means: every s-subset lies in at least one red k-subset of the
     whole ground set, or every t-subset lies in at least one blue one.  k
-    and N are the coloring's own.  The rows are built lazily, so the scan
-    builds no mask past the first good set.
+    and N are the coloring's own.  Superset masks are looked up lazily, so
+    the scan builds none past the first good set.
     """
-    k, N = chi.k, chi.N
+    k, N, bits = chi.k, chi.N, chi.bits
     if not (2 <= s <= k and 2 <= t <= k):
         raise ValueError(f"need 2 <= s, t <= k = {k}, got s={s}, t={t}")
     if not k <= n <= N:
         raise ValueError(f"need k <= n <= N, got n={n}, k={k}, N={N}")
-    return _first_good_set(chi.bits, _good_set_rows(N, k, n, s, t))
+    for U in iter_subsets_colex(N, n):
+        if (all(~bits & _superset_mask(N, k, S) for S in combinations(U, s))
+                or all(bits & _superset_mask(N, k, T) for T in combinations(U, t))):
+            return U
+    return None
 
 
 def f_oracle(n: int, s: int, t: int, k: int, n_max: int) -> OracleResult:
@@ -325,11 +356,21 @@ def f_oracle(n: int, s: int, t: int, k: int, n_max: int) -> OracleResult:
 
     Needs s, t >= 2, max(s, t) <= k <= n and n_max >= n - 1; k = s + t - 2
     is where the coloring and graph problems coincide.  For each N all
-    2^C(N,k) colorings are enumerated by ascending bit value against one
-    table of rows, built once for that N; the first with no good n-subset
-    is the counterexample keeping the search going.  The first N where
-    every coloring admits a good n-subset is the value.  Capped at
-    C(n_max, k) <= 20 color positions.
+    2^C(N,k) colorings are taken by ascending bit value; the first with no
+    good n-subset is the counterexample keeping the search going.  The
+    first N where every coloring admits a good n-subset is the value.
+    Capped at C(n_max, k) <= 20 color positions.
+
+    Each level is decided for a block of up to 2^16 colorings at once, on
+    bit-planes: plane r has bit j set when coloring j of the block colors
+    the rank-r k-subset blue.  The AND of the planes of S's k-supersets
+    marks the colorings in which S lies in no red k-subset, and the AND of
+    the complemented planes of T's k-supersets those in which T lies in no
+    blue one; U is not good where some s-subset of U lies in no red k-subset
+    and some t-subset in no blue one, so the counterexamples are the AND over
+    n-sets U of the OR of the first over S in U and the OR of the second
+    over T in U.  This is the g oracle's form, with k-supersets in place of
+    the pairs inside S and T.
     """
     if s < 2 or t < 2:
         raise ValueError("need s, t >= 2")
@@ -344,12 +385,13 @@ def f_oracle(n: int, s: int, t: int, k: int, n_max: int) -> OracleResult:
         raise BudgetError(f"C({n_max},{k}){size} exceeds f-oracle cap {F_ORACLE_SUBSET_CAP}")
 
     def search(N: int):
-        table = [(U, tuple(A), tuple(B)) for U, A, B in _good_set_rows(N, k, n, s, t)]
-        colorings = 1 << comb(N, k)
-        for bits in range(colorings):
-            if _first_good_set(bits, table) is None:
-                return KSubsetColoring(N, k, bits), bits + 1
-        return None, colorings
+        def supersets(m: int):  # per m-subset, the ranks of its k-supersets
+            return [list(iter_bits(_superset_mask(N, k, S))) for S in iter_subsets_colex(N, m)]
+
+        rows = list(zip(_sub_ranks(N, n, s), _sub_ranks(N, n, t)))
+        L = comb(N, k)
+        bits, examined = _first_hit(L, L, supersets(s), supersets(t), rows)
+        return (None if bits is None else KSubsetColoring(N, k, bits)), examined
 
     return _least_level(levels, search)
 

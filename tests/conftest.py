@@ -6,6 +6,7 @@ routes can disagree loudly in tests.
 """
 
 import os
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 from pathlib import Path
@@ -64,6 +65,72 @@ def all_graphs(n: int):
     """Every graph on n vertices, by ascending colex edge bitmask."""
     for mask in range(1 << comb(n, 2)):
         yield rs.graph_from_edge_mask(n, mask)
+
+
+def induced(g: rs.SimpleGraph, U) -> rs.SimpleGraph:
+    """The subgraph of g induced on the vertex tuple U, relabelled 0 .. len(U) - 1."""
+    return rs.SimpleGraph.from_edges(
+        len(U), [(i, j) for i, j in combinations(range(len(U)), 2) if g.has_edge(U[i], U[j])])
+
+
+@lru_cache(maxsize=None)
+def _naive_g_level(N: int, n: int, s: int, t: int):
+    """(first counterexample graph on N vertices or None, graphs examined)."""
+    full = (1 << comb(N, 2)) - 1
+    examined = 0
+    for mask, g in enumerate(all_graphs(N)):
+        if s == t and mask > full ^ mask:
+            continue  # the complement was examined first and answers the same
+        examined += 1
+        subgraphs = [induced(g, U) for U in combinations(range(N), n)]
+        if all(naive_find_clique(h, s) is not None
+               and naive_find_clique(h.complement, t) is not None for h in subgraphs):
+            return g, examined
+    return None, examined
+
+
+@lru_cache(maxsize=None)
+def _naive_f_level(N: int, n: int, s: int, t: int, k: int):
+    """(first colouring of the k-subsets of [N] with no good n-set or None, colourings examined)."""
+    ksets = list(combinations(range(N), k))  # lexicographic; a colouring's bit is the colex rank
+    supersets = {S: [K for K in ksets if set(S) <= set(K)]
+                 for m in (s, t) for S in combinations(range(N), m)}
+    for bits in range(1 << len(ksets)):
+        chi = rs.KSubsetColoring(N, k, bits)
+
+        def lies_in(S, color):
+            return any(chi.color_of(K) == color for K in supersets[S])
+
+        if not any(all(lies_in(S, 0) for S in combinations(U, s))
+                   or all(lies_in(T, 1) for T in combinations(U, t))
+                   for U in combinations(range(N), n)):
+            return chi, bits + 1
+    return None, 1 << len(ksets)
+
+
+def _naive_levels(n: int, n_max: int, level):
+    checked, witness = 0, None
+    for N in range(max(1, n - 1), n_max + 1):
+        counterexample, examined = level(N)
+        checked += examined
+        if counterexample is None:
+            return N, witness, checked
+        witness = counterexample
+    return None, witness, checked
+
+
+def naive_g_oracle(n: int, s: int, t: int, n_max: int):
+    """(value, witness, checked) of ``g_oracle`` from the definition: every graph on N
+    vertices by ascending edge mask, the larger of each complement pair skipped when
+    s = t, each n-set's induced subgraph asked for a K_s and an independent t-set."""
+    return _naive_levels(n, n_max, lambda N: _naive_g_level(N, n, s, t))
+
+
+def naive_f_oracle(n: int, s: int, t: int, k: int, n_max: int):
+    """(value, witness, checked) of ``f_oracle`` from the definition: every colouring
+    by ascending bits, each n-set U tested for every s-set of U in a red k-set or
+    every t-set of U in a blue one."""
+    return _naive_levels(n, n_max, lambda N: _naive_f_level(N, n, s, t, k))
 
 
 def pattern_from_colors(n: int, r: int, colors) -> rs.ColoredCompleteGraph:

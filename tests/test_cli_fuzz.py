@@ -202,10 +202,10 @@ SEED = ([None, 0, 5], [-1])
 ARGV = {
     "oracle-f": command_argv(["oracle", "f"], {
         "n": ([2, 3, 4, 5], [-1, 0, 1]), "s": SIZES, "t": SIZES,
-        "k": ([None, 2, 3, 4], [-1, 0, 1]), "n_max": ([3, 4, 5, 9], [-1, 0])}),
+        "k": ([None, 2, 3, 4], [-1, 0, 1]), "n_max": ([3, 4, 5, 6, 9], [-1, 0])}),
     "oracle-g": command_argv(["oracle", "g"], {
         "n": ([2, 3, 4, 5], [-1, 0, 1]), "s": SIZES, "t": SIZES,
-        "n_max": ([3, 4, 5, 9], [-1, 0])}),
+        "n_max": ([3, 4, 5, 6, 7, 9], [-1, 0])}),
     "search-ssat": command_argv(["search", "ssat"], {
         "r": ([2, 3], [-1, 1, 9]), "k": ([3, 4], [-1, 2, 9]), "n": ([1, 3, 5, 8], [-1, 0, 33]),
         "node_budget": ([1, 50, 300], [-1, 0])}),

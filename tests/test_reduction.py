@@ -11,7 +11,7 @@ import ramsat as rs
 from ramsat.errors import BudgetError
 from ramsat.reduction import iter_subsets_colex
 
-from conftest import all_graphs, is_increasing_tuple, petersen
+from conftest import all_graphs, is_increasing_tuple, naive_f_oracle, naive_g_oracle, petersen
 
 
 # -- colex ----------------------------------------------------------------
@@ -141,6 +141,26 @@ def test_g_oracle_budget():
         rs.g_oracle(3, 2, 2, 8)
 
 
+G_GRID = [(n, s, t) for n in (2, 3, 4, 5) for s, t in [(2, 2), (3, 3), (2, 3), (3, 2), (2, 4)]]
+
+
+@pytest.mark.parametrize("n, s, t", G_GRID)
+def test_g_oracle_matches_the_naive_oracle(n, s, t):
+    # every n_max <= 5, from the vacuous level n - 1 alone upward
+    for n_max in range(max(1, n - 1), 6):
+        got = rs.g_oracle(n, s, t, n_max)
+        assert (got.value, got.witness, got.checked) == naive_g_oracle(n, s, t, n_max)
+
+
+def test_g_oracle_decides_a_full_level_of_seven_vertices():
+    # 2^21 graphs on 7 vertices, none a counterexample; complementing a graph
+    # swaps the roles of s and t, so both orders give the same value
+    for s, t, checked in [(3, 4, 2_097_161), (4, 3, 2_097_217)]:
+        got = rs.g_oracle(6, s, t, 7)
+        assert (got.value, got.checked) == (7, checked)
+        assert got.witness.n == 6 and rs.has_unbalanced_set(got.witness, 6, s, t) is None
+
+
 @pytest.mark.parametrize("oracle", [lambda n, n_max: rs.g_oracle(n, 2, 2, n_max),
                                     lambda n, n_max: rs.f_oracle(n, 2, 2, n, n_max)],
                          ids=["g", "f"])
@@ -226,6 +246,17 @@ def test_superset_mask_cache_stays_within_its_bit_bound(monkeypatch):
     monkeypatch.setattr(red, "SUPERSET_CACHE_BITS", 10)  # a mask past the bound is not kept
     assert red._superset_mask(6, 3, (0, 1)) == red._superset_mask(6, 3, (0, 1))
     assert red._superset_masks == {} and red._superset_mask_bits == 0
+
+
+F_GRID = [(n, s, t, k) for n in (2, 3, 4, 5) for s, t in [(2, 2), (3, 3), (2, 3), (3, 2)]
+          for k in range(max(s, t), n + 1)]
+
+
+@pytest.mark.parametrize("n, s, t, k", F_GRID)
+def test_f_oracle_matches_the_naive_oracle(n, s, t, k):
+    for n_max in range(max(1, n - 1), 6):
+        got = rs.f_oracle(n, s, t, k, n_max)
+        assert (got.value, got.witness, got.checked) == naive_f_oracle(n, s, t, k, n_max)
 
 
 def test_f_oracle_exact_formula_cases():
