@@ -5,7 +5,8 @@ vertex, so "is there a clique of size m inside this vertex subset?" needs no
 induced-subgraph copies: the search simply intersects candidate masks.
 ``find_clique_mask`` answers it for m <= 3 with plain loops over bit masks
 (the scans ask for triangles) and for m >= 4 with a depth-first search that
-prunes with the greedy colour bound at every level of 4 or more.
+prunes with the greedy colour bound on every candidate set of at least
+``COLOR_BOUND_MIN_CANDIDATES`` vertices.
 
 Subsets are ranked in colex order: rank(c_1 < ... < c_k) = sum of
 C(c_i, i).  ``scan_subsets`` decides the m-subsets whose rank lies in a
@@ -43,6 +44,13 @@ ENUMERATION_CAP = 64
 VERTEX_CAP = 4096
 THREAD_CAP = 64
 CLIQUE_DEPTH_CAP = 512
+# The clique search runs the greedy colour bound only on candidate sets of
+# at least this many vertices.  Smaller sets, such as the at most n - 1
+# vertices of ssat_search's K_4 queries, cost more to colour than to search
+# (ssat_search(2, 6, 11) halves without the bound there), while on large
+# dense sets the bound is what ends the search: K_11 in the Turan graph
+# T(60, 10) takes about 40 s without it.
+COLOR_BOUND_MIN_CANDIDATES = 12
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -197,7 +205,10 @@ def _triangle_mask(rows: tuple[int, ...], cand: int) -> Optional[int]:
 
 def _clique_search(rows: tuple[int, ...], cand: int, need: int) -> Optional[int]:
     """``find_clique_mask`` for need >= 4, recursing down to ``_triangle_mask``."""
-    if cand.bit_count() < need or not _color_bound_reaches(rows, cand, need):
+    size = cand.bit_count()
+    if size < need or (
+        size >= COLOR_BOUND_MIN_CANDIDATES and not _color_bound_reaches(rows, cand, need)
+    ):
         return None
     while cand:
         low = cand & -cand
@@ -221,9 +232,10 @@ def find_clique_mask(rows: tuple[int, ...], allowed: int, m: int) -> Optional[in
     ignored, which makes this the induced-subgraph clique test.  Returns
     None when no m-clique exists.  Sizes up to 3 run as plain loops over
     bit masks; from 4 up to ``CLIQUE_DEPTH_CAP`` the search is depth-first
-    with the greedy colour bound at every level, ending in the triangle
-    loop.  A larger m raises ValueError unless that bound answers None at
-    the top level, before any recursion.
+    with the greedy colour bound on every candidate set of at least
+    ``COLOR_BOUND_MIN_CANDIDATES`` vertices, ending in the triangle loop.
+    A larger m raises ValueError unless that bound answers None at the top
+    level, before any recursion.
     """
     if m == 3:
         return _triangle_mask(rows, allowed)

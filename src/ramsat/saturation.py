@@ -32,9 +32,11 @@ doom check is the backtracking of ``is_semisaturated`` run on an
 optimistic completion.  Below the root that check is incremental: a node
 is searched only when its parent had no escaping coloring, and coloring
 {u, v} with c deletes only the edge uv from the classes other than c, so
-a coloring escaping at the node must give u and v one class other than
-c (in any other coloring every class looks as it did at the parent).  The
-node's escape search is pinned to such colorings.
+a coloring escaping at the node gives u and v one class j other than c.
+Call E_j the existence of an escaping coloring that puts u and v both in
+class j, a search pinned to (u, v, j).  E_j reads only class j's copy of
+uv, which every sibling but the one colored j lacks, so it is the same
+on all those siblings: a node's children share one E_j per class.
 """
 
 from __future__ import annotations
@@ -171,47 +173,46 @@ def _escape_search(
 ) -> tuple[bool, int]:
     """Backtrack for a coloring of vertices 0..n-1 that gives no class a K_{k-1}.
 
-    Vertices go in index order and colors ascending, so the first escaping
-    coloring found is the lexicographically smallest.  Class i of the
-    coloring is the bit mask ``masks[i]``, which the search extends in place
-    and, on success, leaves holding the escaping coloring.  Returns
+    Without a pin, vertices go in index order and colors ascending, so the
+    first escaping coloring found is the lexicographically smallest.  Class
+    i of the coloring is the bit mask ``masks[i]``, which the search extends
+    in place and, on success, leaves holding the escaping coloring.  Returns
     ``(escaped, nodes)``, where nodes counts the colors tried.
 
-    ``pin = (u, v, c)`` with u < v restricts the search to colorings that
-    give u and v one class other than c: vertex u tries only the classes
-    other than c, and vertex v only the class u took.  This is complete for
-    the graphs left after deleting the edge uv from every class but c,
-    provided the graphs before the deletion had no escaping coloring
-    (``ssat_search`` states why).  Without a pin every coloring is tried.
+    ``pin = (u, v, j)`` restricts the search to colorings that put u and v
+    both in class j, the test E_j of ``ssat_search``.  It colors u, then v,
+    then the other vertices from n - 1 down to 0: in the optimistic graphs
+    the high vertices hold the uncolored pairs, which count for every class,
+    so they fail first.  The coloring it finds escapes but need not be the
+    lexicographically smallest such one.
     """
     r = len(rows_per_class)
-    target = k - 2  # a K_{k-1} through v = a K_{k-2} in its class neighbourhood
+    target = k - 2  # a K_{k-1} through x = a K_{k-2} in its class neighbourhood
     nodes = 0
     every = tuple(range(r))
-    pu, pv, pc = pin if pin is not None else (-1, -1, -1)
-    not_pc = tuple(i for i in every if i != pc)
+    if pin is None:
+        order, choices = range(n), (every,) * n
+    else:
+        u, v, j = pin
+        order = (u, v) + tuple(x for x in range(n - 1, -1, -1) if x != u and x != v)
+        choices = ((j,), (j,)) + (every,) * (n - 2)
 
-    def esc(v: int) -> bool:
+    def esc(d: int) -> bool:
         nonlocal nodes
-        if v == n:
+        if d == n:
             return True
-        if v == pu:
-            classes = not_pc
-        elif v == pv:
-            classes = (next(i for i in every if masks[i] >> pu & 1),)
-        else:
-            classes = every
-        bit = 1 << v
-        for i in classes:
+        x = order[d]
+        bit = 1 << x
+        for i in choices[d]:
             nodes += 1
             rows = rows_per_class[i]
-            neigh = rows[v] & masks[i]
+            neigh = rows[x] & masks[i]
             created = (neigh != 0) if target == 1 else (
                 find_clique_mask(rows, neigh, target) is not None
             )
             if not created:
                 masks[i] |= bit
-                if esc(v + 1):
+                if esc(d + 1):
                     return True
                 masks[i] ^= bit
         return False
@@ -363,7 +364,8 @@ def ssat_upper_bound_reference(r: int, k: int) -> int:
 
     Together with lower bounds it brackets the open small cases, e.g.
     7 <= ssat_3(K_3) <= 8: ``ssat_search`` exhausts every n <= 6, one more
-    than ``ssat_lower_bound_formula(3, 3)`` = 6 gives.
+    than ``ssat_lower_bound_formula(3, 3)`` = 6 gives.  It exhausts n = 7
+    as well, but the bracket closes at 8 only when a second route agrees.
     """
     if r < 2 or k < 2:
         raise ValueError("need r >= 2 and k >= 2")
@@ -394,14 +396,17 @@ def ssat_search(
     from every class but c, so along a branch these graphs only lose edges;
     at full depth nothing is uncolored and ``opt`` is the pattern itself.
 
-    A child is searched only when its parent's doom check found no escaping
-    coloring.  A coloring that puts u and v in different classes, or both
-    in class c, meets every class of the child exactly as it met that
-    class at the parent, so it does not escape at the child either.  The
-    child's check therefore runs ``_escape_search`` pinned to (u, v, c),
-    which tries only colorings giving u and v one class other than c; the
-    root's check is unpinned.  Node counts and patterns are those of the
-    unpinned check.
+    Only the root runs the full, unpinned escape search.  A child is
+    searched only when its parent's doom check found no escaping coloring,
+    and a coloring that puts u and v in different classes, or both in class
+    c, meets every class of child c exactly as it met that class at the
+    parent.  So child c is doomed exactly when E_j holds for some j != c,
+    where E_j is ``_escape_search`` pinned to (u, v, j).  E_j is the same
+    on every child but j: those children all lack uv in class j, and no
+    other class holds both u and v under the pin.  Child c tries E_j in
+    ascending j != c and stops at the first that holds, and each value run
+    is kept for the later siblings, so a parent runs each E_j at most once.
+    Node counts and patterns are those of the unpinned check at every node.
 
     Returns found / exhausted / budget; ``nodes`` counts search nodes.
     """
@@ -426,26 +431,37 @@ def ssat_search(
                 opt[i][u] ^= 1 << v
                 opt[i][v] ^= 1 << u
 
-    def dfs(d: int, used: int, pin) -> Optional[ColoredCompleteGraph]:
+    def visit() -> None:
         nonlocal nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise _BudgetHit
-        if _escape_search(opt, n, k, [0] * r, pin)[0]:
-            return None
+
+    def dfs(d: int, used: int) -> Optional[ColoredCompleteGraph]:
+        """Search below a node at depth ``d`` that passed its doom check."""
         if d == len(pairs):
             return ColoredCompleteGraph(tuple(SimpleGraph(n, tuple(rows)) for rows in opt))
         u, v = pairs[d]
+        escapes: list[Optional[bool]] = [None] * r  # E_j, run on the first child needing it
         for color in range(min(used + 1, r)):
+            visit()
             flip(u, v, color)
-            res = dfs(d + 1, max(used, color + 1), (u, v, color))
-            if res is not None:
-                return res
+            for j in range(r):
+                if j != color:
+                    if escapes[j] is None:
+                        escapes[j] = _escape_search(opt, n, k, [0] * r, (u, v, j))[0]
+                    if escapes[j]:
+                        break
+            else:
+                res = dfs(d + 1, max(used, color + 1))
+                if res is not None:
+                    return res
             flip(u, v, color)
         return None
 
     try:
-        pattern = dfs(0, 0, None)
+        visit()
+        pattern = None if _escape_search(opt, n, k, [0] * r)[0] else dfs(0, 0)
     except _BudgetHit:
         return SsatSearchResult("budget", None, nodes)
     if pattern is None:

@@ -159,6 +159,23 @@ def test_find_clique_past_depth_cap_raises_at_once():
     assert time.perf_counter() - start < 0.5
 
 
+def test_color_bound_ends_the_turan_k11_query_at_the_top(monkeypatch):
+    # T(60, 10) is 10-partite, so its greedy colouring has 10 classes and no
+    # K_11; the bound must say so before any recursion.  Sets smaller than
+    # COLOR_BOUND_MIN_CANDIDATES are searched without it.
+    calls = []
+    bound = rs.graphs._color_bound_reaches
+    monkeypatch.setattr(rs.graphs, "_color_bound_reaches",
+                        lambda rows, cand, need: calls.append(need) or bound(rows, cand, need))
+    g = rs.SimpleGraph.from_edges(60, [(a, b) for a, b in combinations(range(60), 2)
+                                       if a % 10 != b % 10])
+    assert find_clique_mask(g.rows, g.full_mask, 11) is None
+    assert calls == [11]
+    small = rs.SimpleGraph.complete(rs.graphs.COLOR_BOUND_MIN_CANDIDATES - 1)
+    assert find_clique_mask(small.rows, small.full_mask, 4) == 0b1111
+    assert calls == [11]
+
+
 def test_find_clique_past_depth_cap_pruned_before_the_cap():
     # too few vertices, or too few colour classes, answer None before any recursion
     cap = rs.graphs.CLIQUE_DEPTH_CAP

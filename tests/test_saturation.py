@@ -236,6 +236,12 @@ def test_ssat3_k3_exhausted_up_to_6():
         assert rs.ssat_search(3, 3, n).status == "exhausted"
 
 
+def test_ssat3_k3_exhausted_at_7():
+    # n = 7 as well, which gives ssat_3(K_3) >= 8 by this one route
+    res = rs.ssat_search(3, 3, 7)
+    assert (res.status, res.nodes) == ("exhausted", 357_128)
+
+
 def test_ssat_search_matches_brute_enumeration():
     for r, k, n in [(2, 3, 3), (2, 3, 4), (2, 4, 4), (3, 3, 4)]:
         exists = any(rs.is_semisaturated_direct(p, k).holds for p in all_patterns(n, r))
@@ -383,24 +389,26 @@ def pinned_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(pinned_cases())
 def test_pinned_escape_search_tries_exactly_the_pinned_colorings(case):
-    # on any graphs, a pinned search finds the lexicographically smallest
-    # escaping coloring that gives u and v one class other than c
-    classes, n, k, (u, v, c) = case
+    # on any graphs, a search pinned to (u, v, j) escapes iff some escaping
+    # coloring puts u and v both in class j, and then leaves one in masks
+    classes, n, k, (u, v, j) = case
     r = len(classes)
-    first = next((chi for chi in product(range(r), repeat=n)
-                  if chi[u] == chi[v] != c and _naive_escapes(classes, k, chi)), None)
+    exists = any(chi[u] == chi[v] == j and _naive_escapes(classes, k, chi)
+                 for chi in product(range(r), repeat=n))
     masks = [0] * r
-    escaped, _ = _escape_search(classes, n, k, masks, (u, v, c))
-    assert escaped == (first is not None)
+    escaped, _ = _escape_search(classes, n, k, masks, (u, v, j))
+    assert escaped == exists
     if escaped:
-        assert masks == [rs.graphs.mask_of(x for x in range(n) if first[x] == i) for i in range(r)]
+        assert sum(m.bit_count() for m in masks) == n
+        chi = [next(i for i in range(r) if masks[i] >> x & 1) for x in range(n)]
+        assert chi[u] == chi[v] == j and _naive_escapes(classes, k, chi)
 
 
 @st.composite
-def optimistic_children(draw):
+def optimistic_parents(draw):
     """Optimistic graphs of a partial pattern, and an uncolored pair to color."""
     n = draw(st.integers(2, 7))
-    r = draw(st.integers(2, 3))
+    r = draw(st.integers(2, 4))
     k = draw(st.integers(3, 4))
     m = n * (n - 1) // 2
     # a pair's color, or a negative value for uncolored (in every class)
@@ -410,24 +418,32 @@ def optimistic_children(draw):
     if not uncolored:
         colors[0], uncolored = -1, [0]
     p = draw(st.sampled_from(uncolored))
-    c = draw(st.integers(0, r - 1))
     opt = [_rows_from_pairs(n, [col < 0 or col == i for col in colors]) for i in range(r)]
-    return opt, n, k, p, c
+    return opt, n, k, p
 
 
 @settings(max_examples=300, deadline=None)
-@given(optimistic_children())
+@given(optimistic_parents())
 def test_pin_sound_on_optimistic_child(case):
     # when the parent has no escaping coloring, coloring one uncolored pair
-    # {u, v} with c leaves the pinned and unpinned searches agreeing
-    opt, n, k, p, c = case
+    # {u, v} with c gives a child that escapes iff E_j holds for some j != c,
+    # and E_j, the search pinned to (u, v, j), is equal on all children but j
+    opt, n, k, p = case
     r = len(opt)
     if _escape_search(opt, n, k, [0] * r)[0]:
         return
     u, v = rs.subset_unrank(p, 2)
-    for i in range(r):
-        if i != c:
-            opt[i][u] ^= 1 << v
-            opt[i][v] ^= 1 << u
-    pinned = _escape_search(opt, n, k, [0] * r, (u, v, c))[0]
-    assert pinned == _escape_search(opt, n, k, [0] * r)[0]
+    pinned = []
+    for c in range(r):
+        child = [list(rows) for rows in opt]
+        for i in range(r):
+            if i != c:
+                child[i][u] ^= 1 << v
+                child[i][v] ^= 1 << u
+        pinned.append({j: _escape_search(child, n, k, [0] * r, (u, v, j))[0]
+                       for j in range(r) if j != c})
+        assert _escape_search(child, n, k, [0] * r)[0] == any(pinned[c].values())
+    for c, c2 in combinations(range(r), 2):
+        for j in range(r):
+            if j not in (c, c2):
+                assert pinned[c][j] == pinned[c2][j]
