@@ -4,9 +4,9 @@ Vertices are 0-indexed.  Adjacency is stored as one Python-int bit row per
 vertex, so "is there a clique of size m inside this vertex subset?" needs no
 induced-subgraph copies: the search simply intersects candidate masks.
 ``find_clique_mask`` answers it for m <= 3 with plain loops over bit masks
-(the scans ask for triangles) and for m >= 4 with a depth-first search that
-prunes with the greedy colour bound on every candidate set of at least
-``COLOR_BOUND_MIN_CANDIDATES`` vertices.
+and for m >= 4 with a depth-first search that prunes with the greedy colour
+bound on every candidate set of at least ``COLOR_BOUND_MIN_CANDIDATES``
+vertices.
 
 Subsets are ranked in colex order: rank(c_1 < ... < c_k) = sum of
 C(c_i, i).  ``scan_subsets`` decides the m-subsets whose rank lies in a
@@ -14,7 +14,11 @@ window [lo, hi) by a depth-first walk over descending prefixes: the subsets
 that share their top elements form one colex block, an interval of ranks,
 so blocks outside the window are skipped by arithmetic, and a block whose
 top elements already hold every clique asked for passes whole, without a
-visit.  ``scan_colex`` scans all C(n, m) ranks, cut into consecutive rank
+visit.  Each open test carries the ``closer_mask`` of its prefix, the
+vertices that would close a clique, so adding an element is one bit test
+and the last level's failures are one ``bit_count``; whole subsets reach
+``find_clique_mask`` only in blocks of one subset and in sampled scans.
+``scan_colex`` scans all C(n, m) ranks, cut into consecutive rank
 windows over worker processes and folded to the one-window answer, or a
 seeded sample of subsets; every scan of one graph's subsets in the package
 runs through these two.  The f and g oracles scan no single graph: they
@@ -235,7 +239,9 @@ def find_clique_mask(rows: tuple[int, ...], allowed: int, m: int) -> Optional[in
     with the greedy colour bound on every candidate set of at least
     ``COLOR_BOUND_MIN_CANDIDATES`` vertices, ending in the triangle loop.
     A larger m raises ValueError unless that bound answers None at the top
-    level, before any recursion.
+    level, before any recursion.  The subset scan asks it only about whole
+    subsets; whether one added vertex closes a clique is a bit test on a
+    ``closer_mask``.
     """
     if m == 3:
         return _triangle_mask(rows, allowed)
@@ -350,11 +356,35 @@ def scan_subsets(tests, n: int, m: int, lo: int, hi: int,
     so ``scanned`` counts the subsets up to it.  ``_walk`` does the work.
     """
     out = [0, 0, None]
+    space = comb(n, m)
+    hi = min(hi, space)
     if m and lo < hi:
-        _walk(out, lo, hi, stop, 0, 0, m, tests, n, lo <= 0 and comb(n, m) <= hi)
+        todo = [(rows, need, closer_mask(rows, 0, need, (1 << n) - 1)) for rows, need in tests]
+        _walk(out, lo, hi, stop, 0, 0, m, todo, n, lo <= 0 and hi == space)
     elif lo <= 0 < hi:  # m = 0: the empty subset alone
         out = [1, 1, 0] if _fails(tests, 0) else [1, 0, None]
     return tuple(out)
+
+
+def closer_mask(rows: tuple[int, ...], prefix: int, need: int, limit: int) -> int:
+    """The vertices v of ``limit`` for which ``prefix & rows[v]`` holds a (need - 1)-clique.
+
+    Adding such a v to ``prefix`` closes a need-clique.  A clique is found
+    from its lowest vertex u: v must close the vertices above u in
+    ``prefix & rows[u]`` one size down.  Found vertices leave ``limit``, and
+    the search ends once it is empty or too few vertices of ``prefix`` are left.
+    """
+    if need <= 1:
+        return limit
+    found = 0
+    while limit and prefix.bit_count() >= need - 1:
+        low = prefix & -prefix
+        prefix ^= low
+        row = rows[low.bit_length() - 1]
+        hit = limit & row if need == 2 else closer_mask(rows, prefix & row, need - 1, limit & row)
+        found |= hit
+        limit ^= hit
+    return found
 
 
 def _walk(out, lo, hi, stop, prefix, base, j, todo, bound, inside) -> bool:
@@ -365,15 +395,31 @@ def _walk(out, lo, hi, stop, prefix, base, j, todo, bound, inside) -> bool:
     subsets whose next element is a form one block, with the ranks
     base + [C(a, j), C(a + 1, j)).  Blocks outside the window are skipped, and
     a block wholly inside it is walked with ``inside`` set, which computes no
-    binomial.  ``todo`` holds the tests ``prefix`` fails; when the walk adds
-    a, each is asked only for a clique through a, inside ``rows[a] & prefix``.
-    Once a prefix passes every test, its whole block passes (the tests are
-    monotone), and the block's part in the window is counted without a
-    visit.  A block of one subset is decided whole, and a failing subset is
-    decided alone, in colex order.  ``out`` holds ``scan_subsets``' result so
-    far.  True when the scan stops.
+    binomial.  ``todo`` holds ``(rows, need, closers)`` for each test
+    ``prefix`` fails, ``closers`` being its ``closer_mask`` below ``bound``:
+    adding a passes the test iff bit a is set, and the child's closers add
+    those of ``prefix & rows[a]`` one size down, inside ``rows[a]``.  Once a
+    prefix passes every test, its whole block passes (the tests are
+    monotone) and its part in the window is counted without a visit.  At
+    the last level the failures are the window's bits missing from some
+    closers.  A block of one subset is decided whole.  ``out`` holds
+    ``scan_subsets``' result so far.  True when the scan stops.
     """
     rest = j - 1  # the elements still to add below a
+    if not rest:  # one subset per a: prefix | 1 << a, for a in [first, last)
+        first = 0 if inside else max(lo - base, 0)
+        span = (1 << (bound if inside else min(hi - base, bound))) - (1 << first)
+        bad = 0
+        for test in todo:
+            bad |= span & ~test[2]
+        if bad and stop:  # the scan ends at the lowest failure
+            bad &= -bad
+            span &= 2 * bad - 1
+        out[0] += span.bit_count()
+        out[1] += bad.bit_count()
+        if bad and out[2] is None:
+            out[2] = prefix | (bad & -bad)
+        return stop and bad > 0
     start = end = base  # a's block holds the ranks [start, end), tracked only when not inside
     for a in range(rest, bound):
         if not inside:
@@ -382,36 +428,28 @@ def _walk(out, lo, hi, stop, prefix, base, j, todo, bound, inside) -> bool:
                 continue
             if start >= hi:
                 return False
-        x = prefix | (1 << a)
-        if rest and a == rest:  # a block of one subset: x and every element below a
-            x |= (1 << a) - 1
-            fails = _fails(todo, x)
-        else:
-            # a closes a need-clique when its neighbours in the prefix
-            # hold a (need - 1)-clique; up to need 2 that needs no search
-            left = []
-            for test in todo:
-                rows, need = test
-                nbrs = rows[a] & prefix
-                if need > 1 and (
-                    not nbrs or need > 2 and find_clique_mask(rows, nbrs, need - 1) is None
-                ):
-                    left.append(test)
-            if rest:
-                if not left:
-                    out[0] += comb(a, rest) if inside else min(end, hi) - max(start, lo)
-                elif _walk(out, lo, hi, stop, x, start, rest, left, a,
-                           inside or lo <= start and end <= hi):
+        if a == rest:  # a block of one subset: prefix and every element up to a
+            x = prefix | ((2 << a) - 1)
+            out[0] += 1
+            if any(not closers & x and find_clique_mask(rows, x, need) is None
+                   for rows, need, closers in todo):
+                out[1] += 1
+                if out[2] is None:
+                    out[2] = x
+                if stop:
                     return True
-                continue
-            fails = bool(left)
-        out[0] += 1
-        if fails:
-            out[1] += 1
-            if out[2] is None:
-                out[2] = x
-            if stop:
-                return True
+            continue
+        left = []
+        for rows, need, closers in todo:
+            if not closers >> a & 1:  # a adds the closers of prefix & rows[a], below a
+                row = rows[a]
+                left.append((rows, need, closers | closer_mask(
+                    rows, prefix & row, need - 1, row & ~closers & ((1 << a) - 1))))
+        if not left:
+            out[0] += comb(a, rest) if inside else min(end, hi) - max(start, lo)
+        elif _walk(out, lo, hi, stop, prefix | (1 << a), start, rest, left, a,
+                   inside or lo <= start and end <= hi):
+            return True
     return False
 
 

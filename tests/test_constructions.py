@@ -1,6 +1,7 @@
 """Colorings from geometry, the random graph sampler, and bad-set counting."""
 
 import math
+from itertools import combinations
 from math import comb
 
 import mpmath
@@ -204,6 +205,28 @@ def test_count_bad_sets_threads_match():
     sharded = rs.count_bad_sets(g, 4, 3, 3, threads=2)
     assert solo.value == sharded.value
     assert solo.checked == sharded.checked == comb(11, 4)
+
+
+@pytest.mark.parametrize("n, s, t", [(5, 3, 3), (6, 2, 4), (6, 4, 3)])
+def test_count_bad_sets_matches_itertools(n, s, t):
+    # a second route: every n-subset, each asked for its K_s and I_t by brute force
+    g = rs.sample_gnp(rs.GnpParams(16, 0.5, 7))
+    bad = sum(
+        not any(all(g.has_edge(u, v) for u, v in combinations(c, 2)) for c in combinations(x, s))
+        or not any(not any(g.has_edge(u, v) for u, v in combinations(c, 2))
+                   for c in combinations(x, t))
+        for x in combinations(range(16), n)
+    )
+    out = rs.count_bad_sets(g, n, s, t)
+    assert (out.hits, out.checked) == (bad, comb(16, n))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_count_bad_sets_bench_instance(threads):
+    # the badsets bench row: G(30, 1/2) seed 1, n = 6, s = t = 3; 209,702 is the
+    # count the bench computes independently with numpy
+    g = rs.sample_gnp(rs.GnpParams(30, 0.5, 1))
+    assert rs.count_bad_sets(g, 6, 3, 3, threads=threads).hits == 209702
 
 
 def test_count_bad_sets_rejects_threads_below_1(no_worker_processes):

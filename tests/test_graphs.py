@@ -186,6 +186,19 @@ def test_find_clique_past_depth_cap_pruned_before_the_cap():
     assert rs.find_clique(empty, cap + 1) is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 14), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 2**32),
+       st.integers(0, 6), st.data())
+def test_closer_mask_matches_itertools(n, p, seed, need, data):
+    # v closes prefix when some (need - 1)-subset of prefix is a clique inside rows[v]
+    g = rs.sample_gnp(rs.GnpParams(n, p, seed))
+    prefix, limit = (data.draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
+    want = mask_of(v for v in range(n) if any(
+        is_clique(g, c) for c in combinations(iter_bits(prefix & g.rows[v]), max(need - 1, 0))))
+    assert rs.graphs.closer_mask(g.rows, prefix, need, g.full_mask) == want
+    assert rs.graphs.closer_mask(g.rows, prefix, need, limit) == want & limit
+
+
 def reference_scan(tests, first: int, count: int, stop: bool):
     """``scan_subsets`` literally: one Gosper step and one clique search per subset."""
     x, failures, first_failure = first, 0, None
@@ -202,21 +215,21 @@ def reference_scan(tests, first: int, count: int, stop: bool):
 
 
 def draw_tests(draw, n: int, min_need: int):
-    """One or two ``scan_subsets`` tests on random graphs of n vertices, needs min_need to 4."""
+    """One or two ``scan_subsets`` tests on random graphs of n vertices, needs min_need to 6."""
     pairs = list(combinations(range(n), 2))
     p = draw(st.sampled_from([0.1, 0.5, 0.9]))
     tests = []
     for _ in range(draw(st.integers(1, 2))):
         edges = [e for e, keep in zip(pairs, draw(st.lists(st.floats(0, 1), min_size=len(pairs),
                                                            max_size=len(pairs)))) if keep < p]
-        tests.append((rs.SimpleGraph.from_edges(n, edges).rows, draw(st.integers(min_need, 4))))
+        tests.append((rs.SimpleGraph.from_edges(n, edges).rows, draw(st.integers(min_need, 6))))
     return tuple(tests)
 
 
 @st.composite
 def scan_cases(draw):
-    n = draw(st.integers(1, 12))
-    tests = draw_tests(draw, n, 1)
+    n = draw(st.integers(1, 14))
+    tests = draw_tests(draw, n, 0)
     m = draw(st.integers(0, n))
     space = math.comb(n, m)
     lo = draw(st.integers(0, space - 1))
@@ -327,7 +340,7 @@ def in_process_pool(sizes: list):
 def sharded_cases(draw):
     """A scan with 2 to 5 threads over a space of at least four subsets per thread."""
     threads = draw(st.integers(2, 5))
-    n = draw(st.sampled_from([n for n in range(1, 13) if math.comb(n, n // 2) >= 4 * threads]))
+    n = draw(st.sampled_from([n for n in range(1, 15) if math.comb(n, n // 2) >= 4 * threads]))
     m = draw(st.sampled_from([m for m in range(n + 1) if math.comb(n, m) >= 4 * threads]))
     return draw_tests(draw, n, 0), n, m, threads
 
@@ -367,6 +380,10 @@ def test_scan_subsets_empty_and_single_windows():
     assert rs.graphs.scan_subsets(((rows, 2),), 5, 3, 1, 1) == (0, 0, None)
     assert rs.graphs.scan_subsets(((rows, 2),), 5, 2, 1, 2) == (1, 1, 0b00101)
     assert rs.graphs.scan_subsets(((rows, 2),), 5, 2, 4, 1) == (0, 0, None)
+    # a window running past C(n, m) is cut there, also at the last level
+    assert rs.graphs.scan_subsets(((rows, 2),), 5, 1, 6, 8) == (0, 0, None)
+    assert rs.graphs.scan_subsets(((rows, 2),), 5, 1, 3, 9, False) == (2, 2, 0b01000)
+    assert rs.graphs.scan_subsets(((rows, 2),), 5, 2, 8, 12, False) == (2, 1, 0b10100)
     # m = 0: the empty subset, rank 0, passes need 0 and fails any larger need
     assert rs.graphs.scan_subsets(((rows, 0),), 5, 0, 0, 1) == (1, 0, None)
     assert rs.graphs.scan_subsets(((rows, 0), (rows, 2)), 5, 0, 0, 1) == (1, 1, 0)
