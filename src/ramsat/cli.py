@@ -304,6 +304,8 @@ def _handle_experiment(args) -> io.Certificate:
     elif args.trials is None or args.seed is None:
         raise _UsageError("sampled mode requires --trials and --seed")
     if args.infile is not None:
+        _refuse(args.gnp_p, "--gnp-p", "with --in")
+        _refuse(args.gnp_seed, "--gnp-seed", "with --in")
         g = io.parse_simple_graph(args.infile.read_text())
         source = {"in": str(args.infile)}
     else:

@@ -16,8 +16,9 @@ so blocks outside the window are skipped by arithmetic, and a block whose
 top elements already hold every clique asked for passes whole, without a
 visit.  Each open test carries the ``closer_mask`` of its prefix, the
 vertices that would close a clique, so adding an element is one bit test
-and the last level's failures are one ``bit_count``; whole subsets reach
-``find_clique_mask`` only in blocks of one subset and in sampled scans.
+and the last level's failures are one ``bit_count``: an exact scan never
+asks ``find_clique_mask`` about a whole subset, except the empty one at
+m = 0.  Sampled scans ask it about each drawn subset.
 ``scan_colex`` scans all C(n, m) ranks, cut into consecutive rank
 windows over worker processes and folded to the one-window answer, or a
 seeded sample of subsets; every scan of one graph's subsets in the package
@@ -239,9 +240,9 @@ def find_clique_mask(rows: tuple[int, ...], allowed: int, m: int) -> Optional[in
     with the greedy colour bound on every candidate set of at least
     ``COLOR_BOUND_MIN_CANDIDATES`` vertices, ending in the triangle loop.
     A larger m raises ValueError unless that bound answers None at the top
-    level, before any recursion.  The subset scan asks it only about whole
-    subsets; whether one added vertex closes a clique is a bit test on a
-    ``closer_mask``.
+    level, before any recursion.  The subset scan asks it only about the
+    drawn subsets of a sampled scan and the empty subset of m = 0; an exact
+    scan decides by bit tests on ``closer_mask``.
     """
     if m == 3:
         return _triangle_mask(rows, allowed)
@@ -402,8 +403,8 @@ def _walk(out, lo, hi, stop, prefix, base, j, todo, bound, inside) -> bool:
     prefix passes every test, its whole block passes (the tests are
     monotone) and its part in the window is counted without a visit.  At
     the last level the failures are the window's bits missing from some
-    closers.  A block of one subset is decided whole.  ``out`` holds
-    ``scan_subsets``' result so far.  True when the scan stops.
+    closers.  ``out`` holds ``scan_subsets``' result so far.  True when the
+    scan stops.
     """
     rest = j - 1  # the elements still to add below a
     if not rest:  # one subset per a: prefix | 1 << a, for a in [first, last)
@@ -428,17 +429,6 @@ def _walk(out, lo, hi, stop, prefix, base, j, todo, bound, inside) -> bool:
                 continue
             if start >= hi:
                 return False
-        if a == rest:  # a block of one subset: prefix and every element up to a
-            x = prefix | ((2 << a) - 1)
-            out[0] += 1
-            if any(not closers & x and find_clique_mask(rows, x, need) is None
-                   for rows, need, closers in todo):
-                out[1] += 1
-                if out[2] is None:
-                    out[2] = x
-                if stop:
-                    return True
-            continue
         left = []
         for rows, need, closers in todo:
             if not closers >> a & 1:  # a adds the closers of prefix & rows[a], below a

@@ -29,14 +29,8 @@ is one ``graphs.scan_colex`` call, exact or sampled.
 now, which ``check_kkfree`` decides.  ``ssat_search`` hunts for the
 smallest semisaturated patterns by backtracking over edge colorings; its
 doom check is the backtracking of ``is_semisaturated`` run on an
-optimistic completion.  Below the root that check is incremental: a node
-is searched only when its parent had no escaping coloring, and coloring
-{u, v} with c deletes only the edge uv from the classes other than c, so
-a coloring escaping at the node gives u and v one class j other than c.
-Call E_j the existence of an escaping coloring that puts u and v both in
-class j, a search pinned to (u, v, j).  E_j reads only class j's copy of
-uv, which every sibling but the one colored j lacks, so it is the same
-on all those siblings: a node's children share one E_j per class.
+optimistic completion.  Both run ``_escape_search``, which extends a
+seeded partial coloring vertex by vertex.
 """
 
 from __future__ import annotations
@@ -157,7 +151,7 @@ def is_semisaturated(
             f"{r}^{n} assignments exceed cap {EXACT_COLORING_CAP}; use samples="
         )
     masks = [0] * r
-    escaped, nodes = _escape_search([cls.rows for cls in c.classes], n, k, masks)
+    escaped, nodes = _escape_search([cls.rows for cls in c.classes], range(n), k, masks)
     if escaped:
         colors = [next(i + 1 for i in range(r) if masks[i] >> v & 1) for v in range(n)]
         return Verdict(
@@ -168,42 +162,30 @@ def is_semisaturated(
     return Verdict(holds=True, witness=None, checked=nodes)
 
 
-def _escape_search(
-    rows_per_class, n: int, k: int, masks: list[int], pin=None
-) -> tuple[bool, int]:
-    """Backtrack for a coloring of vertices 0..n-1 that gives no class a K_{k-1}.
+def _escape_search(rows_per_class, order, k: int, masks: list[int]) -> tuple[bool, int]:
+    """Extend the seeded coloring ``masks`` to the vertices of ``order`` so no class has a K_{k-1}.
 
-    Without a pin, vertices go in index order and colors ascending, so the
-    first escaping coloring found is the lexicographically smallest.  Class
-    i of the coloring is the bit mask ``masks[i]``, which the search extends
-    in place and, on success, leaves holding the escaping coloring.  Returns
-    ``(escaped, nodes)``, where nodes counts the colors tried.
-
-    ``pin = (u, v, j)`` restricts the search to colorings that put u and v
-    both in class j, the test E_j of ``ssat_search``.  It colors u, then v,
-    then the other vertices from n - 1 down to 0: in the optimistic graphs
-    the high vertices hold the uncolored pairs, which count for every class,
-    so they fail first.  The coloring it finds escapes but need not be the
-    lexicographically smallest such one.
+    Class i of the coloring is the bit mask ``masks[i]``; the seeds must
+    hold no K_{k-1} in their classes.  The vertices of ``order`` go in that
+    order, each trying the colors ascending, so the first escaping
+    extension found is the lexicographically smallest in that order.  The
+    search extends ``masks`` in place and, on success, leaves it holding
+    the escaping coloring.  Returns ``(escaped, nodes)``, where nodes counts
+    the colors tried.
     """
     r = len(rows_per_class)
     target = k - 2  # a K_{k-1} through x = a K_{k-2} in its class neighbourhood
+    depth = len(order)
+    colors = range(r)
     nodes = 0
-    every = tuple(range(r))
-    if pin is None:
-        order, choices = range(n), (every,) * n
-    else:
-        u, v, j = pin
-        order = (u, v) + tuple(x for x in range(n - 1, -1, -1) if x != u and x != v)
-        choices = ((j,), (j,)) + (every,) * (n - 2)
 
     def esc(d: int) -> bool:
         nonlocal nodes
-        if d == n:
+        if d == depth:
             return True
         x = order[d]
         bit = 1 << x
-        for i in choices[d]:
+        for i in colors:
             nodes += 1
             rows = rows_per_class[i]
             neigh = rows[x] & masks[i]
@@ -396,17 +378,21 @@ def ssat_search(
     from every class but c, so along a branch these graphs only lose edges;
     at full depth nothing is uncolored and ``opt`` is the pattern itself.
 
-    Only the root runs the full, unpinned escape search.  A child is
-    searched only when its parent's doom check found no escaping coloring,
-    and a coloring that puts u and v in different classes, or both in class
-    c, meets every class of child c exactly as it met that class at the
-    parent.  So child c is doomed exactly when E_j holds for some j != c,
-    where E_j is ``_escape_search`` pinned to (u, v, j).  E_j is the same
-    on every child but j: those children all lack uv in class j, and no
-    other class holds both u and v under the pin.  Child c tries E_j in
-    ascending j != c and stops at the first that holds, and each value run
-    is kept for the later siblings, so a parent runs each E_j at most once.
-    Node counts and patterns are those of the unpinned check at every node.
+    Only the root runs the full escape search.  A child is searched only
+    when its parent's doom check found no escaping coloring, and a coloring
+    that puts u and v in different classes, or both in class c, meets every
+    class of child c exactly as it met that class at the parent.  So child
+    c is doomed exactly when E_j holds for some j != c: some escaping
+    coloring puts u and v both in class j.  E_j is ``_escape_search``
+    seeded with ``masks[j] = {u, v}``.  That seed holds no K_{k-1}, since
+    k >= 3 and uv is absent from class j on every child but j.  The other
+    vertices go from n - 1 down to 0: the high vertices hold the uncolored
+    pairs, which count for every class, so they fail first.  E_j reads only
+    class j's copy of uv, so it is the same on every child but j.  Child c
+    tries E_j in ascending j != c and stops at the first that holds, and
+    each value run is kept for the later siblings, so a parent runs each
+    E_j at most once.  Node counts and patterns are those of the full check
+    at every node.
 
     Returns found / exhausted / budget; ``nodes`` counts search nodes.
     """
@@ -421,6 +407,7 @@ def ssat_search(
     if node_budget is not None and node_budget < 1:
         raise ValueError(f"need node budget >= 1, got {node_budget}")
     pairs = list(iter_subsets_colex(n, 2))
+    others = [tuple(x for x in range(n - 1, -1, -1) if x != u and x != v) for u, v in pairs]
     opt = [[((1 << n) - 1) & ~(1 << x) for x in range(n)] for _ in range(r)]
     nodes = 0
 
@@ -449,7 +436,9 @@ def ssat_search(
             for j in range(r):
                 if j != color:
                     if escapes[j] is None:
-                        escapes[j] = _escape_search(opt, n, k, [0] * r, (u, v, j))[0]
+                        masks = [0] * r
+                        masks[j] = 1 << u | 1 << v
+                        escapes[j] = _escape_search(opt, others[d], k, masks)[0]
                     if escapes[j]:
                         break
             else:
@@ -461,7 +450,7 @@ def ssat_search(
 
     try:
         visit()
-        pattern = None if _escape_search(opt, n, k, [0] * r)[0] else dfs(0, 0)
+        pattern = None if _escape_search(opt, range(n), k, [0] * r)[0] else dfs(0, 0)
     except _BudgetHit:
         return SsatSearchResult("budget", None, nodes)
     if pattern is None:

@@ -350,12 +350,19 @@ def test_sampled_scans_refuse_threads_above_1(
     ["construct", "affine", "--q", "3", "--r", "2", "--seed", "1"],
     ["verify", "ssat", "--in", "c4diag.cg", "--k", "3", "--seed", "1"],
     ["verify", "observation", "--in", "c4diag.cg", "--k", "3", "--r", "2", "--seed", "1"],
-], ids=["bad-sets-trials", "bad-sets-seed", "affine", "ssat", "observation"])
+    ["experiment", "bad-sets", "--in", "c6.g", "--gnp-p", "0.5",
+     "--n", "4", "--s", "2", "--t", "2", "--mode", "exact"],
+    ["experiment", "bad-sets", "--in", "c6.g", "--gnp-seed", "3",
+     "--n", "4", "--s", "2", "--t", "2", "--mode", "exact"],
+], ids=["bad-sets-trials", "bad-sets-seed", "affine", "ssat", "observation",
+        "bad-sets-in-gnp-p", "bad-sets-in-gnp-seed"])
 def test_flags_that_change_nothing_are_refused(
     tmp_path, monkeypatch, capsys, c4_diagonals, argv
 ):
-    # nothing is drawn, so a certificate recording the flag would claim what did not act
+    # nothing is drawn, or the graph is read from a file, so a certificate
+    # recording the flag would claim what did not act
     (tmp_path / "c4diag.cg").write_text(rs.dump_colored_graph(c4_diagonals))
+    (tmp_path / "c6.g").write_text(rs.dump_simple_graph(rs.SimpleGraph.cycle(6)))
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 3
     out, err = capsys.readouterr()

@@ -316,6 +316,25 @@ def test_no_worker_processes_refuses_a_sharded_scan(no_worker_processes, monkeyp
         rs.graphs.scan_colex(tests, 12, 6, 2)
 
 
+def test_exact_scans_ask_no_clique_search(no_worker_processes, monkeypatch):
+    # an exact scan decides by closer-mask bit tests and last-level popcounts
+    # alone, passing or failing, and never asks about a whole subset
+    calls = []
+    real = rs.graphs.find_clique_mask
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rs.graphs, "find_clique_mask", counted)
+    g = rs.sample_gnp(rs.GnpParams(30, 0.5, 1))
+    assert rs.count_bad_sets(g, 6, 3, 3).hits == 209702
+    assert rs.check_observation(rs.affine_coloring(5, 2, "parallel-balanced"), 4).holds
+    rr = rs.check_observation(rs.affine_coloring(5, 2, "round-robin", 1), 4)
+    assert (rr.holds, rr.checked) == (False, 5781006)
+    assert calls == []
+
+
 def in_process_pool(sizes: list):
     """A stand-in for ``ProcessPoolExecutor`` that maps in this process and
     appends each pool's ``max_workers`` to ``sizes``."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import ramsat as rs
 from ramsat.errors import BudgetError
+from ramsat.graphs import mask_of
 from ramsat.saturation import _escape_search
 
 from conftest import all_patterns
@@ -309,13 +310,13 @@ def test_check_observation_sampled_past_enumeration_cap():
         rs.check_observation(pat, 4)
 
 
-# -- the pinned doom check -----------------------------------------------------
+# -- the incremental doom check ------------------------------------------------
 
 
 def _unpinned_ssat_search(r, k, n):
-    """``ssat_search`` with the full, unpinned escape search at every node.
+    """``ssat_search`` with the full escape search at every node.
 
-    Returns (status, nodes, pattern), for comparison with the pinned search.
+    Returns (status, nodes, pattern), for comparison with the incremental search.
     """
     pairs = list(rs.graphs.iter_subsets_colex(n, 2))
     opt = [[((1 << n) - 1) & ~(1 << x) for x in range(n)] for _ in range(r)]
@@ -330,7 +331,7 @@ def _unpinned_ssat_search(r, k, n):
     def dfs(d, used):
         nonlocal nodes
         nodes += 1
-        if _escape_search(opt, n, k, [0] * r)[0]:
+        if _escape_search(opt, range(n), k, [0] * r)[0]:
             return None
         if d == len(pairs):
             return rs.ColoredCompleteGraph(tuple(rs.SimpleGraph(n, tuple(rows)) for rows in opt))
@@ -375,33 +376,44 @@ def _rows_from_pairs(n, present):
 
 
 @st.composite
-def pinned_cases(draw):
-    n = draw(st.integers(2, 6))
+def seeded_cases(draw):
+    """Any class graphs, seeds holding no K_{k-1} in their classes, and an order of the rest."""
+    n = draw(st.integers(1, 6))
     r = draw(st.integers(2, 3))
     k = draw(st.integers(3, 4))
     m = n * (n - 1) // 2
     classes = [_rows_from_pairs(n, draw(st.lists(st.booleans(), min_size=m, max_size=m)))
                for _ in range(r)]
-    u, v = draw(st.sampled_from(list(rs.graphs.iter_subsets_colex(n, 2))))
-    return classes, n, k, (u, v, draw(st.integers(0, r - 1)))
+    seeds = [-1] * n  # a vertex's seeded class, or -1 for none
+    for x in range(n):
+        seeds[x] = draw(st.integers(-1, r - 1))
+        if not _naive_escapes(classes, k, seeds):  # x closed a K_{k-1}: leave it out
+            seeds[x] = -1
+    order = draw(st.permutations([x for x in range(n) if seeds[x] < 0]))
+    return classes, k, seeds, order
 
 
 @settings(max_examples=300, deadline=None)
-@given(pinned_cases())
-def test_pinned_escape_search_tries_exactly_the_pinned_colorings(case):
-    # on any graphs, a search pinned to (u, v, j) escapes iff some escaping
-    # coloring puts u and v both in class j, and then leaves one in masks
-    classes, n, k, (u, v, j) = case
-    r = len(classes)
-    exists = any(chi[u] == chi[v] == j and _naive_escapes(classes, k, chi)
-                 for chi in product(range(r), repeat=n))
-    masks = [0] * r
-    escaped, _ = _escape_search(classes, n, k, masks, (u, v, j))
-    assert escaped == exists
-    if escaped:
-        assert sum(m.bit_count() for m in masks) == n
-        chi = [next(i for i in range(r) if masks[i] >> x & 1) for x in range(n)]
-        assert chi[u] == chi[v] == j and _naive_escapes(classes, k, chi)
+@given(seeded_cases())
+def test_seeded_escape_search_tries_exactly_the_seeded_extensions(case):
+    # on any graphs, a search from seeds escapes iff some escaping coloring
+    # extends them; it then leaves the first such coloring, in its order, in
+    # masks, and otherwise gives back the seeds
+    classes, k, seeds, order = case
+    r, n = len(classes), len(seeds)
+    seed_masks = [mask_of(x for x in range(n) if seeds[x] == i) for i in range(r)]
+    extensions = [chi for chi in product(range(r), repeat=n)
+                  if all(s < 0 or s == c for s, c in zip(seeds, chi))
+                  and _naive_escapes(classes, k, chi)]
+    masks = list(seed_masks)
+    escaped, _ = _escape_search(classes, order, k, masks)
+    assert escaped == bool(extensions)
+    if not escaped:
+        assert masks == seed_masks
+        return
+    assert sum(m.bit_count() for m in masks) == n
+    chi = tuple(next(i for i in range(r) if masks[i] >> x & 1) for x in range(n))
+    assert chi == min(extensions, key=lambda e: [e[x] for x in order])
 
 
 @st.composite
@@ -427,23 +439,29 @@ def optimistic_parents(draw):
 def test_pin_sound_on_optimistic_child(case):
     # when the parent has no escaping coloring, coloring one uncolored pair
     # {u, v} with c gives a child that escapes iff E_j holds for some j != c,
-    # and E_j, the search pinned to (u, v, j), is equal on all children but j
+    # and E_j, the search seeded with u and v in class j, is equal on all
+    # children but j
     opt, n, k, p = case
     r = len(opt)
-    if _escape_search(opt, n, k, [0] * r)[0]:
+    if _escape_search(opt, range(n), k, [0] * r)[0]:
         return
     u, v = rs.subset_unrank(p, 2)
-    pinned = []
+    others = [x for x in range(n - 1, -1, -1) if x != u and x != v]
+    seeded = []
     for c in range(r):
         child = [list(rows) for rows in opt]
         for i in range(r):
             if i != c:
                 child[i][u] ^= 1 << v
                 child[i][v] ^= 1 << u
-        pinned.append({j: _escape_search(child, n, k, [0] * r, (u, v, j))[0]
-                       for j in range(r) if j != c})
-        assert _escape_search(child, n, k, [0] * r)[0] == any(pinned[c].values())
+        seeded.append({})
+        for j in range(r):
+            if j != c:
+                masks = [0] * r
+                masks[j] = 1 << u | 1 << v
+                seeded[c][j] = _escape_search(child, others, k, masks)[0]
+        assert _escape_search(child, range(n), k, [0] * r)[0] == any(seeded[c].values())
     for c, c2 in combinations(range(r), 2):
         for j in range(r):
             if j not in (c, c2):
-                assert pinned[c][j] == pinned[c2][j]
+                assert seeded[c][j] == seeded[c2][j]
