@@ -21,9 +21,10 @@ Subcommands::
     geom      {plane|fq3-family|incidence}
 
 The CLI itself is a thin single-threaded shell; ``--threads`` is forwarded
-to the library operations that shard their enumeration, and bounds the
-worker processes they start without changing their answer.  Only exact
-scans shard: a value above 1 with ``--samples`` or ``--mode sampled`` exits 3.
+to the library scans and bounds the worker processes they start without
+changing their answer.  Only an exact count (``experiment bad-sets``)
+shards; a scan that stops at its first failure runs in one process, and a
+value above 1 with ``--samples`` or ``--mode sampled`` exits 3.
 """
 
 from __future__ import annotations

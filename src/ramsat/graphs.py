@@ -19,10 +19,11 @@ vertices that would close a clique, so adding an element is one bit test
 and the last level's failures are one ``bit_count``: an exact scan never
 asks ``find_clique_mask`` about a whole subset, except the empty one at
 m = 0.  Sampled scans ask it about each drawn subset.
-``scan_colex`` scans all C(n, m) ranks, cut into consecutive rank
-windows over worker processes and folded to the one-window answer, or a
-seeded sample of subsets; every scan of one graph's subsets in the package
-runs through these two.  The f and g oracles scan no single graph: they
+``scan_colex`` scans all C(n, m) ranks or a seeded sample of subsets;
+every scan of one graph's subsets in the package runs through these two.
+Only a count, which visits every failure, shards its ranks over worker
+processes: a scan that stops at its first failure ends sooner than a
+process pool starts.  The f and g oracles scan no single graph: they
 decide blocks of candidates on bit-planes (see ``ramsat.reduction``).
 
 All types are immutable after construction and every operation is a pure
@@ -35,14 +36,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
 from typing import Iterator, Optional
 
 # Hard caps.  Exhaustive subset/graph enumeration is only offered up to 64
 # vertices; general search works up to 4096.  ``threads`` may be at most
-# THREAD_CAP on every machine; a scan starts min(threads, usable CPUs)
-# worker processes and gives the same answer for any count.
+# THREAD_CAP on every machine; a counting scan starts min(threads, usable
+# CPUs) worker processes and gives the same answer for any count.
 # CLIQUE_DEPTH_CAP keeps the clique search, one recursion per vertex, inside
 # Python's recursion limit.
 ENUMERATION_CAP = 64
@@ -477,17 +478,16 @@ def scan_colex(
 
     An exact scan (``samples`` None) checks ``exact_space`` and returns
     ``scan_subsets(tests, n, m, 0, C(n, m), stop)`` for every ``threads``.
-    It starts w = min(threads, usable CPUs) worker processes, cuts the ranks
-    at multiples of C(n, m) // w into w consecutive windows, the last taking
-    the remainder, and folds their answers in rank order: with ``stop`` up
-    to the first window with a failure (every window before it passed
-    whole), else all of them.  With w = 1, or fewer than four subsets per
-    worker, the one window runs in this process.  A sampled scan decides
-    ``samples`` draws of ``rng.choice(n, size=m, replace=False)`` here, each
-    whole, in draw order; it never shards, so ``threads`` above 1 raises
-    ValueError, and a thread count above 1 always describes an exact scan.
-    Returns ``(scanned, failures, first_failure)`` as ``scan_subsets`` does,
-    the first failure in colex or draw order.
+    With ``stop`` that one window runs in this process, since it ends
+    sooner than a process pool starts.  A count (``stop`` False) starts
+    w = min(threads, usable CPUs) worker processes, cuts the ranks at
+    multiples of C(n, m) // w into w consecutive windows, the last taking
+    the remainder, and sums them; with w = 1, or fewer than four subsets
+    per worker, it too runs here.  A sampled scan decides ``samples``
+    draws of ``rng.choice(n, size=m, replace=False)`` here, each whole, in
+    draw order; it never shards, so ``threads`` above 1 raises ValueError.
+    Returns ``(scanned, failures, first_failure)`` as ``scan_subsets``
+    does, the first failure in colex or draw order.
     """
     if not 1 <= threads <= THREAD_CAP:
         raise ValueError(f"need 1 <= threads <= {THREAD_CAP}, got {threads}")
@@ -508,18 +508,14 @@ def scan_colex(
                     break
         return scanned, failures, first_failure
     space = exact_space(n, m)
-    workers = min(threads, _usable_cpus())
+    workers = 1 if stop else min(threads, _usable_cpus())
     if workers == 1 or space < 4 * workers:
         return scan_subsets(tests, n, m, 0, space, stop)
-    from concurrent.futures import ProcessPoolExecutor  # only a sharded scan loads it
+    from concurrent.futures import ProcessPoolExecutor  # only a counting scan loads it
 
     chunk = space // workers
     cuts = [j * chunk for j in range(workers)] + [space]
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        shards = ex.map(scan_subsets, [tests] * workers, [n] * workers, [m] * workers,
-                        cuts[:-1], cuts[1:], [stop] * workers)
+        shards = ex.map(partial(scan_subsets, tests, n, m, stop=False), cuts[:-1], cuts[1:])
         scanned, failures, fails = zip(*shards)
-    j = next((j for j, x in enumerate(fails) if x is not None), workers)  # first failing window
-    if stop:  # the one-window scan ends inside window j
-        scanned, failures = scanned[:j + 1], failures[:j + 1]
-    return sum(scanned), sum(failures), fails[j] if j < workers else None
+    return sum(scanned), sum(failures), next((x for x in fails if x is not None), None)

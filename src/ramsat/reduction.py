@@ -194,20 +194,16 @@ def has_unbalanced_set(
     return None if first is None else tuple(iter_bits(first))
 
 
-@lru_cache(maxsize=None)
-def _pairs_of(N: int) -> tuple[tuple[int, int], ...]:
-    """Pairs of range(N) ordered by colex rank."""
-    return tuple(iter_subsets_colex(N, 2))
-
-
 def graph_from_edge_mask(N: int, mask: int) -> SimpleGraph:
     """Graph on N vertices whose edge set is the colex-rank bitmask ``mask``."""
+    if mask >> comb(N, 2):
+        raise ValueError(f"edge mask has bits past the C({N},2) pairs")
     rows = [0] * N
-    pairs = _pairs_of(N)
-    for i in iter_bits(mask):
-        u, v = pairs[i]
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
+    for v in range(1, N):  # the pairs (u, v), u < v, hold the ranks C(v, 2) + u
+        lower = mask >> comb(v, 2) & ((1 << v) - 1)
+        rows[v] |= lower
+        for u in iter_bits(lower):
+            rows[u] |= 1 << v
     return SimpleGraph(N, tuple(rows))
 
 

@@ -238,12 +238,12 @@ def check_observation(
 
     n and r are the pattern's own (it may be partial: classes only need to
     be edge-disjoint).  Each class is one ``scan_colex`` call: exact
-    (n <= 64, C(n, ceil(n/r)) <= 10^8, sharded over up to ``threads``
-    processes) or of ``samples`` seeded draws per class, with no such cap,
-    in one process.  On failure the witness is the first failing (color,
-    subset) pair.  ``checked`` counts the subsets decided, up to the
-    failure; an exact scan passes whole colex blocks at once.  Witness and
-    ``checked`` are those of a serial scan for every ``threads``.
+    (n <= 64, C(n, ceil(n/r)) <= 10^8) or of ``samples`` seeded draws per
+    class, with no such cap.  Each stops at its first failure, so it runs
+    in this process for every ``threads``, which is still checked (and
+    refused above 1 with ``samples``).  On failure the witness is the first
+    failing (color, subset) pair.  ``checked`` counts the subsets decided,
+    up to the failure; an exact scan passes whole colex blocks at once.
     """
     if c.r < 2:
         raise ValueError("need at least two colors")

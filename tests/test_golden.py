@@ -7,11 +7,11 @@ which are also the files the ``--out`` commands must write.  Each case runs
 in a fresh directory holding a copy of the inputs, with relative paths, and
 must reproduce the recorded body and every file it writes byte for byte.
 
-The cases cover the README commands, sharded and serial observation scans
-with failing witnesses (on the seeded round-robin affine coloring they
-fail deep in the second class, and on a five-vertex pattern in the first
-window of a two-way cut), an observation on the empty pattern, whose one
-subset is the empty one, exact and sampled bad-set counts, sampled
+The cases cover the README commands, observation scans at one to four
+``--threads`` with failing witnesses (on the seeded round-robin affine
+coloring they fail deep in the second class, and on a five-vertex pattern
+at the third subset of the first), an observation on the empty pattern,
+whose one subset is the empty one, exact and sampled bad-set counts, sampled
 verification, failing verdicts of every verify command, K_4 to K_6 checks
 that take the clique search below depth 3, budget-limited searches,
 exhausted searches of up to 738 nodes and a found pattern, every "unknown"
@@ -21,7 +21,8 @@ bad-set budgets) and the seeded round-robin affine coloring.
 Record a new case, before the change it guards, with
 ``python tests/golden/record.py ARGV...`` (see that script).
 
-A sharded scan answers as the serial one does, so every case run with
+A scan answers the same for every thread count (only a count shards, and
+its windows sum to the serial answer), so every case run with
 ``--threads`` above 1 must also replay at ``--threads 1``, to the same body
 apart from ``params.threads``.  ``verify observation`` reads r from the
 pattern, so its case on the four-color ``a34.cg`` must also replay without

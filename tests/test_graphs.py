@@ -313,7 +313,15 @@ def test_no_worker_processes_refuses_a_sharded_scan(no_worker_processes, monkeyp
     monkeypatch.setattr(rs.graphs, "_usable_cpus", lambda: 2)
     tests = rs.graphs.balance_tests(rs.SimpleGraph.complete(12), 3, 3)
     with pytest.raises(AssertionError, match="no worker process"):
-        rs.graphs.scan_colex(tests, 12, 6, 2)
+        rs.graphs.scan_colex(tests, 12, 6, 2, False)
+
+
+def test_a_scan_that_stops_starts_no_worker_process(no_worker_processes, monkeypatch):
+    monkeypatch.setattr(rs.graphs, "_usable_cpus", lambda: rs.graphs.THREAD_CAP)
+    tests = rs.graphs.balance_tests(rs.SimpleGraph.cycle(12), 3, 3)
+    one_window = rs.graphs.scan_subsets(tests, 12, 6, 0, math.comb(12, 6))
+    for threads in range(1, rs.graphs.THREAD_CAP + 1):
+        assert rs.graphs.scan_colex(tests, 12, 6, threads) == one_window
 
 
 def test_exact_scans_ask_no_clique_search(no_worker_processes, monkeypatch):
@@ -373,7 +381,7 @@ def test_sharded_scan_colex_matches_one_window(case, stop):
         mp.setattr("concurrent.futures.ProcessPoolExecutor", in_process_pool(sizes))
         mp.setattr(rs.graphs, "_usable_cpus", lambda: rs.graphs.THREAD_CAP)
         got = rs.graphs.scan_colex(tests, n, m, threads, stop)
-    assert sizes == [threads]
+    assert sizes == ([] if stop else [threads])  # a scan that stops runs in this process
     assert got == rs.graphs.scan_subsets(tests, n, m, 0, math.comb(n, m), stop)
 
 

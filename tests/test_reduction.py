@@ -1,5 +1,6 @@
 """Colex ranking, the two oracles, and both directions of the reduction."""
 
+import random
 import time
 from itertools import combinations
 from math import comb
@@ -28,6 +29,19 @@ def test_colex_roundtrip():
 def test_colex_order_matches_sorted_combinations():
     subs = sorted(combinations(range(7), 3), key=lambda c: tuple(reversed(c)))
     assert list(iter_subsets_colex(7, 3)) == subs
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_graph_from_edge_mask_matches_from_edges(seed):
+    # bit i of the mask is the i-th pair in colex order, by sorted combinations
+    rng = random.Random(seed)
+    N = rng.randrange(13)
+    mask = rng.getrandbits(comb(N, 2))
+    pairs = sorted(combinations(range(N), 2), key=lambda c: tuple(reversed(c)))
+    edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+    assert rs.graph_from_edge_mask(N, mask) == rs.SimpleGraph.from_edges(N, edges)
+    with pytest.raises(ValueError, match="bits past"):
+        rs.graph_from_edge_mask(N, mask | 1 << comb(N, 2))
 
 
 # -- ksubset colorings -------------------------------------------------------

@@ -138,6 +138,22 @@ def test_check_observation_threads_match():
     assert solo.checked == sharded.checked
 
 
+@pytest.mark.parametrize("threads", [2, 4])
+@pytest.mark.parametrize("args, k, holds, checked", [
+    ((5, 2, "parallel-balanced"), 4, True, 10_400_600),  # criterion 3
+    ((5, 2, "round-robin", 1), 4, False, 5_781_006),
+    ((3, 2), 3, True, 252),  # AG(2, 3)
+], ids=["criterion-3", "round-robin", "AG(2,3)"])
+def test_check_observation_runs_in_one_process_for_every_threads(
+        no_worker_processes, monkeypatch, threads, args, k, holds, checked):
+    # each class's scan stops at its first failure, so no thread count starts a pool
+    monkeypatch.setattr(rs.graphs, "_usable_cpus", lambda: rs.graphs.THREAD_CAP)
+    pat = rs.affine_coloring(*args)
+    got = rs.check_observation(pat, k, threads=threads)
+    assert (got.holds, got.checked) == (holds, checked)
+    assert got == rs.check_observation(pat, k)  # verdict, checked and witness
+
+
 def test_check_observation_rejects_threads_below_1(no_worker_processes):
     with pytest.raises(ValueError, match="threads"):
         rs.check_observation(rs.affine_coloring(3, 2), 3, threads=0)
@@ -241,6 +257,13 @@ def test_ssat3_k3_exhausted_at_7():
     # n = 7 as well, which gives ssat_3(K_3) >= 8 by this one route
     res = rs.ssat_search(3, 3, 7)
     assert (res.status, res.nodes) == ("exhausted", 357_128)
+
+
+@pytest.mark.slow
+def test_ssat4_k3_exhausted_at_8():
+    # n = 8, which gives ssat_4(K_3) >= 9 by this one route
+    res = rs.ssat_search(4, 3, 8)
+    assert (res.status, res.nodes) == ("exhausted", 494_638)
 
 
 def test_ssat_search_matches_brute_enumeration():
