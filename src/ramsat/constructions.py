@@ -18,11 +18,12 @@ constructions live here:
   round-robin.
 
 Randomness is always explicit: every random draw in the package comes from
-``seeded_rng``, numpy's permuted congruential generator (``GENERATOR_NAME``)
-seeded with a caller-supplied 64-bit seed, None refused.  Pair ordering is
-documented per function, so a given seed reproduces the same object within
-this implementation.
-Cross-implementation bit-reproducibility is not promised.
+``seeded_rng``, a pure-Python copy of numpy's ``Generator(PCG64(seed))``
+stream (``GENERATOR_NAME``, see ``rng``).  The seed is any non-negative
+int, as numpy's is: seeds of 2^64 and more are accepted and get streams of
+their own, a negative seed raises ValueError, and None is refused.  Pair
+ordering is documented per function, so a given seed reproduces the same
+object, and numpy seeded alike draws the same numbers.
 """
 
 from __future__ import annotations
@@ -53,17 +54,17 @@ PARALLEL_BALANCED = "parallel-balanced"
 ROUND_ROBIN = "round-robin"
 
 
-def seeded_rng(seed: Optional[int]) -> "numpy.random.Generator":
+def seeded_rng(seed: Optional[int]) -> "PCG64":
     """The ``GENERATOR_NAME`` generator seeded with ``seed``; None is refused.
 
-    numpy is imported here, on first use, so commands that draw nothing
-    never load it.
+    ``rng`` is imported here, on first use, so commands that draw nothing
+    never compile it.
     """
     if seed is None:
         raise ValueError("randomized operation requires an explicit seed")
-    import numpy
+    from .rng import PCG64
 
-    return numpy.random.Generator(numpy.random.PCG64(seed))
+    return PCG64(seed)
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def affine_coloring(
         order = seeded_rng(seed).permutation(line_count)
         assignment = [0] * line_count
         for pos, idx in enumerate(order):
-            assignment[int(idx)] = pos % r
+            assignment[idx] = pos % r
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     classes = _lines_to_class_graphs(plane.point_count, plane.lines, assignment, r)
@@ -268,13 +269,14 @@ def sample_gnp(params: GnpParams) -> SimpleGraph:
     graph.
     """
     n = params.N
+    p = params.p
     draws = seeded_rng(params.seed).random(comb(n, 2))
-    return SimpleGraph.from_edges(n, compress(combinations(range(n), 2), draws < params.p))
+    return SimpleGraph.from_edges(n, compress(combinations(range(n), 2), [x < p for x in draws]))
 
 
 def random_complete_pattern(n: int, r: int, seed: int) -> ColoredCompleteGraph:
     """Uniform random complete r-coloring of K_n (one ``seeded_rng`` draw per pair)."""
-    colors = seeded_rng(seed).integers(0, r, size=comb(n, 2)).tolist()
+    colors = seeded_rng(seed).integers(0, r, size=comb(n, 2))
     edges = [[] for _ in range(r)]
     for e, c in zip(combinations(range(n), 2), colors):
         edges[c].append(e)

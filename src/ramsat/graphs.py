@@ -484,8 +484,9 @@ def scan_colex(
     multiples of C(n, m) // w into w consecutive windows, the last taking
     the remainder, and sums them; with w = 1, or fewer than four subsets
     per worker, it too runs here.  A sampled scan decides ``samples``
-    draws of ``rng.choice(n, size=m, replace=False)`` here, each whole, in
-    draw order; it never shards, so ``threads`` above 1 raises ValueError.
+    draws of ``rng.choice(n, size=m)``, m distinct vertices each, here,
+    each whole, in draw order; it never shards, so ``threads`` above 1
+    raises ValueError.
     Returns ``(scanned, failures, first_failure)`` as ``scan_subsets``
     does, the first failure in colex or draw order.
     """
@@ -498,7 +499,7 @@ def scan_colex(
             raise ValueError(f"a sampled scan runs in one process, got threads={threads}")
         scanned, failures, first_failure = 0, 0, None
         for _ in range(samples):
-            x = mask_of(int(v) for v in rng.choice(n, size=m, replace=False))
+            x = mask_of(rng.choice(n, size=m))
             scanned += 1
             if _fails(tests, x):
                 failures += 1

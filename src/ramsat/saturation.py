@@ -137,7 +137,7 @@ def is_semisaturated(
     if samples is not None:
         rng = seeded_rng(seed)
         for trial in range(samples):
-            colors = [int(x) + 1 for x in rng.integers(0, r, size=n)]
+            colors = rng.integers(1, r + 1, size=n)
             if coloring_escapes(c, k, colors):
                 return Verdict(
                     holds=False,

@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -268,16 +269,67 @@ def test_module_entry_point(tmp_path):
     assert cert["witness"]["value"] == 2
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy loads on the first draw, the process pool on the first sharded scan
+def test_cli_import_leaves_numpy_unloaded(tmp_path):
+    # the process pool loads on the first sharded scan; numpy never, not even on a draw
     import subprocess
     import sys
 
+    pattern = str(tmp_path / "rr.cg")
+    gnp = ["--gnp-n", "10", "--gnp-p", "0.5", "--gnp-seed", "4", "--n", "4", "--s", "3", "--t", "3"]
+    commands = [
+        ["construct", "gnp", "--n", "12", "--p", "0.5", "--seed", "3"],
+        ["experiment", "bad-sets", *gnp, "--mode", "exact"],
+        ["experiment", "bad-sets", *gnp, "--mode", "sampled", "--trials", "50", "--seed", "1"],
+        ["construct", "affine", "--q", "3", "--r", "2", "--strategy", "round-robin",
+         "--seed", "1", "--out", pattern],
+        ["verify", "ssat", "--in", pattern, "--k", "4", "--samples", "20", "--seed", "5"],
+        ["verify", "observation", "--in", pattern, "--k", "4", "--samples", "20", "--seed", "5"],
+    ]
     lazy = ("numpy", "concurrent.futures.process", "multiprocessing")
-    code = f"import sys, ramsat.cli; print([m for m in {lazy!r} if m in sys.modules])"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=checkout_env())
-    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+    code = (
+        "import contextlib, io, json, sys, ramsat.cli\n"
+        f"print([m for m in {lazy!r} if m in sys.modules])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [ramsat.cli.run(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                          capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_draws = proc.stdout.splitlines()
+    assert after_import == "[]"
+    codes, numpy_loaded = json.loads(after_draws)
+    assert all(code in (0, 1, 2) for code in codes), codes
+    assert not numpy_loaded
+
+
+def test_no_module_imports_numpy():
+    import ast
+
+    for path in sorted(Path(rs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "numpy" for name in names), (path.name, names)
+
+
+def test_seed_domain_is_numpys(capsys):
+    import numpy as np
+    from itertools import combinations, compress
+
+    seed = 2**64  # past 64 bits: a stream of its own, not seed 0's
+    code, cert = _run(capsys, ["construct", "gnp", "--n", "12", "--p", "0.5", "--seed", str(seed)])
+    assert code == 0 and cert["seed"] == seed
+    draws = np.random.Generator(np.random.PCG64(seed)).random(66) < 0.5
+    want = rs.SimpleGraph.from_edges(12, compress(combinations(range(12), 2), draws))
+    assert rs.parse_simple_graph(cert["witness"]["text"]) == want
+    _, zero = _run(capsys, ["construct", "gnp", "--n", "12", "--p", "0.5", "--seed", "0"])
+    assert zero["witness"] != cert["witness"]
+    assert _run(capsys, ["construct", "gnp", "--n", "12", "--p", "0.5", "--seed", "-1"]) == (3, None)
 
 
 def test_sampled_verify_requires_seed(tmp_path, capsys):

@@ -265,7 +265,7 @@ def reference_sampled_scan(tests, n: int, m: int, samples: int, seed: int, stop:
     rng = rs.constructions.seeded_rng(seed)
     scanned, failures, first_failure = 0, 0, None
     for _ in range(samples):
-        x = mask_of(int(v) for v in rng.choice(n, size=m, replace=False))
+        x = mask_of(rng.choice(n, size=m))
         scanned += 1
         if any(find_clique_mask(rows, x, need) is None for rows, need in tests):
             failures += 1

@@ -71,9 +71,11 @@ def test_ksubset_coloring_basics():
     assert a != rs.KSubsetColoring.random(6, 3, 18)
 
 
-@pytest.mark.parametrize("N, k, seed", [(0, 0, 1), (5, 2, 0), (6, 3, 17), (9, 4, 3), (12, 5, 8)])
+@pytest.mark.parametrize("N, k, seed", [(0, 0, 1), (5, 2, 0), (6, 3, 17), (9, 4, 3), (12, 5, 8),
+                                        (12, 4, 0), (12, 4, 2**64)])
 def test_ksubset_coloring_random_matches_shifted_draws(N, k, seed):
-    draws = rs.constructions.seeded_rng(seed).integers(0, 2, size=comb(N, k))
+    # numpy is the oracle: the coloring reads two bits off each 64-bit word, not integers(0, 2)
+    draws = np.random.Generator(np.random.PCG64(seed)).integers(0, 2, size=comb(N, k))
     want = 0
     for i, b in enumerate(draws):
         want |= int(b) << i
