@@ -41,7 +41,8 @@ def main():
     print("== a graph that is all bad, and one that is not bad at all ==")
     full = rs.count_bad_sets(rs.SimpleGraph.complete(10), 4, 2, 2)
     print(f"complete graph: {int(full.value)} / {full.space} (no independent pairs)")
-    c5 = rs.count_bad_sets(rs.SimpleGraph.cycle(5), 5, 2, 2)
+    c5 = rs.count_bad_sets(
+        rs.SimpleGraph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)]), 5, 2, 2)
     print(f"5-cycle, n=5:   {int(c5.value)} / {c5.space} "
           "(the only 5-set has both an edge and a non-edge)")
 

@@ -10,15 +10,23 @@ certificates never depend on hidden entropy, and a flag that would change
 nothing (``--seed`` where nothing is drawn, ``--trials`` in an exact count)
 exits 3, so a certificate records only parameters that acted.
 
-Subcommands::
+Subcommands, and the modules each group imports besides ``cli``,
+``errors``, ``graphs`` and ``io``::
 
-    construct {affine|fq3|gnp}
-    verify    {ssat|ssat-direct|observation|kkfree|saturated}
-    oracle    {f|g}
-    reduce    {chi-to-graph|graph-to-chi}
-    search    ssat
-    experiment bad-sets
-    geom      {plane|fq3-family|incidence}
+    construct  {affine|fq3|gnp}                                constructions, geometry
+    verify     {ssat|ssat-direct|observation|kkfree|saturated} saturation, constructions
+    oracle     {f|g}                                           reduction
+    reduce     {chi-to-graph|graph-to-chi}                     reduction
+    search     ssat                                            saturation, constructions
+    experiment bad-sets                                        constructions
+    geom       {plane|fq3-family|incidence}                    geometry
+
+A process builds the parser of the one group its argv names, and
+imports that group's modules before the clock of ``wall_time_ms`` starts,
+so the time records the command's work, not start-up.  A seeded draw
+loads ``rng``, and a sharded count the process pool, when they run.
+``--help`` (``-h``) prints its text on stderr and exits 3, since it
+prints no certificate.
 
 The CLI itself is a thin single-threaded shell; ``--threads`` is forwarded
 to the library scans and bounds the worker processes they start without
@@ -32,10 +40,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from importlib import import_module
 from math import comb
 from pathlib import Path
 
-from . import constructions, geometry, io, reduction, saturation
 from .errors import BudgetError, ParseError
 
 
@@ -43,18 +51,25 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    """Help went to stderr; no command ran."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def print_help(self, file=None):
+        super().print_help(sys.stderr)
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="ramsat", description=__doc__.splitlines()[0])
-    top = p.add_subparsers(dest="group", required=True)
+    def exit(self, status=0, message=None):
+        raise _HelpShown  # only the help action exits: error() raises first
 
-    construct = top.add_parser("construct", help="build colorings and random graphs")
-    csub = construct.add_subparsers(dest="command", required=True)
-    c_affine = csub.add_parser("affine", help="line coloring of K_{q^2}")
+
+def _construct_commands(sub) -> None:
+    from . import constructions
+
+    c_affine = sub.add_parser("affine", help="line coloring of K_{q^2}")
     c_affine.add_argument("--q", type=int, required=True)
     c_affine.add_argument("--r", type=int, required=True)
     c_affine.add_argument(
@@ -64,20 +79,20 @@ def _build_parser() -> _Parser:
     )
     c_affine.add_argument("--seed", type=int, default=None)
     c_affine.add_argument("--out", type=Path, default=None)
-    c_fq3 = csub.add_parser("fq3", help="slope-family coloring of K_{q^3}")
+    c_fq3 = sub.add_parser("fq3", help="slope-family coloring of K_{q^3}")
     c_fq3.add_argument("--q", type=int, required=True)
     c_fq3.add_argument("--r", type=int, required=True)
     c_fq3.add_argument("--out", type=Path, default=None)
-    c_gnp = csub.add_parser("gnp", help="seeded G(N, p) sample")
+    c_gnp = sub.add_parser("gnp", help="seeded G(N, p) sample")
     c_gnp.add_argument("--n", type=int, required=True)
     c_gnp.add_argument("--p", type=float, required=True)
     c_gnp.add_argument("--seed", type=int, required=True)
     c_gnp.add_argument("--out", type=Path, default=None)
 
-    verify = top.add_parser("verify", help="run a decision procedure on a pattern")
-    vsub = verify.add_subparsers(dest="command", required=True)
+
+def _verify_commands(sub) -> None:
     for name in ("ssat", "ssat-direct", "observation", "kkfree", "saturated"):
-        vp = vsub.add_parser(name)
+        vp = sub.add_parser(name)
         vp.add_argument("--in", dest="infile", type=Path, required=True)
         vp.add_argument("--k", type=int, required=True)
         if name == "observation":
@@ -88,46 +103,46 @@ def _build_parser() -> _Parser:
             vp.add_argument("--samples", type=int, default=None)
             vp.add_argument("--seed", type=int, default=None)
 
-    oracle = top.add_parser("oracle", help="brute-force Ramsey quantities")
-    osub = oracle.add_subparsers(dest="command", required=True)
-    o_g = osub.add_parser("g", help="graph form g(n, s, t)")
+
+def _oracle_commands(sub) -> None:
+    o_g = sub.add_parser("g", help="graph form g(n, s, t)")
     o_g.add_argument("--n", type=int, required=True)
     o_g.add_argument("--s", type=int, required=True)
     o_g.add_argument("--t", type=int, required=True)
     o_g.add_argument("--n-max", type=int, required=True)
-    o_f = osub.add_parser("f", help="coloring form f_k(n, s, t)")
+    o_f = sub.add_parser("f", help="coloring form f_k(n, s, t)")
     o_f.add_argument("--n", type=int, required=True)
     o_f.add_argument("--s", type=int, required=True)
     o_f.add_argument("--t", type=int, required=True)
     o_f.add_argument("--k", type=int, default=None)
     o_f.add_argument("--n-max", type=int, required=True)
 
-    reduce = top.add_parser("reduce", help="transform between colorings and graphs")
-    rsub = reduce.add_subparsers(dest="command", required=True)
-    r_c2g = rsub.add_parser("chi-to-graph")
+
+def _reduce_commands(sub) -> None:
+    r_c2g = sub.add_parser("chi-to-graph")
     r_c2g.add_argument("--in", dest="infile", type=Path, required=True)
     r_c2g.add_argument("--s", type=int, required=True)
     r_c2g.add_argument("--t", type=int, required=True)
     r_c2g.add_argument("--tie-break", choices=["nonedge", "edge"], default="nonedge")
     r_c2g.add_argument("--out", type=Path, default=None)
-    r_g2c = rsub.add_parser("graph-to-chi")
+    r_g2c = sub.add_parser("graph-to-chi")
     r_g2c.add_argument("--in", dest="infile", type=Path, required=True)
     r_g2c.add_argument("--s", type=int, required=True)
     r_g2c.add_argument("--t", type=int, required=True)
     r_g2c.add_argument("--default", dest="default_color", choices=["red", "blue"], default="red")
     r_g2c.add_argument("--out", type=Path, default=None)
 
-    search = top.add_parser("search", help="hunt for small semisaturated patterns")
-    ssub = search.add_subparsers(dest="command", required=True)
-    s_ssat = ssub.add_parser("ssat")
+
+def _search_commands(sub) -> None:
+    s_ssat = sub.add_parser("ssat")
     s_ssat.add_argument("--r", type=int, required=True)
     s_ssat.add_argument("--k", type=int, required=True)
     s_ssat.add_argument("--n", type=int, required=True)
     s_ssat.add_argument("--node-budget", type=int, default=None)
 
-    experiment = top.add_parser("experiment", help="random-graph counting experiments")
-    esub = experiment.add_subparsers(dest="command", required=True)
-    e_bad = esub.add_parser("bad-sets")
+
+def _experiment_commands(sub) -> None:
+    e_bad = sub.add_parser("bad-sets")
     e_bad.add_argument("--in", dest="infile", type=Path, default=None)
     e_bad.add_argument("--gnp-n", type=int, default=None)
     e_bad.add_argument("--gnp-p", type=float, default=None)
@@ -140,20 +155,47 @@ def _build_parser() -> _Parser:
     e_bad.add_argument("--seed", type=int, default=None)
     e_bad.add_argument("--threads", type=int, default=1)
 
-    geom = top.add_parser("geom", help="incidence structures and the incidence bound")
-    gsub = geom.add_subparsers(dest="command", required=True)
-    g_plane = gsub.add_parser("plane")
+
+def _geom_commands(sub) -> None:
+    g_plane = sub.add_parser("plane")
     g_plane.add_argument("--q", type=int, required=True)
     g_plane.add_argument("--out", type=Path, default=None)
-    g_fam = gsub.add_parser("fq3-family")
+    g_fam = sub.add_parser("fq3-family")
     g_fam.add_argument("--q", type=int, required=True)
     g_fam.add_argument("--lambda", dest="lam", type=int, required=True)
     g_fam.add_argument("--out", type=Path, default=None)
-    g_inc = gsub.add_parser("incidence")
+    g_inc = sub.add_parser("incidence")
     g_inc.add_argument("--in", dest="infile", type=Path, required=True)
     g_inc.add_argument("--lines", type=str, required=True, help="comma-separated line indices")
     g_inc.add_argument("--points", type=str, required=True, help="comma-separated point indices")
 
+
+# group: (help, the modules its handler uses besides io, the function adding its commands)
+_GROUPS = {
+    "construct": ("build colorings and random graphs", ("constructions", "geometry"),
+                  _construct_commands),
+    "verify": ("run a decision procedure on a pattern", ("saturation",), _verify_commands),
+    "oracle": ("brute-force Ramsey quantities", ("reduction",), _oracle_commands),
+    "reduce": ("transform between colorings and graphs", ("reduction",), _reduce_commands),
+    "search": ("hunt for small semisaturated patterns", ("saturation",), _search_commands),
+    "experiment": ("random-graph counting experiments", ("constructions",),
+                   _experiment_commands),
+    "geom": ("incidence structures and the incidence bound", ("geometry",), _geom_commands),
+}
+
+
+def _build_parser(group: str | None) -> _Parser:
+    """The parser of ``group``'s commands, or, when ``group`` names none,
+    of every group's name and help line (each parser built costs gettext
+    lookups)."""
+    p = _Parser(prog="ramsat", description=__doc__.splitlines()[0])
+    top = p.add_subparsers(dest="group", required=True)
+    for name, (help_text, _, add_commands) in _GROUPS.items():
+        if group in _GROUPS and name != group:
+            continue
+        group_parser = top.add_parser(name, help=help_text)
+        if name == group:
+            add_commands(group_parser.add_subparsers(dest="command", required=True))
     return p
 
 
@@ -164,25 +206,29 @@ def _int_list(text: str) -> list[int]:
         raise _UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _artifact(claim, args, params, text, checked, seed=None) -> io.Certificate:
+def _artifact(claim, args, params, text, checked, seed=None) -> Certificate:
     """A "holds" certificate for a built object in one of the text formats.
 
     The text goes to ``--out`` when given, else into the witness, tagged
     with its format: the first word of its header line.
     """
+    from .io import Certificate
+
     witness = None
     if args.out is None:
         witness = {"format": text.split(None, 1)[0], "text": text}
     else:
         args.out.write_text(text)
     params = {**params, "out": str(args.out) if args.out else None}
-    return io.Certificate(claim, params, "holds", witness, checked, seed)
+    return Certificate(claim, params, "holds", witness, checked, seed)
 
 
-def _unknown(claim, params, budget, witness=None, checked=0, seed=None) -> io.Certificate:
+def _unknown(claim, params, budget, witness=None, checked=0, seed=None) -> Certificate:
     """An "unknown" certificate recording in its params the budget that ran out."""
+    from .io import Certificate
+
     params = {**params, "budget": str(budget)}
-    return io.Certificate(claim, params, "unknown", witness, checked, seed)
+    return Certificate(claim, params, "unknown", witness, checked, seed)
 
 
 def _refuse(given, flag: str, where: str) -> None:
@@ -194,7 +240,9 @@ def _refuse(given, flag: str, where: str) -> None:
 # -- handlers -----------------------------------------------------------------
 
 
-def _handle_construct(args) -> io.Certificate:
+def _handle_construct(args) -> Certificate:
+    from . import constructions, io
+
     if args.command == "affine":
         if args.strategy == constructions.PARALLEL_BALANCED:
             _refuse(args.seed, "--seed", "with --strategy parallel-balanced, which draws nothing")
@@ -212,18 +260,25 @@ def _handle_construct(args) -> io.Certificate:
                      comb(g.n, 2), args.seed)
 
 
-_VERIFIERS = {
-    "ssat": lambda c, a: saturation.is_semisaturated(c, a.k, a.samples, a.seed),
-    "ssat-direct": lambda c, a: saturation.is_semisaturated_direct(c, a.k),
-    "observation": lambda c, a: saturation.check_observation(
-        c, a.k, threads=a.threads, samples=a.samples, seed=a.seed
-    ),
-    "kkfree": lambda c, a: saturation.check_kkfree(c, a.k),
-    "saturated": lambda c, a: saturation.is_saturated(c, a.k),
-}
+def _verdict(c, args):
+    from . import saturation
+
+    if args.command == "ssat":
+        return saturation.is_semisaturated(c, args.k, args.samples, args.seed)
+    if args.command == "ssat-direct":
+        return saturation.is_semisaturated_direct(c, args.k)
+    if args.command == "observation":
+        return saturation.check_observation(
+            c, args.k, threads=args.threads, samples=args.samples, seed=args.seed
+        )
+    if args.command == "kkfree":
+        return saturation.check_kkfree(c, args.k)
+    return saturation.is_saturated(c, args.k)
 
 
-def _handle_verify(args) -> io.Certificate:
+def _handle_verify(args) -> Certificate:
+    from . import io
+
     if getattr(args, "samples", None) is None:
         _refuse(getattr(args, "seed", None), "--seed", "without --samples")
     pattern = io.parse_colored_graph(args.infile.read_text())
@@ -237,7 +292,7 @@ def _handle_verify(args) -> io.Certificate:
         params["samples"] = args.samples
     seed = getattr(args, "seed", None)
     try:
-        v = _VERIFIERS[args.command](pattern, args)
+        v = _verdict(pattern, args)
     except BudgetError as err:
         return _unknown(claim, params, err, seed=seed)
     if v.holds and not v.exhaustive:
@@ -247,7 +302,9 @@ def _handle_verify(args) -> io.Certificate:
     return io.Certificate(claim, params, verdict, v.witness, v.checked, seed)
 
 
-def _handle_oracle(args) -> io.Certificate:
+def _handle_oracle(args) -> Certificate:
+    from . import io, reduction
+
     claim = f"oracle-{args.command}"
     params = {"n": args.n, "s": args.s, "t": args.t, "n_max": args.n_max}
     if args.command == "f":
@@ -268,7 +325,9 @@ def _handle_oracle(args) -> io.Certificate:
     return io.Certificate(claim, params, "holds", witness, res.checked)
 
 
-def _handle_reduce(args) -> io.Certificate:
+def _handle_reduce(args) -> Certificate:
+    from . import io, reduction
+
     params = {"in": str(args.infile), "s": args.s, "t": args.t}
     if args.command == "chi-to-graph":
         chi = io.parse_ksubset_coloring(args.infile.read_text())
@@ -281,7 +340,9 @@ def _handle_reduce(args) -> io.Certificate:
                      io.dump_ksubset_coloring(chi), chi.subset_count)
 
 
-def _handle_search(args) -> io.Certificate:
+def _handle_search(args) -> Certificate:
+    from . import io, saturation
+
     claim = "search-ssat"
     params = {"r": args.r, "k": args.k, "n": args.n, "node_budget": args.node_budget}
     res = saturation.ssat_search(args.r, args.k, args.n, args.node_budget)
@@ -295,7 +356,9 @@ def _handle_search(args) -> io.Certificate:
     return _unknown(claim, params, f"node budget {args.node_budget} exhausted", checked=res.nodes)
 
 
-def _handle_experiment(args) -> io.Certificate:
+def _handle_experiment(args) -> Certificate:
+    from . import constructions, io
+
     claim = "experiment-bad-sets"
     if (args.infile is None) == (args.gnp_n is None):
         raise _UsageError("bad-sets needs exactly one of --in or --gnp-n/--gnp-p/--gnp-seed")
@@ -332,7 +395,9 @@ def _handle_experiment(args) -> io.Certificate:
     return io.Certificate(claim, params, "holds", witness, res.checked, args.seed)
 
 
-def _handle_geom(args) -> io.Certificate:
+def _handle_geom(args) -> Certificate:
+    from . import geometry, io
+
     if args.command == "plane":
         inc = geometry.build_affine_plane(args.q)
         return _artifact("geom-plane", args, {"q": args.q}, io.dump_incidence(inc),
@@ -366,12 +431,17 @@ _EXIT_CODES = {"holds": 0, "fails": 1, "unknown": 2}
 
 def run(argv) -> int:
     """Parse ``argv``, run the command, print its certificate, return the exit code."""
-    parser = _build_parser()
+    argv = list(argv)
+    group = next((arg for arg in argv if not arg.startswith("-")), None)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(group).parse_args(argv)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 3
+    except _HelpShown:
+        return 3
+    for module in ("io", *_GROUPS[args.group][1]):
+        import_module(f".{module}", __package__)
     start = time.perf_counter()
     try:
         cert = _HANDLERS[args.group](args)

@@ -17,6 +17,9 @@ constructions live here:
   (directions with first coordinate 0, or families beyond r) out
   round-robin.
 
+Both import ``geometry`` when called, so a command that only reads
+patterns never loads it.
+
 Randomness is always explicit: every random draw in the package comes from
 ``seeded_rng``, a pure-Python copy of numpy's ``Generator(PCG64(seed))``
 stream (``GENERATOR_NAME``, see ``rng``).  The seed is any non-negative
@@ -29,17 +32,16 @@ object, and numpy seeded alike draws the same numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations, compress
 from math import comb
 from typing import Optional
 
 from .errors import BudgetError
-from .geometry import build_affine_plane, fq3_line_family, parallel_classes, require_prime
 from .graphs import (
     THREAD_CAP,
     VERTEX_CAP,
     SimpleGraph,
+    Value,
     balance_tests,
     exact_space,
     mask_of,
@@ -67,8 +69,7 @@ def seeded_rng(seed: Optional[int]) -> "PCG64":
     return PCG64(seed)
 
 
-@dataclass(frozen=True)
-class ColoredCompleteGraph:
+class ColoredCompleteGraph(Value):
     """r pairwise edge-disjoint color classes on a common vertex set.
 
     A pattern is exactly its classes: ``n`` is their vertex count, ``r``
@@ -78,83 +79,57 @@ class ColoredCompleteGraph:
     witnesses.
     """
 
-    classes: tuple[SimpleGraph, ...]
-    n: int = field(init=False)
-    r: int = field(init=False)
-    complete: bool = field(init=False)
+    _fields = ("classes",)
 
-    def __post_init__(self):
-        r = len(self.classes)
+    def __init__(self, classes: tuple[SimpleGraph, ...]):
+        r = len(classes)
         if not 1 <= r <= COLOR_CAP:
             raise ValueError(f"color count {r} outside [1, {COLOR_CAP}]")
-        n = self.classes[0].n
-        if any(cls.n != n for cls in self.classes):
+        n = classes[0].n
+        if any(cls.n != n for cls in classes):
             raise ValueError("all classes must share the vertex count")
         full = (1 << n) - 1
         complete = True
         for v in range(n):
             used = 0
-            for cls in self.classes:
+            for cls in classes:
                 row = cls.rows[v]
                 if used & row:
                     raise ValueError(f"classes overlap at vertex {v}")
                 used |= row
             complete = complete and used == full & ~(1 << v)
-        for name, value in (("n", n), ("r", r), ("complete", complete)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(classes=classes, n=n, r=r, complete=complete)
 
     def colored_pairs(self) -> list[tuple[int, int, int]]:
         """(u, v, class index) for every coloured pair, u < v, ascending."""
         return sorted((u, v, i) for i, cls in enumerate(self.classes) for u, v in cls.edges())
 
-    def permute_colors(self, perm) -> "ColoredCompleteGraph":
-        """Pattern with class i moved to position perm[i]."""
-        perm = list(perm)
-        if sorted(perm) != list(range(self.r)):
-            raise ValueError("not a permutation of the color classes")
-        classes: list[Optional[SimpleGraph]] = [None] * self.r
-        for i, cls in enumerate(self.classes):
-            classes[perm[i]] = cls
-        return ColoredCompleteGraph(tuple(classes))
 
-    def relabel_vertices(self, perm) -> "ColoredCompleteGraph":
-        """Pattern with vertex v renamed to perm[v]."""
-        perm = list(perm)
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("not a permutation of the vertices")
-        classes = tuple(
-            SimpleGraph.from_edges(
-                self.n, [(perm[u], perm[v]) for u, v in cls.edges()]
-            )
-            for cls in self.classes
-        )
-        return ColoredCompleteGraph(classes)
-
-
-@dataclass(frozen=True)
-class GnpParams:
+class GnpParams(Value):
     """Parameters of a seeded Erdős–Rényi sample."""
 
-    N: int
-    p: float
-    seed: int
+    _fields = ("N", "p", "seed")
 
-    def __post_init__(self):
-        if not 0 <= self.N <= VERTEX_CAP:
-            raise ValueError(f"vertex count {self.N} outside [0, {VERTEX_CAP}]")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"edge probability {self.p} outside [0, 1]")
+    def __init__(self, N: int, p: float, seed: int):
+        if not 0 <= N <= VERTEX_CAP:
+            raise ValueError(f"vertex count {N} outside [0, {VERTEX_CAP}]")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"edge probability {p} outside [0, 1]")
+        self.__dict__.update(N=N, p=p, seed=seed)
 
 
-@dataclass(frozen=True)
-class BadSetCount:
-    """Result of ``count_bad_sets``: an exact count or an unbiased estimate."""
+class BadSetCount(Value):
+    """Result of ``count_bad_sets``: an exact count or an unbiased estimate.
 
-    mode: str  # "exact" | "sampled"
-    value: float  # exact integer count, or the estimate
-    checked: int  # subsets examined
-    space: int  # C(N, n)
-    hits: int  # bad subsets among those examined
+    ``mode`` is "exact" or "sampled"; ``value`` the exact integer count or
+    the estimate; ``checked`` the subsets examined, ``space`` C(N, n) and
+    ``hits`` the bad subsets among those examined.
+    """
+
+    _fields = ("mode", "value", "checked", "space", "hits")
+
+    def __init__(self, mode: str, value: float, checked: int, space: int, hits: int):
+        self.__dict__.update(mode=mode, value=value, checked=checked, space=space, hits=hits)
 
 
 def _lines_to_class_graphs(
@@ -181,6 +156,8 @@ def affine_coloring(
     shuffles the fixed line order with the seeded generator and then deals
     single lines cyclically, so family sizes differ by at most one.
     """
+    from .geometry import build_affine_plane, parallel_classes
+
     plane = build_affine_plane(q)
     line_count = len(plane.lines)
     if strategy == PARALLEL_BALANCED:
@@ -209,6 +186,8 @@ def fq3_core(q: int, r: int) -> ColoredCompleteGraph:
     Class i holds the pairs covered by the family with parameter i; the
     families are pairwise edge-disjoint, so the classes are too.
     """
+    from .geometry import fq3_line_family, require_prime
+
     require_prime(q)
     if not 1 <= r <= q:
         raise ValueError(f"need 1 <= r <= q, got r={r}")

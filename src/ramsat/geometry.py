@@ -19,11 +19,10 @@ bit-for-bit reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .graphs import mask_of
+from .graphs import Value, mask_of
 
 PRIME_CAP = 1 << 20
 
@@ -54,8 +53,7 @@ def require_prime(q: int) -> None:
         raise ValueError(f"{q} is not prime")
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
+class IncidenceStructure(Value):
     """A line system over F_q, given by its lines of sorted point indices.
 
     ``kind`` is ``"affine-plane"`` (q^2 points) or ``"fq3-family"`` (q^3
@@ -63,10 +61,11 @@ class IncidenceStructure:
     point count and the inverse point -> lines index follow from these.
     """
 
-    kind: str
-    q: int
-    lines: tuple[tuple[int, ...], ...]
-    lam: Optional[int] = None
+    _fields = ("kind", "q", "lines", "lam")
+
+    def __init__(self, kind: str, q: int, lines: tuple[tuple[int, ...], ...],
+                 lam: Optional[int] = None):
+        self.__dict__.update(kind=kind, q=q, lines=lines, lam=lam)
 
     @property
     def point_count(self) -> int:

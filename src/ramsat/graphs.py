@@ -26,16 +26,16 @@ processes: a scan that stops at its first failure ends sooner than a
 process pool starts.  The f and g oracles scan no single graph: they
 decide blocks of candidates on bit-planes (see ``ramsat.reduction``).
 
-All types are immutable after construction and every operation is a pure
-function, so concurrent use from multiple threads or worker processes is
-safe.  Searches are deterministic and return the lexicographically
-smallest witness, which keeps certificates reproducible.
+All types are immutable after construction (``Value`` is the plain base
+of the package's value types) and every operation is a pure function, so
+concurrent use from multiple threads or worker processes is safe.
+Searches are deterministic and return the lexicographically smallest
+witness, which keeps certificates reproducible.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property, partial
 from math import comb
 from typing import Iterator, Optional
@@ -74,38 +74,73 @@ def mask_of(vertices) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class Value:
+    """Base of the package's value types: read-only records of named fields.
+
+    A subclass names its fields in ``_fields`` and stores them in
+    ``__init__`` with ``self.__dict__.update``.  Instances are equal, hash
+    and print by those fields, and refuse assignment afterwards;
+    ``functools.cached_property`` still caches, since it writes
+    ``__dict__`` directly.  (``dataclasses`` would do the same, at the cost
+    of importing ``inspect`` in every process.)
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[name] for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is read-only")
+
+
+class SimpleGraph(Value):
     """Undirected graph on ``n`` vertices with bit-row adjacency.
 
     ``rows[v]`` is the neighbour mask of vertex v.  The relation is
     symmetric and irreflexive; both are checked at construction.
     """
 
-    n: int
-    rows: tuple[int, ...]
+    _fields = ("n", "rows")
 
-    def __post_init__(self):
-        if not 0 <= self.n <= VERTEX_CAP:
-            raise ValueError(f"vertex count {self.n} outside [0, {VERTEX_CAP}]")
-        if len(self.rows) != self.n:
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        if not 0 <= n <= VERTEX_CAP:
+            raise ValueError(f"vertex count {n} outside [0, {VERTEX_CAP}]")
+        if len(rows) != n:
             raise ValueError("need exactly one adjacency row per vertex")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
+        full = (1 << n) - 1
+        for v, row in enumerate(rows):
             if row & ~full:
                 raise ValueError(f"row {v} references vertices >= n")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
         # symmetry: check each edge once from the lower endpoint
-        for v, row in enumerate(self.rows):
+        for v, row in enumerate(rows):
             m = row >> (v + 1)
             base = v + 1
             while m:
                 low = m & -m
                 u = base + low.bit_length() - 1
-                if not (self.rows[u] >> v) & 1:
+                if not (rows[u] >> v) & 1:
                     raise ValueError(f"adjacency not symmetric at ({v}, {u})")
                 m ^= low
+        self.__dict__.update(n=n, rows=rows)
 
     # -- constructors ----------------------------------------------------
 
@@ -129,10 +164,6 @@ class SimpleGraph:
     @classmethod
     def empty(cls, n: int) -> "SimpleGraph":
         return cls(n, (0,) * n)
-
-    @classmethod
-    def cycle(cls, n: int) -> "SimpleGraph":
-        return cls.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
     # -- basic queries ---------------------------------------------------
 

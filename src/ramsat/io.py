@@ -21,19 +21,18 @@ allocating anything for the body.
 Certificates serialize to canonical JSON (sorted keys, compact separators)
 so that re-running a recorded command reproduces the byte-identical body;
 only ``wall_time_ms`` is excluded from the body.
+
+Each parser imports the module of the type it builds when called, so a
+command loads only the types it reads.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional
 
-from .constructions import COLOR_CAP, ColoredCompleteGraph
 from .errors import ParseError
-from .geometry import AFFINE_PLANE, FQ3_FAMILY, IncidenceStructure, require_prime
-from .graphs import VERTEX_CAP, SimpleGraph
-from .reduction import KSubsetColoring, coloring_bit_count
+from .graphs import VERTEX_CAP, SimpleGraph, Value
 
 TOOL_VERSION = "0.1.0"
 
@@ -105,6 +104,8 @@ def dump_simple_graph(g: SimpleGraph) -> str:
 
 
 def parse_colored_graph(text: str) -> ColoredCompleteGraph:
+    from .constructions import COLOR_CAP, ColoredCompleteGraph
+
     it, lineno, head = _header(text, "cg <n> <r>")
     if len(head) != 3 or head[0] != "cg":
         raise ParseError(lineno, "expected header 'cg <n> <r>'")
@@ -134,6 +135,8 @@ def dump_colored_graph(c: ColoredCompleteGraph) -> str:
 
 
 def parse_ksubset_coloring(text: str) -> KSubsetColoring:
+    from .reduction import KSubsetColoring, coloring_bit_count
+
     it, lineno, head = _header(text, "ksc <N> <k>")
     if len(head) != 3 or head[0] != "ksc":
         raise ParseError(lineno, "expected header 'ksc <N> <k>'")
@@ -173,6 +176,8 @@ def dump_ksubset_coloring(chi: KSubsetColoring) -> str:
 
 
 def parse_incidence(text: str) -> IncidenceStructure:
+    from .geometry import AFFINE_PLANE, FQ3_FAMILY, IncidenceStructure, require_prime
+
     it, head_no, head = _header(text, "inc <kind> <q>")
     if head[0] != "inc" or len(head) not in (3, 4):
         raise ParseError(head_no, "expected header 'inc <kind> <q> [<lambda>]'")
@@ -224,27 +229,30 @@ def dump_incidence(inc: IncidenceStructure) -> str:
 VERDICTS = ("holds", "fails", "unknown")
 
 
-@dataclass
-class Certificate:
+class Certificate(Value):
     """Self-contained verdict record emitted by every CLI command.
 
     Construction checks the record with ``validate_certificate``: a "fails"
     verdict carries a witness, an "unknown" verdict records the exhausted
     budget in ``params``.  The body — everything but ``wall_time_ms`` — is
     canonical JSON, so re-running the recorded command (same flags, same
-    seed) reproduces it byte for byte.
+    seed) reproduces it byte for byte.  Unlike the other value types it
+    may be changed after construction (the CLI sets ``wall_time_ms`` last),
+    so it is not hashable.
     """
 
-    claim: str
-    params: dict
-    verdict: str
-    witness: Optional[object] = None
-    checked: int = 0
-    seed: Optional[int] = None
-    tool_version: str = TOOL_VERSION
-    wall_time_ms: int = 0
+    _fields = ("claim", "params", "verdict", "witness", "checked", "seed", "tool_version",
+               "wall_time_ms")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(self, claim: str, params: dict, verdict: str, witness: Optional[object] = None,
+                 checked: int = 0, seed: Optional[int] = None, tool_version: str = TOOL_VERSION,
+                 wall_time_ms: int = 0):
+        self.__dict__.update(claim=claim, params=params, verdict=verdict, witness=witness,
+                             checked=checked, seed=seed, tool_version=tool_version,
+                             wall_time_ms=wall_time_ms)
         validate_certificate({**self.body(), "wall_time_ms": self.wall_time_ms})
 
     def body(self) -> dict:

@@ -41,17 +41,16 @@ once, and the lowest set bit of the result is the first counterexample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
 from operator import and_, or_
 from typing import Optional
 
-from .constructions import seeded_rng
 from .errors import BudgetError, ConsistencyError
 from .graphs import (
     SimpleGraph,
+    Value,
     balance_tests,
     find_clique_mask,
     gosper_next,
@@ -106,36 +105,23 @@ def coloring_bit_count(N: int, k: int) -> int:
 _BIT_PAIRS = (b"00", b"10", b"01", b"11")
 
 
-@dataclass(frozen=True)
-class KSubsetColoring:
+class KSubsetColoring(Value):
     """Red/blue assignment to all k-subsets of [N], bit-packed by colex rank.
 
     Bit value 0 is red, 1 is blue; bit i of ``bits`` is the color of the
     rank-i subset.
     """
 
-    N: int
-    k: int
-    bits: int
+    _fields = ("N", "k", "bits")
 
-    def __post_init__(self):
-        if self.bits >> coloring_bit_count(self.N, self.k):
+    def __init__(self, N: int, k: int, bits: int):
+        if bits >> coloring_bit_count(N, k):
             raise ValueError("color bits extend past C(N, k)")
+        self.__dict__.update(N=N, k=k, bits=bits)
 
     @property
     def subset_count(self) -> int:
         return comb(self.N, self.k)
-
-    def color_of(self, subset) -> int:
-        return (self.bits >> subset_rank(tuple(sorted(subset)))) & 1
-
-    @classmethod
-    def all_red(cls, N: int, k: int) -> "KSubsetColoring":
-        return cls(N, k, 0)
-
-    @classmethod
-    def all_blue(cls, N: int, k: int) -> "KSubsetColoring":
-        return cls(N, k, (1 << comb(N, k)) - 1)
 
     @classmethod
     def random(cls, N: int, k: int, seed: int) -> "KSubsetColoring":
@@ -147,6 +133,8 @@ class KSubsetColoring:
         bit: C(26, 13) bits take 6.5 s on a 2-vCPU VM and the 2^24-bit cap
         about 10 s, against 0.1 s in numpy.  Only tests and fuzzing call it.
         """
+        from .constructions import seeded_rng
+
         count = coloring_bit_count(N, k)
         next64 = seeded_rng(seed).next64
         pairs = b"".join([_BIT_PAIRS[x >> 31 & 1 | x >> 62 & 2] for x in
@@ -154,13 +142,18 @@ class KSubsetColoring:
         return cls(N, k, int(pairs[count - 1::-1] or b"0", 2))  # draw i is bit i
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """What ``g_oracle`` or ``f_oracle`` found up to its ``n_max``."""
+class OracleResult(Value):
+    """What ``g_oracle`` or ``f_oracle`` found up to its ``n_max``.
 
-    value: Optional[int]  # the least N with no counterexample, if found
-    witness: Optional[object]  # the counterexample on value - 1 (or n_max) points
-    checked: int  # graphs or colorings examined
+    ``value`` is the least N with no counterexample, or None when none was
+    found; ``witness`` the counterexample on value - 1 (or n_max) points;
+    ``checked`` the graphs or colorings examined.
+    """
+
+    _fields = ("value", "witness", "checked")
+
+    def __init__(self, value: Optional[int], witness: Optional[object], checked: int):
+        self.__dict__.update(value=value, witness=witness, checked=checked)
 
 
 def _levels(n: int, n_max: int) -> range:

@@ -35,7 +35,6 @@ seeded partial coloring vertex by vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
@@ -44,11 +43,11 @@ from .errors import BudgetError
 from .graphs import (
     THREAD_CAP,
     SimpleGraph,
+    Value,
     exact_space,
     find_clique_mask,
     iter_bits,
     iter_subsets_colex,
-    mask_of,
     scan_colex,
 )
 
@@ -56,8 +55,7 @@ EXACT_COLORING_CAP = 10**9
 OBSERVATION_SUBSET_CAP = 10**8
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """Outcome of a decision procedure.
 
     ``checked`` counts the units the procedure decided (documented per
@@ -66,23 +64,24 @@ class Verdict:
     "holds" is evidence, not a verified claim.
     """
 
-    holds: bool
-    witness: Optional[dict]
-    checked: int
-    exhaustive: bool = True
+    _fields = ("holds", "witness", "checked", "exhaustive")
 
-    def __post_init__(self):
-        if not self.holds and self.witness is None:
+    def __init__(self, holds: bool, witness: Optional[dict], checked: int,
+                 exhaustive: bool = True):
+        if not holds and witness is None:
             raise ValueError("failing verdicts must carry a witness")
+        self.__dict__.update(holds=holds, witness=witness, checked=checked,
+                             exhaustive=exhaustive)
 
 
-@dataclass(frozen=True)
-class SsatSearchResult:
-    """Three-valued search outcome: found / exhausted / budget."""
+class SsatSearchResult(Value):
+    """Three-valued search outcome: ``status`` "found", "exhausted" or
+    "budget", the ``pattern`` found (or None) and the search ``nodes``."""
 
-    status: str  # "found" | "exhausted" | "budget"
-    pattern: Optional[ColoredCompleteGraph]
-    nodes: int
+    _fields = ("status", "pattern", "nodes")
+
+    def __init__(self, status: str, pattern: Optional[ColoredCompleteGraph], nodes: int):
+        self.__dict__.update(status=status, pattern=pattern, nodes=nodes)
 
 
 def _require_complete(c: ColoredCompleteGraph):
@@ -270,13 +269,6 @@ def check_observation(
                        "vertices": list(iter_bits(fail))}
             return Verdict(False, witness, checked, exhaustive)
     return Verdict(True, None, checked, exhaustive)
-
-
-def observation_fails_at(
-    c: ColoredCompleteGraph, k: int, color: int, vertices
-) -> bool:
-    """Confirm an observation witness: class ``color`` has no K_{k-1} on the set."""
-    return find_clique_mask(c.classes[color - 1].rows, mask_of(vertices), k - 1) is None
 
 
 def check_kkfree(c: ColoredCompleteGraph, k: int) -> Verdict:

@@ -33,6 +33,39 @@ def petersen() -> rs.SimpleGraph:
     return rs.SimpleGraph.from_edges(10, edges)
 
 
+def cycle(n: int) -> rs.SimpleGraph:
+    """The cycle 0 - 1 - ... - (n - 1) - 0."""
+    return rs.SimpleGraph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def permute_colors(c: rs.ColoredCompleteGraph, perm) -> rs.ColoredCompleteGraph:
+    """The pattern with class i moved to position perm[i]."""
+    classes = [None] * c.r
+    for i, cls in enumerate(c.classes):
+        classes[perm[i]] = cls
+    return rs.ColoredCompleteGraph(tuple(classes))
+
+
+def relabel_vertices(c: rs.ColoredCompleteGraph, perm) -> rs.ColoredCompleteGraph:
+    """The pattern with vertex v renamed to perm[v]."""
+    return rs.ColoredCompleteGraph(tuple(
+        rs.SimpleGraph.from_edges(c.n, [(perm[u], perm[v]) for u, v in cls.edges()])
+        for cls in c.classes))
+
+
+def all_red(N: int, k: int) -> rs.KSubsetColoring:
+    return rs.KSubsetColoring(N, k, 0)
+
+
+def all_blue(N: int, k: int) -> rs.KSubsetColoring:
+    return rs.KSubsetColoring(N, k, (1 << comb(N, k)) - 1)
+
+
+def color_of(chi: rs.KSubsetColoring, subset) -> int:
+    """The colour (0 red, 1 blue) of a k-subset: the bit at its colex rank."""
+    return (chi.bits >> rs.subset_rank(tuple(sorted(subset)))) & 1
+
+
 def naive_find_clique(g: rs.SimpleGraph, m: int):
     """First m-subset in lexicographic order inducing a complete subgraph."""
     for cand in combinations(range(g.n), m):
@@ -59,6 +92,12 @@ def is_clique(g: rs.SimpleGraph, vertices) -> bool:
 
 def is_independent(g: rs.SimpleGraph, vertices) -> bool:
     return all(not g.has_edge(u, v) for u, v in combinations(tuple(vertices), 2))
+
+
+def observation_fails_at(c: rs.ColoredCompleteGraph, k: int, color: int, vertices) -> bool:
+    """Confirm an observation witness: class ``color`` (1-based) has no K_{k-1} on the set."""
+    cls = c.classes[color - 1]
+    return not any(is_clique(cls, S) for S in combinations(sorted(vertices), k - 1))
 
 
 def all_graphs(n: int):
@@ -99,7 +138,7 @@ def _naive_f_level(N: int, n: int, s: int, t: int, k: int):
         chi = rs.KSubsetColoring(N, k, bits)
 
         def lies_in(S, color):
-            return any(chi.color_of(K) == color for K in supersets[S])
+            return any(color_of(chi, K) == color for K in supersets[S])
 
         if not any(all(lies_in(S, 0) for S in combinations(U, s))
                    or all(lies_in(T, 1) for T in combinations(U, t))

@@ -10,7 +10,7 @@ import ramsat as rs
 from ramsat import cli
 from ramsat.cli import run
 
-from conftest import checkout_env
+from conftest import checkout_env, cycle, observation_fails_at
 
 
 def _run(capsys, argv):
@@ -124,7 +124,7 @@ def test_verify_failing_witness_feeds_back(tmp_path, capsys):
     assert code == 1
     w = cert["witness"]
     pattern = rs.parse_colored_graph(c4.read_text())
-    assert rs.observation_fails_at(pattern, 3, w["color"], w["vertices"])
+    assert observation_fails_at(pattern, 3, w["color"], w["vertices"])
 
     code, cert = _run(capsys, ["verify", "saturated", "--in", str(c4), "--k", "3"])
     assert code == 0  # the C_4/diagonals pattern is saturated
@@ -303,6 +303,53 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
     assert not numpy_loaded
 
 
+_BASE = {"ramsat", "ramsat.cli", "ramsat.errors", "ramsat.graphs", "ramsat.io"}
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["search", "ssat", "--r", "2", "--k", "3", "--n", "4"], {"saturation", "constructions"}),
+    (["oracle", "g", "--n", "3", "--s", "2", "--t", "2", "--n-max", "6"], {"reduction"}),
+    (["oracle", "f", "--n", "3", "--s", "2", "--t", "2", "--n-max", "6"], {"reduction"}),
+    (["verify", "observation", "--in", "c4diag.cg", "--k", "3"], {"saturation", "constructions"}),
+    (["experiment", "bad-sets", "--gnp-n", "10", "--gnp-p", "0.5", "--gnp-seed", "4",
+      "--n", "4", "--s", "3", "--t", "3"], {"constructions", "rng"}),
+    (["construct", "affine", "--q", "3", "--r", "2"], {"constructions", "geometry"}),
+    (["geom", "plane", "--q", "3"], {"geometry"}),
+], ids=lambda x: "-".join(x[:2]) if isinstance(x, list) else None)
+def test_each_command_group_loads_only_its_modules(tmp_path, c4_diagonals, argv, loads):
+    # -S keeps what the interpreter's site hooks import out of the check
+    import subprocess
+    import sys
+
+    (tmp_path / "c4diag.cg").write_text(rs.dump_colored_graph(c4_diagonals))
+    code = (
+        "import contextlib, io, json, sys, ramsat\n"
+        "loaded = [m for m in sys.modules if m.startswith('ramsat')]\n"
+        "import ramsat.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    exit_code = ramsat.cli.run(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([loaded, exit_code, sorted(m for m in sys.modules if m.startswith('ramsat')),\n"
+        "                  [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(argv)], cwd=tmp_path,
+                          capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    after_import, exit_code, modules, heavy = json.loads(proc.stdout)
+    assert after_import == ["ramsat"]
+    assert exit_code in (0, 1, 2)
+    assert set(modules) == _BASE | {f"ramsat.{m}" for m in loads}
+    assert heavy == []
+
+
+def test_help_goes_to_stderr_and_exits_3(capsys):
+    assert run(["--help"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "usage: ramsat" in err and "oracle" in err
+    assert run(["oracle", "g", "-h"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "--n-max" in err
+
+
 def test_no_module_imports_numpy():
     import ast
 
@@ -414,7 +461,7 @@ def test_flags_that_change_nothing_are_refused(
     # nothing is drawn, or the graph is read from a file, so a certificate
     # recording the flag would claim what did not act
     (tmp_path / "c4diag.cg").write_text(rs.dump_colored_graph(c4_diagonals))
-    (tmp_path / "c6.g").write_text(rs.dump_simple_graph(rs.SimpleGraph.cycle(6)))
+    (tmp_path / "c6.g").write_text(rs.dump_simple_graph(cycle(6)))
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 3
     out, err = capsys.readouterr()

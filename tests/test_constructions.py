@@ -10,6 +10,8 @@ import pytest
 import ramsat as rs
 from ramsat.errors import BudgetError
 
+from conftest import cycle, permute_colors, relabel_vertices
+
 
 def test_pattern_validation_rejects_overlap():
     a = rs.SimpleGraph.from_edges(3, [(0, 1)])
@@ -179,7 +181,7 @@ def test_count_bad_sets_complete_graph():
 
 
 def test_count_bad_sets_c5_balanced():
-    out = rs.count_bad_sets(rs.SimpleGraph.cycle(5), 5, 2, 2)
+    out = rs.count_bad_sets(cycle(5), 5, 2, 2)
     assert out.value == 0  # the single 5-set has both an edge and a non-edge
 
 
@@ -268,9 +270,9 @@ def test_random_complete_pattern():
 
 def test_pattern_permutations_preserve_structure():
     pat = rs.random_complete_pattern(6, 3, 0)
-    swapped = pat.permute_colors([2, 0, 1])
+    swapped = permute_colors(pat, [2, 0, 1])
     assert swapped.classes[2] == pat.classes[0]
-    relabeled = pat.relabel_vertices([5, 4, 3, 2, 1, 0])
+    relabeled = relabel_vertices(pat, [5, 4, 3, 2, 1, 0])
     assert relabeled.complete
     assert sorted(c.edge_count for c in relabeled.classes) == sorted(
         c.edge_count for c in pat.classes

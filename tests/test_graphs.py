@@ -15,6 +15,7 @@ from ramsat.graphs import find_clique_mask, gosper_next, iter_bits, mask_of, sub
 
 from conftest import (
     all_graphs,
+    cycle,
     is_clique,
     is_increasing_tuple,
     is_independent,
@@ -27,7 +28,7 @@ from conftest import (
 def test_find_clique_examples():
     k5 = rs.SimpleGraph.complete(5)
     assert rs.find_clique(k5, 5) == (0, 1, 2, 3, 4)
-    c5 = rs.SimpleGraph.cycle(5)
+    c5 = cycle(5)
     assert rs.find_clique(c5, 3) is None
     # brute force over all 120 triples of the Petersen graph agrees
     pet = petersen()
@@ -36,7 +37,7 @@ def test_find_clique_examples():
 
 
 def test_find_clique_parameter_errors():
-    g = rs.SimpleGraph.cycle(5)
+    g = cycle(5)
     with pytest.raises(ValueError):
         rs.find_clique(g, 0)
     with pytest.raises(ValueError):
@@ -103,7 +104,7 @@ def test_turan_independent_set_examples():
     assert rs.turan_bound(5, 0) == 5
     assert len(rs.turan_independent_set(rs.SimpleGraph.complete(5))) == 1
     assert rs.turan_bound(5, 10) == 1
-    c5 = rs.SimpleGraph.cycle(5)
+    c5 = cycle(5)
     out = rs.turan_independent_set(c5)
     assert rs.turan_bound(5, 5) == 2
     assert len(out) == 2 == naive_max_independent_size(c5)
@@ -251,7 +252,7 @@ def test_scan_subsets_cuts_passing_blocks(stop):
     # In K_6 with need 2 the prefix {3, 4} passes, so its block of 3-subsets,
     # ranks [7, 10), passes whole; every window cuts it somewhere.
     k6 = rs.SimpleGraph.complete(6).rows
-    c6 = rs.SimpleGraph.cycle(6).rows
+    c6 = cycle(6).rows
     for tests in (((k6, 2),), ((k6, 2), (c6, 2))):
         for lo in range(21):
             for hi in range(lo, 21):
@@ -318,7 +319,7 @@ def test_no_worker_processes_refuses_a_sharded_scan(no_worker_processes, monkeyp
 
 def test_a_scan_that_stops_starts_no_worker_process(no_worker_processes, monkeypatch):
     monkeypatch.setattr(rs.graphs, "_usable_cpus", lambda: rs.graphs.THREAD_CAP)
-    tests = rs.graphs.balance_tests(rs.SimpleGraph.cycle(12), 3, 3)
+    tests = rs.graphs.balance_tests(cycle(12), 3, 3)
     one_window = rs.graphs.scan_subsets(tests, 12, 6, 0, math.comb(12, 6))
     for threads in range(1, rs.graphs.THREAD_CAP + 1):
         assert rs.graphs.scan_colex(tests, 12, 6, threads) == one_window
@@ -390,7 +391,7 @@ def test_sharded_scan_starts_at_most_one_worker_per_cpu(monkeypatch, cpus, pools
     sizes = []
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", in_process_pool(sizes))
     monkeypatch.setattr(rs.graphs, "_usable_cpus", lambda: cpus)
-    tests = rs.graphs.balance_tests(rs.SimpleGraph.cycle(12), 3, 3)
+    tests = rs.graphs.balance_tests(cycle(12), 3, 3)
     got = rs.graphs.scan_colex(tests, 12, 6, 5, False)
     assert sizes == pools
     assert got == rs.graphs.scan_subsets(tests, 12, 6, 0, math.comb(12, 6), False)
@@ -403,7 +404,7 @@ def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
 
 
 def test_scan_subsets_empty_and_single_windows():
-    rows = rs.SimpleGraph.cycle(5).rows
+    rows = cycle(5).rows
     assert rs.graphs.scan_subsets(((rows, 2),), 5, 3, 1, 1) == (0, 0, None)
     assert rs.graphs.scan_subsets(((rows, 2),), 5, 2, 1, 2) == (1, 1, 0b00101)
     assert rs.graphs.scan_subsets(((rows, 2),), 5, 2, 4, 1) == (0, 0, None)

@@ -7,6 +7,8 @@ import pytest
 import ramsat as rs
 from ramsat.errors import ParseError
 
+from conftest import all_red
+
 
 def test_simple_graph_roundtrip():
     for seed in range(10):
@@ -51,7 +53,7 @@ def test_ksubset_coloring_roundtrip():
     for seed in range(5):
         chi = rs.KSubsetColoring.random(6, 3, seed)
         assert rs.parse_ksubset_coloring(rs.dump_ksubset_coloring(chi)) == chi
-    empty = rs.KSubsetColoring.all_red(4, 2)
+    empty = all_red(4, 2)
     assert rs.parse_ksubset_coloring(rs.dump_ksubset_coloring(empty)) == empty
 
 

@@ -12,7 +12,17 @@ import ramsat as rs
 from ramsat.errors import BudgetError
 from ramsat.reduction import iter_subsets_colex
 
-from conftest import all_graphs, is_increasing_tuple, naive_f_oracle, naive_g_oracle, petersen
+from conftest import (
+    all_blue,
+    all_graphs,
+    all_red,
+    color_of,
+    cycle,
+    is_increasing_tuple,
+    naive_f_oracle,
+    naive_g_oracle,
+    petersen,
+)
 
 
 # -- colex ----------------------------------------------------------------
@@ -62,10 +72,10 @@ def test_coloring_bit_count_matches_comb_within_cap():
 
 
 def test_ksubset_coloring_basics():
-    chi = rs.KSubsetColoring.all_blue(5, 3)
-    assert chi.color_of((0, 1, 2)) == 1
-    chi = rs.KSubsetColoring.all_red(5, 3)
-    assert chi.color_of((2, 3, 4)) == 0
+    chi = all_blue(5, 3)
+    assert color_of(chi, (0, 1, 2)) == 1
+    chi = all_red(5, 3)
+    assert color_of(chi, (2, 3, 4)) == 0
     a = rs.KSubsetColoring.random(6, 3, 17)
     assert a == rs.KSubsetColoring.random(6, 3, 17)
     assert a != rs.KSubsetColoring.random(6, 3, 18)
@@ -102,7 +112,7 @@ def test_ksubset_coloring_caps():
 def test_has_unbalanced_set_examples():
     got = rs.has_unbalanced_set(rs.SimpleGraph.complete(5), 3, 2, 2)
     assert is_increasing_tuple(got) and len(got) == 3  # any triple lacks I_2
-    assert rs.has_unbalanced_set(rs.SimpleGraph.cycle(5), 5, 2, 2) is None
+    assert rs.has_unbalanced_set(cycle(5), 5, 2, 2) is None
     got = rs.has_unbalanced_set(petersen(), 4, 3, 3)
     assert is_increasing_tuple(got)  # triangle-free graph: every 4-set lacks K_3
 
@@ -192,9 +202,9 @@ def test_oracles_refuse_an_empty_level_range_before_any_cap(oracle):
 
 
 def test_good_set_witness_monochromatic():
-    chi = rs.KSubsetColoring.all_blue(5, 3)
+    chi = all_blue(5, 3)
     assert rs.good_set_witness(chi, 4, 2, 3) == (0, 1, 2, 3)
-    chi = rs.KSubsetColoring.all_red(5, 3)
+    chi = all_red(5, 3)
     assert rs.good_set_witness(chi, 4, 2, 3) == (0, 1, 2, 3)
 
 
@@ -204,7 +214,7 @@ def _naive_good_set(chi: rs.KSubsetColoring, n, s, t):
     for U in sorted(combinations(range(N), n), key=lambda c: tuple(reversed(c))):
         cond_a = all(
             any(
-                chi.color_of(K) == 0
+                color_of(chi, K) == 0
                 for K in combinations(range(N), k)
                 if set(S) <= set(K)
             )
@@ -214,7 +224,7 @@ def _naive_good_set(chi: rs.KSubsetColoring, n, s, t):
             return U
         cond_b = all(
             any(
-                chi.color_of(K) == 1
+                color_of(chi, K) == 1
                 for K in combinations(range(N), k)
                 if set(T) <= set(K)
             )
@@ -300,7 +310,7 @@ def test_f_oracle_rejects_bad_parameters(n, s, t, k):
 def test_good_set_witness_rejects_bad_parameters(n, s, t):
     # n must lie in [k, N] and s, t in [2, k], for the coloring's k = 3, N = 5
     with pytest.raises(ValueError):
-        rs.good_set_witness(rs.KSubsetColoring.all_red(5, 3), n, s, t)
+        rs.good_set_witness(all_red(5, 3), n, s, t)
 
 
 def test_f_oracle_budget():
@@ -322,11 +332,11 @@ def test_coloring_to_graph_k2_is_blue_graph():
         g = rs.coloring_to_graph(chi, 2, 2)
         for u in range(6):
             for v in range(u + 1, 6):
-                assert g.has_edge(u, v) == (chi.color_of((u, v)) == 1)
+                assert g.has_edge(u, v) == (color_of(chi, (u, v)) == 1)
 
 
 def test_coloring_to_graph_single_blue_triple():
-    chi = rs.KSubsetColoring.all_blue(3, 3)
+    chi = all_blue(3, 3)
     g = rs.coloring_to_graph(chi, 2, 3)
     assert g == rs.SimpleGraph.complete(3)
 
@@ -357,7 +367,7 @@ def _forced(chi, pair, size, color):
     """Some size-superset of ``pair`` has every k-superset of the given color."""
     N, k = chi.N, chi.k
     return any(
-        all(chi.color_of(K) == color for K in combinations(range(N), k) if set(S) <= set(K))
+        all(color_of(chi, K) == color for K in combinations(range(N), k) if set(S) <= set(K))
         for S in combinations(range(N), size)
         if set(pair) <= set(S)
     )
@@ -396,11 +406,11 @@ def test_coloring_to_graph_large_ground_set():
     g = rs.coloring_to_graph(chi, 2, 2)
     assert time.perf_counter() - start < 30
     for x, y in [(0, 1), (5, 700), (1298, 1299)]:
-        assert g.has_edge(x, y) == (chi.color_of((x, y)) == rs.reduction.BLUE)
+        assert g.has_edge(x, y) == (color_of(chi, (x, y)) == rs.reduction.BLUE)
 
 
 def test_coloring_to_graph_requires_matching_k():
-    chi = rs.KSubsetColoring.all_red(5, 3)
+    chi = all_red(5, 3)
     with pytest.raises(ValueError):
         rs.coloring_to_graph(chi, 2, 2)  # needs k = 2
 
@@ -415,10 +425,10 @@ def test_graph_to_coloring_monochromatic_graphs():
 def test_graph_to_coloring_c5_all_triples_blue():
     # C_5 has independence number 2, so every triple contains an edge and
     # the red rule never fires; all 10 triples come out blue
-    c5 = rs.SimpleGraph.cycle(5)
+    c5 = cycle(5)
     chi = rs.graph_to_coloring(c5, 2, 3)
     for K in combinations(range(5), 3):
-        assert chi.color_of(K) == 1
+        assert color_of(chi, K) == 1
         assert any(c5.has_edge(u, v) for u, v in combinations(K, 2))
 
 

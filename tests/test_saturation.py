@@ -11,7 +11,7 @@ from ramsat.errors import BudgetError
 from ramsat.graphs import mask_of
 from ramsat.saturation import _escape_search
 
-from conftest import all_patterns
+from conftest import all_patterns, observation_fails_at, permute_colors, relabel_vertices
 
 
 def _single_color_pattern(n, r, k_edges_color=0):
@@ -109,7 +109,7 @@ def test_check_observation_c4_diagonals(c4_diagonals):
     v = rs.check_observation(c4_diagonals, 3)
     assert not v.holds
     assert v.witness == {"kind": "clique-free-subset", "color": 1, "vertices": [0, 2]}
-    assert rs.observation_fails_at(c4_diagonals, 3, 1, [0, 2])
+    assert observation_fails_at(c4_diagonals, 3, 1, [0, 2])
     # sufficient, not necessary: the pattern is semisaturated regardless
     assert rs.is_semisaturated(c4_diagonals, 3).holds
 
@@ -306,8 +306,8 @@ def test_semisaturation_invariant_under_symmetry():
         base = rs.is_semisaturated(pat, k).holds
         cperm = [int(x) for x in rng.permutation(r)]
         vperm = [int(x) for x in rng.permutation(n)]
-        assert rs.is_semisaturated(pat.permute_colors(cperm), k).holds == base
-        assert rs.is_semisaturated(pat.relabel_vertices(vperm), k).holds == base
+        assert rs.is_semisaturated(permute_colors(pat, cperm), k).holds == base
+        assert rs.is_semisaturated(relabel_vertices(pat, vperm), k).holds == base
 
 
 def test_verdict_invariant():
