@@ -431,7 +431,6 @@ _EXIT_CODES = {"holds": 0, "fails": 1, "unknown": 2}
 
 def run(argv) -> int:
     """Parse ``argv``, run the command, print its certificate, return the exit code."""
-    argv = list(argv)
     group = next((arg for arg in argv if not arg.startswith("-")), None)
     try:
         args = _build_parser(group).parse_args(argv)

@@ -29,7 +29,7 @@ EXPORTS = [
 ]
 
 
-def test_exports_resolve_lazily_to_their_modules():
+def test_exports_resolve_to_their_modules():
     assert rs.__all__ == EXPORTS
     for name in EXPORTS:
         value = getattr(rs, name)
