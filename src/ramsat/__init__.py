@@ -23,7 +23,6 @@ from importlib import import_module
 _EXPORTS = {
     "constructions": (
         "BadSetCount",
-        "ColoredCompleteGraph",
         "GnpParams",
         "affine_coloring",
         "count_bad_sets",
@@ -44,6 +43,7 @@ _EXPORTS = {
         "require_prime",
     ),
     "graphs": (
+        "ColoredCompleteGraph",
         "SimpleGraph",
         "find_clique",
         "subset_rank",

@@ -14,10 +14,10 @@ Subcommands, and the modules each group imports besides ``cli``,
 ``errors``, ``graphs`` and ``io``::
 
     construct  {affine|fq3|gnp}                                constructions, geometry
-    verify     {ssat|ssat-direct|observation|kkfree|saturated} saturation, constructions
+    verify     {ssat|ssat-direct|observation|kkfree|saturated} saturation
     oracle     {f|g}                                           reduction
     reduce     {chi-to-graph|graph-to-chi}                     reduction
-    search     ssat                                            saturation, constructions
+    search     ssat                                            saturation
     experiment bad-sets                                        constructions
     geom       {plane|fq3-family|incidence}                    geometry
 
@@ -45,6 +45,7 @@ from math import comb
 from pathlib import Path
 
 from .errors import BudgetError, ParseError
+from .graphs import GENERATOR_NAME
 
 
 class _UsageError(Exception):
@@ -254,7 +255,7 @@ def _handle_construct(args) -> Certificate:
         pattern = constructions.fq3_coloring(args.q, args.r)
         return _artifact("construct-fq3", args, {"q": args.q, "r": args.r},
                          io.dump_colored_graph(pattern), comb(pattern.n, 2))
-    params = {"n": args.n, "p": args.p, "generator": constructions.GENERATOR_NAME}
+    params = {"n": args.n, "p": args.p, "generator": GENERATOR_NAME}
     g = constructions.sample_gnp(constructions.GnpParams(args.n, args.p, args.seed))
     return _artifact("construct-gnp", args, params, io.dump_simple_graph(g),
                      comb(g.n, 2), args.seed)
@@ -379,7 +380,7 @@ def _handle_experiment(args) -> Certificate:
             constructions.GnpParams(args.gnp_n, args.gnp_p, args.gnp_seed)
         )
         source = {"gnp_n": args.gnp_n, "gnp_p": args.gnp_p, "gnp_seed": args.gnp_seed,
-                  "generator": constructions.GENERATOR_NAME}
+                  "generator": GENERATOR_NAME}
     params = {**source, "n": args.n, "s": args.s, "t": args.t, "mode": args.mode,
               "threads": args.threads}
     if args.trials is not None:  # a sampled count

@@ -1,10 +1,7 @@
 """Explicit edge colorings and random-graph experiment objects.
 
-A color pattern is a family of pairwise edge-disjoint graphs G_1..G_r on a
-common vertex set; when the union covers every pair it is an r-edge-coloring
-of the complete graph.  The classes are the whole pattern: its vertex
-count, color count and completeness are read off them.  Two deterministic
-constructions live here:
+The colorings are color patterns (``graphs.ColoredCompleteGraph``).  Two
+deterministic constructions live here:
 
 * ``affine_coloring`` — vertices are the q^2 points of AG(2, q); each line
   is assigned to one of r families and color i connects exactly the pairs
@@ -18,15 +15,8 @@ constructions live here:
   round-robin.
 
 Both import ``geometry`` when called, so a command that only reads
-patterns never loads it.
-
-Randomness is always explicit: every random draw in the package comes from
-``seeded_rng``, a pure-Python copy of numpy's ``Generator(PCG64(seed))``
-stream (``GENERATOR_NAME``, see ``rng``).  The seed is any non-negative
-int, as numpy's is: seeds of 2^64 and more are accepted and get streams of
-their own, a negative seed raises ValueError, and None is refused.  Pair
-ordering is documented per function, so a given seed reproduces the same
-object, and numpy seeded alike draws the same numbers.
+patterns never loads it; no other library module imports this one.  Draws
+come from ``graphs.seeded_rng``, in the pair order each function documents.
 """
 
 from __future__ import annotations
@@ -34,75 +24,25 @@ from __future__ import annotations
 import math
 from itertools import combinations, compress
 from math import comb
-from typing import Optional
 
 from .errors import BudgetError
 from .graphs import (
     THREAD_CAP,
     VERTEX_CAP,
+    ColoredCompleteGraph,
     SimpleGraph,
     Value,
     balance_tests,
     exact_space,
     mask_of,
     scan_colex,
+    seeded_rng,
 )
 
-GENERATOR_NAME = "numpy-pcg64"
-COLOR_CAP = 64
 EXACT_SUBSET_BUDGET = 10**7
 
 PARALLEL_BALANCED = "parallel-balanced"
 ROUND_ROBIN = "round-robin"
-
-
-def seeded_rng(seed: Optional[int]) -> "PCG64":
-    """The ``GENERATOR_NAME`` generator seeded with ``seed``; None is refused.
-
-    ``rng`` is imported here, on first use, so commands that draw nothing
-    never compile it.
-    """
-    if seed is None:
-        raise ValueError("randomized operation requires an explicit seed")
-    from .rng import PCG64
-
-    return PCG64(seed)
-
-
-class ColoredCompleteGraph(Value):
-    """r pairwise edge-disjoint color classes on a common vertex set.
-
-    A pattern is exactly its classes: ``n`` is their vertex count, ``r``
-    their number, and ``complete`` whether they color every pair; every
-    claim about the pattern reads n and r from here.  Class index i
-    corresponds to color label i+1 in the ``.cg`` text format and in
-    witnesses.
-    """
-
-    _fields = ("classes",)
-
-    def __init__(self, classes: tuple[SimpleGraph, ...]):
-        r = len(classes)
-        if not 1 <= r <= COLOR_CAP:
-            raise ValueError(f"color count {r} outside [1, {COLOR_CAP}]")
-        n = classes[0].n
-        if any(cls.n != n for cls in classes):
-            raise ValueError("all classes must share the vertex count")
-        full = (1 << n) - 1
-        complete = True
-        for v in range(n):
-            used = 0
-            for cls in classes:
-                row = cls.rows[v]
-                if used & row:
-                    raise ValueError(f"classes overlap at vertex {v}")
-                used |= row
-            complete = complete and used == full & ~(1 << v)
-        self.__dict__.update(classes=classes, n=n, r=r, complete=complete)
-
-    def colored_pairs(self) -> list[tuple[int, int, int]]:
-        """(u, v, class index) for every coloured pair, u < v, ascending."""
-        return sorted((u, v, i) for i, cls in enumerate(self.classes) for u, v in cls.edges())
 
 
 class GnpParams(Value):
@@ -146,7 +86,7 @@ def _lines_to_class_graphs(
 
 
 def affine_coloring(
-    q: int, r: int, strategy: str = PARALLEL_BALANCED, seed: Optional[int] = None
+    q: int, r: int, strategy: str = PARALLEL_BALANCED, seed: int | None = None
 ) -> ColoredCompleteGraph:
     """Complete r-coloring of K_{q^2} from a line partition of AG(2, q).
 
@@ -267,8 +207,8 @@ def count_bad_sets(
     n: int,
     s: int,
     t: int,
-    trials: Optional[int] = None,
-    seed: Optional[int] = None,
+    trials: int | None = None,
+    seed: int | None = None,
     threads: int = 1,
 ) -> BadSetCount:
     """Count n-subsets whose induced subgraph misses K_s or misses I_t.

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Optional
 
 from .graphs import Value, mask_of
 
@@ -64,7 +63,7 @@ class IncidenceStructure(Value):
     _fields = ("kind", "q", "lines", "lam")
 
     def __init__(self, kind: str, q: int, lines: tuple[tuple[int, ...], ...],
-                 lam: Optional[int] = None):
+                 lam: int | None = None):
         self.__dict__.update(kind=kind, q=q, lines=lines, lam=lam)
 
     @property

@@ -1,4 +1,4 @@
-"""Bitset graphs and the search primitives everything else is built on.
+"""Bitset graphs, color patterns, and the search primitives everything else is built on.
 
 Vertices are 0-indexed.  Adjacency is stored as one Python-int bit row per
 vertex, so "is there a clique of size m inside this vertex subset?" needs no
@@ -26,6 +26,20 @@ processes: a scan that stops at its first failure ends sooner than a
 process pool starts.  The f and g oracles scan no single graph: they
 decide blocks of candidates on bit-planes (see ``ramsat.reduction``).
 
+A color pattern (``ColoredCompleteGraph``) is a family of pairwise
+edge-disjoint graphs G_1..G_r on a common vertex set; when the union
+covers every pair it is an r-edge-coloring of the complete graph.  The
+classes are the whole pattern: its vertex count, color count and
+completeness are read off them.
+
+Randomness is always explicit: every random draw in the package comes from
+``seeded_rng``, a pure-Python copy of numpy's ``Generator(PCG64(seed))``
+stream (``GENERATOR_NAME``, see ``rng``).  The seed is any non-negative
+int, as numpy's is: seeds of 2^64 and more are accepted and get streams of
+their own, a negative seed raises ValueError, and None is refused.  Pair
+ordering is documented per function, so a given seed reproduces the same
+object, and numpy seeded alike draws the same numbers.
+
 All types are immutable after construction (``Value`` is the plain base
 of the package's value types) and every operation is a pure function, so
 concurrent use from multiple threads or worker processes is safe.
@@ -36,18 +50,20 @@ witness, which keeps certificates reproducible.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from functools import cached_property, partial
 from math import comb
-from typing import Iterator, Optional
 
 # Hard caps.  Exhaustive subset/graph enumeration is only offered up to 64
-# vertices; general search works up to 4096.  ``threads`` may be at most
-# THREAD_CAP on every machine; a counting scan starts min(threads, usable
-# CPUs) worker processes and gives the same answer for any count.
+# vertices; general search works up to 4096, and a pattern has at most
+# COLOR_CAP classes.  ``threads`` may be at most THREAD_CAP on every
+# machine; a counting scan starts min(threads, usable CPUs) worker
+# processes and gives the same answer for any count.
 # CLIQUE_DEPTH_CAP keeps the clique search, one recursion per vertex, inside
 # Python's recursion limit.
 ENUMERATION_CAP = 64
 VERTEX_CAP = 4096
+COLOR_CAP = 64
 THREAD_CAP = 64
 CLIQUE_DEPTH_CAP = 512
 # The clique search runs the greedy colour bound only on candidate sets of
@@ -57,6 +73,8 @@ CLIQUE_DEPTH_CAP = 512
 # dense sets the bound is what ends the search: K_11 in the Turan graph
 # T(60, 10) takes about 40 s without it.
 COLOR_BOUND_MIN_CANDIDATES = 12
+# The stream every seeded draw of the package comes from (``seeded_rng``).
+GENERATOR_NAME = "numpy-pcg64"
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -72,6 +90,19 @@ def mask_of(vertices) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def seeded_rng(seed: int | None) -> "PCG64":
+    """The ``GENERATOR_NAME`` generator seeded with ``seed``; None is refused.
+
+    ``rng`` is imported here, on first use, so commands that draw nothing
+    never compile it.
+    """
+    if seed is None:
+        raise ValueError("randomized operation requires an explicit seed")
+    from .rng import PCG64
+
+    return PCG64(seed)
 
 
 class Value:
@@ -194,6 +225,42 @@ class SimpleGraph(Value):
         )
 
 
+class ColoredCompleteGraph(Value):
+    """r pairwise edge-disjoint color classes on a common vertex set.
+
+    A pattern is exactly its classes: ``n`` is their vertex count, ``r``
+    their number, and ``complete`` whether they color every pair; every
+    claim about the pattern reads n and r from here.  Class index i
+    corresponds to color label i+1 in the ``.cg`` text format and in
+    witnesses.
+    """
+
+    _fields = ("classes",)
+
+    def __init__(self, classes: tuple[SimpleGraph, ...]):
+        r = len(classes)
+        if not 1 <= r <= COLOR_CAP:
+            raise ValueError(f"color count {r} outside [1, {COLOR_CAP}]")
+        n = classes[0].n
+        if any(cls.n != n for cls in classes):
+            raise ValueError("all classes must share the vertex count")
+        full = (1 << n) - 1
+        complete = True
+        for v in range(n):
+            used = 0
+            for cls in classes:
+                row = cls.rows[v]
+                if used & row:
+                    raise ValueError(f"classes overlap at vertex {v}")
+                used |= row
+            complete = complete and used == full & ~(1 << v)
+        self.__dict__.update(classes=classes, n=n, r=r, complete=complete)
+
+    def colored_pairs(self) -> list[tuple[int, int, int]]:
+        """(u, v, class index) for every coloured pair, u < v, ascending."""
+        return sorted((u, v, i) for i, cls in enumerate(self.classes) for u, v in cls.edges())
+
+
 # -- clique search core ---------------------------------------------------
 
 
@@ -221,7 +288,7 @@ def _color_bound_reaches(rows: tuple[int, ...], cand: int, need: int) -> bool:
     return len(classes) >= need
 
 
-def _triangle_mask(rows: tuple[int, ...], cand: int) -> Optional[int]:
+def _triangle_mask(rows: tuple[int, ...], cand: int) -> int | None:
     """Lexicographically smallest triangle inside ``cand``, or None.
 
     Takes the lowest vertex v, then its lowest later neighbour u, then the
@@ -240,7 +307,7 @@ def _triangle_mask(rows: tuple[int, ...], cand: int) -> Optional[int]:
     return None
 
 
-def _clique_search(rows: tuple[int, ...], cand: int, need: int) -> Optional[int]:
+def _clique_search(rows: tuple[int, ...], cand: int, need: int) -> int | None:
     """``find_clique_mask`` for need >= 4, recursing down to ``_triangle_mask``."""
     size = cand.bit_count()
     if size < need or (
@@ -262,7 +329,7 @@ def _clique_search(rows: tuple[int, ...], cand: int, need: int) -> Optional[int]
     return None
 
 
-def find_clique_mask(rows: tuple[int, ...], allowed: int, m: int) -> Optional[int]:
+def find_clique_mask(rows: tuple[int, ...], allowed: int, m: int) -> int | None:
     """Lexicographically smallest m-clique inside ``allowed``, as a bit mask.
 
     ``rows`` is any bit-row adjacency; vertices outside ``allowed`` are
@@ -295,7 +362,7 @@ def find_clique_mask(rows: tuple[int, ...], allowed: int, m: int) -> Optional[in
     return _clique_search(rows, allowed, m)
 
 
-def find_clique(g: SimpleGraph, m: int) -> Optional[tuple[int, ...]]:
+def find_clique(g: SimpleGraph, m: int) -> tuple[int, ...] | None:
     """The lexicographically smallest m-clique of ``g``, ascending, or None."""
     if not 1 <= m <= g.n:
         raise ValueError(f"clique size {m} outside [1, {g.n}]")
@@ -305,6 +372,8 @@ def find_clique(g: SimpleGraph, m: int) -> Optional[tuple[int, ...]]:
 
 def turan_bound(n: int, edge_count: int) -> int:
     """ceil(n^2 / (n + 2e)): the independence number guaranteed by averaging."""
+    if n < 1 or not 0 <= edge_count <= comb(n, 2):
+        raise ValueError(f"no graph has {n} vertices and {edge_count} edges")
     d = n + 2 * edge_count
     return -(-(n * n) // d)
 
@@ -347,7 +416,9 @@ def subset_rank(subset) -> int:
 
 
 def subset_unrank(rank: int, k: int) -> tuple[int, ...]:
-    """Inverse of ``subset_rank``."""
+    """Inverse of ``subset_rank``: the k-subset of colex rank ``rank``."""
+    if rank < 0 or k < 0 or (k == 0 and rank):
+        raise ValueError(f"no {k}-subset has colex rank {rank}")
     out = []
     r = rank
     for i in range(k, 0, -1):
@@ -377,7 +448,7 @@ def iter_subsets_colex(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def scan_subsets(tests, n: int, m: int, lo: int, hi: int,
-                 stop: bool = True) -> tuple[int, int, Optional[int]]:
+                 stop: bool = True) -> tuple[int, int, int | None]:
     """Check the m-subsets of range(n) whose colex rank lies in [lo, hi).
 
     The window is empty when ``hi <= lo``; for m = 0 it holds at most the
@@ -504,7 +575,7 @@ def _usable_cpus() -> int:
 
 def scan_colex(
     tests, n: int, m: int, threads: int = 1, stop: bool = True, samples=None, rng=None
-) -> tuple[int, int, Optional[int]]:
+) -> tuple[int, int, int | None]:
     """``scan_subsets`` over all m-subsets of range(n), or over ``samples`` draws of them.
 
     An exact scan (``samples`` None) checks ``exact_space`` and returns

@@ -22,17 +22,17 @@ Certificates serialize to canonical JSON (sorted keys, compact separators)
 so that re-running a recorded command reproduces the byte-identical body;
 only ``wall_time_ms`` is excluded from the body.
 
-Each parser imports the module of the type it builds when called, so a
-command loads only the types it reads.
+Graphs and patterns are ``graphs`` types, which every command loads; the
+k-subset and incidence parsers import ``reduction`` and ``geometry`` when
+called, so a command loads only the types it reads.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .errors import ParseError
-from .graphs import VERTEX_CAP, SimpleGraph, Value
+from .graphs import COLOR_CAP, VERTEX_CAP, ColoredCompleteGraph, SimpleGraph, Value
 
 TOOL_VERSION = "0.1.0"
 
@@ -104,8 +104,6 @@ def dump_simple_graph(g: SimpleGraph) -> str:
 
 
 def parse_colored_graph(text: str) -> ColoredCompleteGraph:
-    from .constructions import COLOR_CAP, ColoredCompleteGraph
-
     it, lineno, head = _header(text, "cg <n> <r>")
     if len(head) != 3 or head[0] != "cg":
         raise ParseError(lineno, "expected header 'cg <n> <r>'")
@@ -247,8 +245,8 @@ class Certificate(Value):
     __delattr__ = object.__delattr__
     __hash__ = None
 
-    def __init__(self, claim: str, params: dict, verdict: str, witness: Optional[object] = None,
-                 checked: int = 0, seed: Optional[int] = None, tool_version: str = TOOL_VERSION,
+    def __init__(self, claim: str, params: dict, verdict: str, witness: object | None = None,
+                 checked: int = 0, seed: int | None = None, tool_version: str = TOOL_VERSION,
                  wall_time_ms: int = 0):
         self.__dict__.update(claim=claim, params=params, verdict=verdict, witness=witness,
                              checked=checked, seed=seed, tool_version=tool_version,

@@ -45,7 +45,6 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
 from operator import and_, or_
-from typing import Optional
 
 from .errors import BudgetError, ConsistencyError
 from .graphs import (
@@ -64,7 +63,7 @@ RED = 0
 BLUE = 1
 
 COLORING_BIT_CAP = 1 << 24
-G_ORACLE_VERTEX_CAP = 7
+G_ORACLE_VERTEX_CAP = 8
 F_ORACLE_SUBSET_CAP = 20
 SUPERSET_CACHE_BITS = 1 << 27  # 16 MB of cached superset masks
 BLOCK_BITS = 16  # an oracle decides 2^16 candidates at once, on 8 KB planes
@@ -73,7 +72,7 @@ BLOCK_BITS = 16  # an oracle decides 2^16 candidates at once, on 8 KB planes
 # -- domain types ----------------------------------------------------------
 
 
-def _comb_upto(N: int, k: int, cap: int) -> Optional[int]:
+def _comb_upto(N: int, k: int, cap: int) -> int | None:
     """C(N, k), or None when it exceeds ``cap``, never computing a larger binomial.
 
     With j = min(k, N - k) the partial products C(N - j + i, i), i = 1..j,
@@ -101,10 +100,6 @@ def coloring_bit_count(N: int, k: int) -> int:
     return m
 
 
-# The digits of draws 2j and 2j + 1, indexed by bit 31 | bit 63 << 1 of next64 number j.
-_BIT_PAIRS = (b"00", b"10", b"01", b"11")
-
-
 class KSubsetColoring(Value):
     """Red/blue assignment to all k-subsets of [N], bit-packed by colex rank.
 
@@ -123,24 +118,6 @@ class KSubsetColoring(Value):
     def subset_count(self) -> int:
         return comb(self.N, self.k)
 
-    @classmethod
-    def random(cls, N: int, k: int, seed: int) -> "KSubsetColoring":
-        """Bit i is draw i of ``seeded_rng(seed).integers(0, 2, size=C(N, k))``.
-
-        With range 2 Lemire's draw never rejects and returns bit 31 of a
-        ``next32``, so each ``next64`` of the fresh generator gives two
-        colour bits, its bit 31 then its bit 63.  That costs about 0.6 us a
-        bit: C(26, 13) bits take 6.5 s on a 2-vCPU VM and the 2^24-bit cap
-        about 10 s, against 0.1 s in numpy.  Only tests and fuzzing call it.
-        """
-        from .constructions import seeded_rng
-
-        count = coloring_bit_count(N, k)
-        next64 = seeded_rng(seed).next64
-        pairs = b"".join([_BIT_PAIRS[x >> 31 & 1 | x >> 62 & 2] for x in
-                          (next64() for _ in range((count + 1) // 2))])
-        return cls(N, k, int(pairs[count - 1::-1] or b"0", 2))  # draw i is bit i
-
 
 class OracleResult(Value):
     """What ``g_oracle`` or ``f_oracle`` found up to its ``n_max``.
@@ -152,7 +129,7 @@ class OracleResult(Value):
 
     _fields = ("value", "witness", "checked")
 
-    def __init__(self, value: Optional[int], witness: Optional[object], checked: int):
+    def __init__(self, value: int | None, witness: object | None, checked: int):
         self.__dict__.update(value=value, witness=witness, checked=checked)
 
 
@@ -187,7 +164,7 @@ def _least_level(levels: range, search) -> OracleResult:
 
 def has_unbalanced_set(
     g: SimpleGraph, n: int, s: int, t: int
-) -> Optional[tuple[int, ...]]:
+) -> tuple[int, ...] | None:
     """First (colex) n-subset missing a K_s or missing an independent t-set.
 
     Returns it ascending, or None when every n-subset contains both.  The
@@ -203,6 +180,8 @@ def has_unbalanced_set(
 
 def graph_from_edge_mask(N: int, mask: int) -> SimpleGraph:
     """Graph on N vertices whose edge set is the colex-rank bitmask ``mask``."""
+    if mask < 0:
+        raise ValueError(f"edge mask {mask} is negative")
     if mask >> comb(N, 2):
         raise ValueError(f"edge mask has bits past the C({N},2) pairs")
     rows = [0] * N
@@ -276,7 +255,7 @@ def g_oracle(n: int, s: int, t: int, n_max: int) -> OracleResult:
     a clique, and I_T, the AND of the complemented planes of T's pairs, those
     in which T is independent; the counterexamples are the AND over n-sets U
     of (OR of K_S, S in U) & (OR of I_T, T in U).  Only the witness becomes a
-    ``SimpleGraph``.  Needs s, t, n >= 2 and n - 1 <= n_max <= 7.
+    ``SimpleGraph``.  Needs s, t, n >= 2 and n - 1 <= n_max <= 8.
     """
     if s < 2 or t < 2:
         raise ValueError("need s, t >= 2")
@@ -334,7 +313,7 @@ def _superset_mask(N: int, k: int, S: tuple[int, ...]) -> int:
 
 def good_set_witness(
     chi: KSubsetColoring, n: int, s: int, t: int
-) -> Optional[tuple[int, ...]]:
+) -> tuple[int, ...] | None:
     """First (colex) n-subset that is good for the coloring, ascending, or None.
 
     Good means: every s-subset lies in at least one red k-subset of the

@@ -36,12 +36,11 @@ seeded partial coloring vertex by vertex.
 from __future__ import annotations
 
 from itertools import product
-from typing import Optional
 
-from .constructions import ColoredCompleteGraph, seeded_rng
 from .errors import BudgetError
 from .graphs import (
     THREAD_CAP,
+    ColoredCompleteGraph,
     SimpleGraph,
     Value,
     exact_space,
@@ -49,6 +48,7 @@ from .graphs import (
     iter_bits,
     iter_subsets_colex,
     scan_colex,
+    seeded_rng,
 )
 
 EXACT_COLORING_CAP = 10**9
@@ -66,7 +66,7 @@ class Verdict(Value):
 
     _fields = ("holds", "witness", "checked", "exhaustive")
 
-    def __init__(self, holds: bool, witness: Optional[dict], checked: int,
+    def __init__(self, holds: bool, witness: dict | None, checked: int,
                  exhaustive: bool = True):
         if not holds and witness is None:
             raise ValueError("failing verdicts must carry a witness")
@@ -80,7 +80,7 @@ class SsatSearchResult(Value):
 
     _fields = ("status", "pattern", "nodes")
 
-    def __init__(self, status: str, pattern: Optional[ColoredCompleteGraph], nodes: int):
+    def __init__(self, status: str, pattern: ColoredCompleteGraph | None, nodes: int):
         self.__dict__.update(status=status, pattern=pattern, nodes=nodes)
 
 
@@ -114,8 +114,8 @@ def coloring_escapes(c: ColoredCompleteGraph, k: int, colors) -> bool:
 def is_semisaturated(
     c: ColoredCompleteGraph,
     k: int,
-    samples: Optional[int] = None,
-    seed: Optional[int] = None,
+    samples: int | None = None,
+    seed: int | None = None,
 ) -> Verdict:
     """Decide whether the pattern is (r, K_k)-semisaturated.
 
@@ -230,8 +230,8 @@ def check_observation(
     k: int,
     *,
     threads: int = 1,
-    samples: Optional[int] = None,
-    seed: Optional[int] = None,
+    samples: int | None = None,
+    seed: int | None = None,
 ) -> Verdict:
     """Sufficient condition: every ceil(n/r)-subset spans a K_{k-1} in each class.
 
@@ -351,7 +351,7 @@ class _BudgetHit(Exception):
 
 
 def ssat_search(
-    r: int, k: int, n: int, node_budget: Optional[int] = None
+    r: int, k: int, n: int, node_budget: int | None = None
 ) -> SsatSearchResult:
     """Search for an (r, K_k)-semisaturated complete pattern on n vertices.
 
@@ -416,12 +416,12 @@ def ssat_search(
         if node_budget is not None and nodes > node_budget:
             raise _BudgetHit
 
-    def dfs(d: int, used: int) -> Optional[ColoredCompleteGraph]:
+    def dfs(d: int, used: int) -> ColoredCompleteGraph | None:
         """Search below a node at depth ``d`` that passed its doom check."""
         if d == len(pairs):
             return ColoredCompleteGraph(tuple(SimpleGraph(n, tuple(rows)) for rows in opt))
         u, v = pairs[d]
-        escapes: list[Optional[bool]] = [None] * r  # E_j, run on the first child needing it
+        escapes: list[bool | None] = [None] * r  # E_j, run on the first child needing it
         for color in range(min(used + 1, r)):
             visit()
             flip(u, v, color)

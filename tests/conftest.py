@@ -11,6 +11,7 @@ from itertools import combinations, product
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ramsat as rs
@@ -59,6 +60,14 @@ def all_red(N: int, k: int) -> rs.KSubsetColoring:
 
 def all_blue(N: int, k: int) -> rs.KSubsetColoring:
     return rs.KSubsetColoring(N, k, (1 << comb(N, k)) - 1)
+
+
+def random_ksc(N: int, k: int, seed: int) -> rs.KSubsetColoring:
+    """The coloring whose bit i is draw i of numpy's
+    ``Generator(PCG64(seed)).integers(0, 2, size=C(N, k))``."""
+    draws = np.random.Generator(np.random.PCG64(seed)).integers(0, 2, size=comb(N, k))
+    packed = np.packbits(draws.astype(np.uint8), bitorder="little")
+    return rs.KSubsetColoring(N, k, int.from_bytes(packed.tobytes(), "little"))
 
 
 def color_of(chi: rs.KSubsetColoring, subset) -> int:

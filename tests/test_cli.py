@@ -307,14 +307,17 @@ _BASE = {"ramsat", "ramsat.cli", "ramsat.errors", "ramsat.graphs", "ramsat.io"}
 
 
 @pytest.mark.parametrize("argv, loads", [
-    (["search", "ssat", "--r", "2", "--k", "3", "--n", "4"], {"saturation", "constructions"}),
+    (["search", "ssat", "--r", "2", "--k", "3", "--n", "4"], {"saturation"}),
     (["oracle", "g", "--n", "3", "--s", "2", "--t", "2", "--n-max", "6"], {"reduction"}),
     (["oracle", "f", "--n", "3", "--s", "2", "--t", "2", "--n-max", "6"], {"reduction"}),
-    (["verify", "observation", "--in", "c4diag.cg", "--k", "3"], {"saturation", "constructions"}),
+    (["verify", "observation", "--in", "c4diag.cg", "--k", "3"], {"saturation"}),
     (["experiment", "bad-sets", "--gnp-n", "10", "--gnp-p", "0.5", "--gnp-seed", "4",
       "--n", "4", "--s", "3", "--t", "3"], {"constructions", "rng"}),
     (["construct", "affine", "--q", "3", "--r", "2"], {"constructions", "geometry"}),
     (["geom", "plane", "--q", "3"], {"geometry"}),
+    (["verify", "ssat", "--in", "c4diag.cg", "--k", "3", "--samples", "3", "--seed", "1"],
+     {"saturation", "rng"}),
+    (["reduce", "graph-to-chi", "--in", "c4.txt", "--s", "2", "--t", "2"], {"reduction"}),
 ], ids=lambda x: "-".join(x[:2]) if isinstance(x, list) else None)
 def test_each_command_group_loads_only_its_modules(tmp_path, c4_diagonals, argv, loads):
     # -S keeps what the interpreter's site hooks import out of the check
@@ -322,6 +325,7 @@ def test_each_command_group_loads_only_its_modules(tmp_path, c4_diagonals, argv,
     import sys
 
     (tmp_path / "c4diag.cg").write_text(rs.dump_colored_graph(c4_diagonals))
+    (tmp_path / "c4.txt").write_text(rs.dump_simple_graph(c4_diagonals.classes[0]))
     code = (
         "import contextlib, io, json, sys, ramsat\n"
         "loaded = [m for m in sys.modules if m.startswith('ramsat')]\n"
@@ -329,7 +333,7 @@ def test_each_command_group_loads_only_its_modules(tmp_path, c4_diagonals, argv,
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    exit_code = ramsat.cli.run(json.loads(sys.argv[1]))\n"
         "print(json.dumps([loaded, exit_code, sorted(m for m in sys.modules if m.startswith('ramsat')),\n"
-        "                  [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))\n"
+        "                  [m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules]]))\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(argv)], cwd=tmp_path,
                           capture_output=True, text=True, env=checkout_env())
@@ -350,18 +354,43 @@ def test_help_goes_to_stderr_and_exits_3(capsys):
     assert out == "" and "--n-max" in err
 
 
-def test_no_module_imports_numpy():
+def _imports() -> dict[str, set[str]]:
+    """Per module of the package, the modules its import statements name, at any
+    depth; a module of the package reads the same as ``.x``, ``ramsat.x`` or
+    ``from . import x``: ``x``."""
     import ast
 
+    found = {}
     for path in sorted(Path(rs.__file__).parent.glob("*.py")):
+        names = set()
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                names.update(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert not any(name.split(".")[0] == "numpy" for name in names), (path.name, names)
+                module = node.module or ""
+                names.add(module)
+                if (node.level and not module) or module == "ramsat":
+                    names.update(f"{module}.{alias.name}".lstrip(".") for alias in node.names)
+        found[path.stem] = {name.removeprefix("ramsat.") for name in names}
+    return found
+
+
+def test_no_module_imports_numpy():
+    for module, names in _imports().items():
+        assert not any(name.split(".")[0] == "numpy" for name in names), (module, names)
+
+
+def test_no_module_imports_typing():
+    # annotations are strings (PEP 563); typing would cost every process its import
+    for module, names in _imports().items():
+        assert not any(name.split(".")[0] == "typing" for name in names), (module, names)
+
+
+def test_only_cli_imports_constructions():
+    # graphs holds the pattern type and the generator, so only the command
+    # groups that build colorings or sample graphs load the constructions
+    importers = {module for module, names in _imports().items() if "constructions" in names}
+    assert importers == {"cli"}
 
 
 def test_seed_domain_is_numpys(capsys):

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 import ramsat as rs
 from ramsat.cli import run
 
+from conftest import random_ksc
+
 SMALL = st.integers(-2, 12)
 JUNK = st.sampled_from(["x", "1.5", "0x3", "-", "#", "ff", "g", "cg", "inc", "", "99999999999"])
 TOKEN = st.one_of(SMALL.map(str), JUNK)
@@ -256,7 +258,7 @@ def _write_inputs(directory, c4_diagonals) -> None:
              "partial.cg": rs.dump_colored_graph(partial),
              "g.txt": rs.dump_simple_graph(rs.sample_gnp(rs.GnpParams(9, 0.5, 2)))}
     for k, N in ((2, 6), (3, 7), (4, 7)):
-        files[f"chi{k}.ksc"] = rs.dump_ksubset_coloring(rs.KSubsetColoring.random(N, k, k))
+        files[f"chi{k}.ksc"] = rs.dump_ksubset_coloring(random_ksc(N, k, k))
     for name, text in files.items():
         (directory / name).write_text(text)
 

@@ -246,9 +246,8 @@ def test_count_bad_sets_rejects_threads_above_cap(no_worker_processes):
 @pytest.mark.parametrize("draw", [
     lambda: rs.sample_gnp(rs.GnpParams(5, 0.5, None)),
     lambda: rs.random_complete_pattern(4, 2, None),
-    lambda: rs.KSubsetColoring.random(5, 2, None),
     lambda: rs.affine_coloring(3, 4, rs.constructions.ROUND_ROBIN, None),
-], ids=["sample_gnp", "random_complete_pattern", "KSubsetColoring.random", "affine_round_robin"])
+], ids=["sample_gnp", "random_complete_pattern", "affine_round_robin"])
 def test_random_objects_refuse_a_missing_seed(draw):
     with pytest.raises(ValueError, match="seed"):
         draw()

@@ -111,6 +111,12 @@ def test_turan_independent_set_examples():
     assert is_independent(c5, out)
 
 
+@pytest.mark.parametrize("n, e", [(0, 0), (-1, 0), (3, -2), (3, 4), (1, 1)])
+def test_turan_bound_refuses_sizes_no_graph_has(n, e):
+    with pytest.raises(ValueError):
+        rs.turan_bound(n, e)
+
+
 def test_turan_bound_holds_on_seeded_graphs():
     for seed in range(300):
         n = 4 + seed % 37
@@ -263,7 +269,7 @@ def test_scan_subsets_cuts_passing_blocks(stop):
 
 def reference_sampled_scan(tests, n: int, m: int, samples: int, seed: int, stop: bool):
     """The sampled ``scan_colex`` literally: one seeded draw and one clique search per test."""
-    rng = rs.constructions.seeded_rng(seed)
+    rng = rs.graphs.seeded_rng(seed)
     scanned, failures, first_failure = 0, 0, None
     for _ in range(samples):
         x = mask_of(rng.choice(n, size=m))
@@ -281,14 +287,14 @@ def reference_sampled_scan(tests, n: int, m: int, samples: int, seed: int, stop:
 @given(scan_cases(), st.integers(1, 30), st.integers(0, 2**32))
 def test_sampled_scan_colex_matches_reference(case, samples, seed):
     tests, n, m, _, _, stop = case
-    rng = rs.constructions.seeded_rng(seed)
+    rng = rs.graphs.seeded_rng(seed)
     got = rs.graphs.scan_colex(tests, n, m, 1, stop, samples, rng)
     assert got == reference_sampled_scan(tests, n, m, samples, seed, stop)
 
 
 def test_scan_colex_rejects_samples_below_1():
     tests = rs.graphs.balance_tests(rs.SimpleGraph.complete(8), 3, 3)
-    rng = rs.constructions.seeded_rng(1)
+    rng = rs.graphs.seeded_rng(1)
     for samples in (0, -1):
         with pytest.raises(ValueError, match="samples"):
             rs.graphs.scan_colex(tests, 8, 4, samples=samples, rng=rng)
@@ -296,7 +302,7 @@ def test_scan_colex_rejects_samples_below_1():
 
 def test_scan_colex_refuses_a_sharded_sampled_scan(no_worker_processes):
     tests = rs.graphs.balance_tests(rs.SimpleGraph.complete(8), 3, 3)
-    rng = rs.constructions.seeded_rng(1)
+    rng = rs.graphs.seeded_rng(1)
     with pytest.raises(ValueError, match="one process"):
         rs.graphs.scan_colex(tests, 8, 4, threads=2, samples=3, rng=rng)
 
@@ -305,7 +311,7 @@ def test_scan_colex_caps_exact_scans_only():
     tests = rs.graphs.balance_tests(rs.SimpleGraph.complete(65), 3, 2)
     with pytest.raises(ValueError, match="capped at 64"):
         rs.graphs.scan_colex(tests, 65, 2)
-    rng = rs.constructions.seeded_rng(1)
+    rng = rs.graphs.seeded_rng(1)
     scanned, failures, first_failure = rs.graphs.scan_colex(tests, 65, 2, samples=3, rng=rng)
     assert (scanned, failures, first_failure.bit_count()) == (1, 1, 2)  # no K_3 in a pair
 

@@ -7,7 +7,7 @@ import pytest
 import ramsat as rs
 from ramsat.errors import ParseError
 
-from conftest import all_red
+from conftest import all_red, random_ksc
 
 
 def test_simple_graph_roundtrip():
@@ -51,7 +51,7 @@ def test_colored_graph_parse_errors():
 
 def test_ksubset_coloring_roundtrip():
     for seed in range(5):
-        chi = rs.KSubsetColoring.random(6, 3, seed)
+        chi = random_ksc(6, 3, seed)
         assert rs.parse_ksubset_coloring(rs.dump_ksubset_coloring(chi)) == chi
     empty = all_red(4, 2)
     assert rs.parse_ksubset_coloring(rs.dump_ksubset_coloring(empty)) == empty

@@ -22,6 +22,7 @@ from conftest import (
     naive_f_oracle,
     naive_g_oracle,
     petersen,
+    random_ksc,
 )
 
 
@@ -34,6 +35,13 @@ def test_colex_roundtrip():
             sub = rs.subset_unrank(rank, k)
             assert rs.subset_rank(sub) == rank
             assert len(sub) == k and all(0 <= c < n for c in sub)
+
+
+@pytest.mark.parametrize("rank, k", [(-1, 2), (0, -1), (5, 0)])
+def test_subset_unrank_refuses_ranks_no_subset_has(rank, k):
+    with pytest.raises(ValueError):
+        rs.subset_unrank(rank, k)
+    assert rs.subset_unrank(0, 0) == ()
 
 
 def test_colex_order_matches_sorted_combinations():
@@ -52,6 +60,11 @@ def test_graph_from_edge_mask_matches_from_edges(seed):
     assert rs.graph_from_edge_mask(N, mask) == rs.SimpleGraph.from_edges(N, edges)
     with pytest.raises(ValueError, match="bits past"):
         rs.graph_from_edge_mask(N, mask | 1 << comb(N, 2))
+
+
+def test_graph_from_edge_mask_names_a_negative_mask():
+    with pytest.raises(ValueError, match="edge mask -1 is negative"):
+        rs.graph_from_edge_mask(3, -1)
 
 
 # -- ksubset colorings -------------------------------------------------------
@@ -76,27 +89,17 @@ def test_ksubset_coloring_basics():
     assert color_of(chi, (0, 1, 2)) == 1
     chi = all_red(5, 3)
     assert color_of(chi, (2, 3, 4)) == 0
-    a = rs.KSubsetColoring.random(6, 3, 17)
-    assert a == rs.KSubsetColoring.random(6, 3, 17)
-    assert a != rs.KSubsetColoring.random(6, 3, 18)
 
 
 @pytest.mark.parametrize("N, k, seed", [(0, 0, 1), (5, 2, 0), (6, 3, 17), (9, 4, 3), (12, 5, 8),
                                         (12, 4, 0), (12, 4, 2**64)])
 def test_ksubset_coloring_random_matches_shifted_draws(N, k, seed):
-    # numpy is the oracle: the coloring reads two bits off each 64-bit word, not integers(0, 2)
-    draws = np.random.Generator(np.random.PCG64(seed)).integers(0, 2, size=comb(N, k))
+    # random_ksc draws in numpy; the package's own generator gives the same bits
+    draws = rs.graphs.seeded_rng(seed).integers(0, 2, size=comb(N, k))
     want = 0
     for i, b in enumerate(draws):
         want |= int(b) << i
-    assert rs.KSubsetColoring.random(N, k, seed).bits == want
-
-
-def test_ksubset_coloring_random_is_linear():
-    start = time.perf_counter()
-    chi = rs.KSubsetColoring.random(22, 11, 1)
-    assert time.perf_counter() - start < 2.0
-    assert chi.bits >> (comb(22, 11) - 1) in (0, 1)
+    assert random_ksc(N, k, seed).bits == want
 
 
 def test_ksubset_coloring_caps():
@@ -164,7 +167,8 @@ def test_g_oracle_monotone_in_n():
 
 def test_g_oracle_budget():
     with pytest.raises(BudgetError):
-        rs.g_oracle(3, 2, 2, 8)
+        rs.g_oracle(3, 2, 2, 9)
+    assert rs.g_oracle(3, 2, 2, 8).value == 6  # under the cap; it stops at N = 6
 
 
 G_GRID = [(n, s, t) for n in (2, 3, 4, 5) for s, t in [(2, 2), (3, 3), (2, 3), (3, 2), (2, 4)]]
@@ -237,7 +241,7 @@ def _naive_good_set(chi: rs.KSubsetColoring, n, s, t):
 
 def test_good_set_witness_matches_naive_on_seeded_colorings():
     for seed in range(50):
-        chi = rs.KSubsetColoring.random(5, 3, seed)
+        chi = random_ksc(5, 3, seed)
         got = rs.good_set_witness(chi, 4, 2, 3)
         want = _naive_good_set(chi, 4, 2, 3)
         assert got == want
@@ -249,7 +253,7 @@ def test_good_set_witness_past_word_masks_matches_naive():
     # None as well)
     N = 9
     for n, s, t in [(4, 2, 3), (6, 2, 3), (7, 3, 3)]:
-        chis = [rs.KSubsetColoring.random(N, s + t - 2, seed) for seed in range(2)]
+        chis = [random_ksc(N, s + t - 2, seed) for seed in range(2)]
         chis += [rs.graph_to_coloring(rs.sample_gnp(rs.GnpParams(N, p, seed)), s, t)
                  for p in (0.2, 0.5, 0.7) for seed in range(2)]
         for chi in chis:
@@ -266,7 +270,7 @@ def test_superset_mask_cache_stays_within_its_bit_bound(monkeypatch):
     monkeypatch.setattr(red, "_superset_masks", {})
     monkeypatch.setattr(red, "_superset_mask_bits", 0)
     for seed in range(20):
-        chi = rs.KSubsetColoring.random(6, 3, seed)  # 20-bit masks, five fit
+        chi = random_ksc(6, 3, seed)  # 20-bit masks, five fit
         assert rs.good_set_witness(chi, 5, 2, 3) == _naive_good_set(chi, 5, 2, 3)
         assert red._superset_mask_bits == 20 * len(red._superset_masks) <= 100
     monkeypatch.setattr(red, "SUPERSET_CACHE_BITS", 10)  # a mask past the bound is not kept
@@ -328,7 +332,7 @@ def test_coloring_to_graph_k2_is_blue_graph():
     # with s = t = 2 the only 2-superset of a pair is itself, so the forced
     # conditions read the pair's own color and the graph is the blue graph
     for seed in range(20):
-        chi = rs.KSubsetColoring.random(6, 2, seed)
+        chi = random_ksc(6, 2, seed)
         g = rs.coloring_to_graph(chi, 2, 2)
         for u in range(6):
             for v in range(u + 1, 6):
@@ -347,7 +351,7 @@ def test_coloring_to_graph_forced_sets_disjoint_seeded():
     for N, s, t in [(5, 2, 3), (6, 3, 2), (6, 3, 3), (7, 3, 3), (6, 2, 4), (7, 4, 2)]:
         k = s + t - 2
         for seed in range(30 if N < 7 else 8):
-            chi = rs.KSubsetColoring.random(N, k, seed)
+            chi = random_ksc(N, k, seed)
             g_non = rs.coloring_to_graph(chi, s, t, "nonedge")
             g_edge = rs.coloring_to_graph(chi, s, t, "edge")
             for x in range(N):
@@ -401,7 +405,7 @@ def test_coloring_to_graph_large_ground_set():
     # N = 1300, k = 2: 844,350 colour bits; each pair is its own s- and
     # t-set, so the graph is the blue pairs
     N = 1300
-    chi = rs.KSubsetColoring.random(N, 2, 3)
+    chi = random_ksc(N, 2, 3)
     start = time.perf_counter()
     g = rs.coloring_to_graph(chi, 2, 2)
     assert time.perf_counter() - start < 30

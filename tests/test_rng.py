@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramsat.constructions import COLOR_CAP, seeded_rng
+from ramsat.graphs import COLOR_CAP, seeded_rng
 from ramsat.graphs import ENUMERATION_CAP, VERTEX_CAP
 from ramsat.rng import PCG64
 
