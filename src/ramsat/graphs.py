@@ -16,9 +16,8 @@ so blocks outside the window are skipped by arithmetic, and a block whose
 top elements already hold every clique asked for passes whole, without a
 visit.  Each open test carries the ``closer_mask`` of its prefix, the
 vertices that would close a clique, so adding an element is one bit test
-and the last level's failures are one ``bit_count``: an exact scan never
-asks ``find_clique_mask`` about a whole subset, except the empty one at
-m = 0.  Sampled scans ask it about each drawn subset.
+and a block of the last two levels is one ``bit_count``: only a sampled
+scan or one of m <= 1 asks ``find_clique_mask`` about a whole subset.
 ``scan_colex`` scans all C(n, m) ranks or a seeded sample of subsets;
 every scan of one graph's subsets in the package runs through these two.
 Only a count, which visits every failure, shards its ranks over worker
@@ -157,6 +156,8 @@ class SimpleGraph(Value):
             raise ValueError("need exactly one adjacency row per vertex")
         full = (1 << n) - 1
         for v, row in enumerate(rows):
+            if row < 0:
+                raise ValueError(f"row {v} mask {row} is negative")
             if row & ~full:
                 raise ValueError(f"row {v} references vertices >= n")
             if (row >> v) & 1:
@@ -340,8 +341,8 @@ def find_clique_mask(rows: tuple[int, ...], allowed: int, m: int) -> int | None:
     ``COLOR_BOUND_MIN_CANDIDATES`` vertices, ending in the triangle loop.
     A larger m raises ValueError unless that bound answers None at the top
     level, before any recursion.  The subset scan asks it only about the
-    drawn subsets of a sampled scan and the empty subset of m = 0; an exact
-    scan decides by bit tests on ``closer_mask``.
+    subsets of a sampled scan or of m <= 1; an exact scan of m >= 2 decides
+    by bit tests on ``closer_mask``.
     """
     if m == 3:
         return _triangle_mask(rows, allowed)
@@ -457,16 +458,18 @@ def scan_subsets(tests, n: int, m: int, lo: int, hi: int,
     test.  Returns ``(scanned, failures, first_failure)``: subsets decided,
     failing subsets among them, and the first failing mask in colex order
     (None when all pass).  With ``stop`` the scan ends at the first failure,
-    so ``scanned`` counts the subsets up to it.  ``_walk`` does the work.
+    so ``scanned`` counts the subsets up to it.  ``_walk`` does the work
+    for m >= 2; below, each subset ({r} at rank r, or the empty one) is
+    asked whole.
     """
-    out = [0, 0, None]
     space = comb(n, m)
     hi = min(hi, space)
-    if m and lo < hi:
+    if m < 2:
+        return _scan_each(tests, (1 << r if m else 0 for r in range(max(lo, 0), hi)), stop)
+    out = [0, 0, None]
+    if lo < hi:
         todo = [(rows, need, closer_mask(rows, 0, need, (1 << n) - 1)) for rows, need in tests]
         _walk(out, lo, hi, stop, 0, 0, m, todo, n, lo <= 0 and hi == space)
-    elif lo <= 0 < hi:  # m = 0: the empty subset alone
-        out = [1, 1, 0] if _fails(tests, 0) else [1, 0, None]
     return tuple(out)
 
 
@@ -492,7 +495,7 @@ def closer_mask(rows: tuple[int, ...], prefix: int, need: int, limit: int) -> in
 
 
 def _walk(out, lo, hi, stop, prefix, base, j, todo, bound, inside) -> bool:
-    """Decide the subsets of window [lo, hi) made of ``prefix`` and j elements below ``bound``.
+    """Decide the window [lo, hi)'s subsets of ``prefix`` and j >= 2 elements below ``bound``.
 
     Colex order picks the largest element first, so the walk is depth first
     over descending prefixes.  ``base`` is the rank ``prefix`` adds: the
@@ -505,25 +508,40 @@ def _walk(out, lo, hi, stop, prefix, base, j, todo, bound, inside) -> bool:
     those of ``prefix & rows[a]`` one size down, inside ``rows[a]``.  Once a
     prefix passes every test, its whole block passes (the tests are
     monotone) and its part in the window is counted without a visit.  At
-    the last level the failures are the window's bits missing from some
-    closers.  ``out`` holds ``scan_subsets``' result so far.  True when the
-    scan stops.
+    j = 2 a loop of its own decides each block with no deeper call: the
+    block's failures are the window's bits b missing from some child's
+    closers, one popcount.  ``out`` holds ``scan_subsets``' result so far.
+    True when the scan stops.
     """
+    if j == 2:  # a's block: prefix | 1 << a | 1 << b for the bits b of span
+        end = base
+        for a in range(1, bound):
+            start, end = end, end + a
+            span = below = (1 << a) - 1
+            if not inside:
+                if end <= lo:
+                    continue
+                if start >= hi:
+                    return False
+                span = (1 << min(hi - start, a)) - (1 << max(lo - start, 0))
+            bad = 0
+            for rows, need, closers in todo:
+                if not closers >> a & 1:  # b passes iff bit b is in the child's closers
+                    row = rows[a]
+                    bad |= span & ~(closers | closer_mask(
+                        rows, prefix & row, need - 1, row & ~closers & below))
+            if bad and stop:  # the scan ends at the lowest failure
+                bad &= -bad
+                span &= 2 * bad - 1
+            out[0] += span.bit_count()
+            if bad:
+                out[1] += bad.bit_count()
+                if out[2] is None:
+                    out[2] = prefix | (1 << a) | (bad & -bad)
+                if stop:
+                    return True
+        return False
     rest = j - 1  # the elements still to add below a
-    if not rest:  # one subset per a: prefix | 1 << a, for a in [first, last)
-        first = 0 if inside else max(lo - base, 0)
-        span = (1 << (bound if inside else min(hi - base, bound))) - (1 << first)
-        bad = 0
-        for test in todo:
-            bad |= span & ~test[2]
-        if bad and stop:  # the scan ends at the lowest failure
-            bad &= -bad
-            span &= 2 * bad - 1
-        out[0] += span.bit_count()
-        out[1] += bad.bit_count()
-        if bad and out[2] is None:
-            out[2] = prefix | (bad & -bad)
-        return stop and bad > 0
     start = end = base  # a's block holds the ranks [start, end), tracked only when not inside
     for a in range(rest, bound):
         if not inside:
@@ -546,12 +564,18 @@ def _walk(out, lo, hi, stop, prefix, base, j, todo, bound, inside) -> bool:
     return False
 
 
-def _fails(tests, x: int) -> bool:
-    """Whether subset x fails some ``scan_subsets`` test, each asked whole."""
-    for rows, need in tests:
-        if find_clique_mask(rows, x, need) is None:
-            return True
-    return False
+def _scan_each(tests, masks, stop: bool) -> tuple[int, int, int | None]:
+    """``scan_subsets``' result over the subsets ``masks`` yields, in order, each asked whole."""
+    scanned, failures, first_failure = 0, 0, None
+    for x in masks:
+        scanned += 1
+        if any(find_clique_mask(rows, x, need) is None for rows, need in tests):
+            failures += 1
+            if first_failure is None:
+                first_failure = x
+            if stop:
+                break
+    return scanned, failures, first_failure
 
 
 def balance_tests(g: SimpleGraph, s: int, t: int):
@@ -599,17 +623,7 @@ def scan_colex(
             raise ValueError(f"need samples >= 1, got {samples}")
         if threads > 1:
             raise ValueError(f"a sampled scan runs in one process, got threads={threads}")
-        scanned, failures, first_failure = 0, 0, None
-        for _ in range(samples):
-            x = mask_of(rng.choice(n, size=m))
-            scanned += 1
-            if _fails(tests, x):
-                failures += 1
-                if first_failure is None:
-                    first_failure = x
-                if stop:
-                    break
-        return scanned, failures, first_failure
+        return _scan_each(tests, (mask_of(rng.choice(n, size=m)) for _ in range(samples)), stop)
     space = exact_space(n, m)
     workers = 1 if stop else min(threads, _usable_cpus())
     if workers == 1 or space < 4 * workers:

@@ -110,6 +110,8 @@ class KSubsetColoring(Value):
     _fields = ("N", "k", "bits")
 
     def __init__(self, N: int, k: int, bits: int):
+        if bits < 0:
+            raise ValueError(f"color bits {bits} are negative")
         if bits >> coloring_bit_count(N, k):
             raise ValueError("color bits extend past C(N, k)")
         self.__dict__.update(N=N, k=k, bits=bits)

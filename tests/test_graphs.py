@@ -267,6 +267,22 @@ def test_scan_subsets_cuts_passing_blocks(stop):
                 assert got == reference_scan(tests, first, hi - lo, stop), (tests, lo, hi)
 
 
+@pytest.mark.parametrize("stop", [False, True])
+def test_scan_subsets_cuts_last_level_blocks(stop):
+    # In C_7 most pairs miss an edge, and no pair holds a triangle of the
+    # complement, so the blocks the last two levels decide fail in part or
+    # whole; every window of the 1-, 2- and 3-subsets cuts them somewhere.
+    c7 = cycle(7)
+    for tests in (((c7.rows, 2),), ((c7.rows, 2), (c7.complement.rows, 3))):
+        for m in (1, 2, 3):
+            space = math.comb(7, m)
+            for lo in range(space + 1):
+                for hi in range(lo, space + 1):
+                    first = mask_of(subset_unrank(lo, m)) if lo < space else 0
+                    got = rs.graphs.scan_subsets(tests, 7, m, lo, hi, stop)
+                    assert got == reference_scan(tests, first, hi - lo, stop), (tests, m, lo, hi)
+
+
 def reference_sampled_scan(tests, n: int, m: int, samples: int, seed: int, stop: bool):
     """The sampled ``scan_colex`` literally: one seeded draw and one clique search per test."""
     rng = rs.graphs.seeded_rng(seed)

@@ -67,6 +67,16 @@ def test_graph_from_edge_mask_names_a_negative_mask():
         rs.graph_from_edge_mask(3, -1)
 
 
+def test_simple_graph_names_a_negative_row():
+    with pytest.raises(ValueError, match="row 0 mask -1 is negative"):
+        rs.SimpleGraph(2, (-1, 0))
+
+
+def test_ksubset_coloring_names_negative_bits():
+    with pytest.raises(ValueError, match="color bits -1 are negative"):
+        rs.KSubsetColoring(3, 2, -1)
+
+
 # -- ksubset colorings -------------------------------------------------------
 
 
