@@ -9,21 +9,21 @@ bound on every candidate set of at least ``COLOR_BOUND_MIN_CANDIDATES``
 vertices.
 
 Subsets are ranked in colex order: rank(c_1 < ... < c_k) = sum of
-C(c_i, i).  ``scan_subsets`` decides the m-subsets whose rank lies in a
-window [lo, hi) by a depth-first walk over descending prefixes: the subsets
-that share their top elements form one colex block, an interval of ranks,
-so blocks outside the window are skipped by arithmetic, and a block whose
-top elements already hold every clique asked for passes whole, without a
-visit.  Each open test carries the ``closer_mask`` of its prefix, the
-vertices that would close a clique, so adding an element is one bit test
-and a block of the last two levels is one ``bit_count``: only a sampled
-scan or one of m <= 1 asks ``find_clique_mask`` about a whole subset.
-``scan_colex`` scans all C(n, m) ranks or a seeded sample of subsets;
-every scan of one graph's subsets in the package runs through these two.
-Only a count, which visits every failure, shards its ranks over worker
-processes: a scan that stops at its first failure ends sooner than a
-process pool starts.  The f and g oracles scan no single graph: they
-decide blocks of candidates on bit-planes (see ``ramsat.reduction``).
+C(c_i, i).  ``scan_subsets`` decides the m-subsets, all of them or the
+block whose largest element is given, by a depth-first walk over
+descending prefixes: the subsets that share their top elements form one
+colex block, and a block whose top elements already hold every clique
+asked for passes whole, without a visit.  Each open test carries the
+``closer_mask`` of its prefix, the vertices that would close a clique, so
+adding an element is one bit test and a block of the last two levels is
+one ``bit_count``: only a sampled scan or one of m <= 1 asks
+``find_clique_mask`` about a whole subset.  ``scan_colex`` scans all
+m-subsets or a seeded sample of them; every scan of one graph's subsets
+in the package runs through these two.  Only a count, which visits every
+failure, shards over worker processes, one block per largest element: a
+scan that stops at its first failure ends sooner than a process pool
+starts.  The f and g oracles scan no single graph: they decide blocks of
+candidates on bit-planes (see ``ramsat.reduction``).
 
 A color pattern (``ColoredCompleteGraph``) is a family of pairwise
 edge-disjoint graphs G_1..G_r on a common vertex set; when the union
@@ -448,28 +448,29 @@ def iter_subsets_colex(n: int, k: int) -> Iterator[tuple[int, ...]]:
         yield tuple(iter_bits(x))
 
 
-def scan_subsets(tests, n: int, m: int, lo: int, hi: int,
-                 stop: bool = True) -> tuple[int, int, int | None]:
-    """Check the m-subsets of range(n) whose colex rank lies in [lo, hi).
+def scan_subsets(tests, n: int, m: int, stop: bool = True,
+                 top: int | None = None) -> tuple[int, int, int | None]:
+    """Check the m-subsets of range(n), or only those whose largest element is ``top``.
 
-    The window is empty when ``hi <= lo``; for m = 0 it holds at most the
-    empty subset, of rank 0.  A subset x passes a test ``(rows, need)`` when
-    ``rows`` has a ``need``-clique inside x, and fails when it fails any
-    test.  Returns ``(scanned, failures, first_failure)``: subsets decided,
-    failing subsets among them, and the first failing mask in colex order
-    (None when all pass).  With ``stop`` the scan ends at the first failure,
-    so ``scanned`` counts the subsets up to it.  ``_walk`` does the work
-    for m >= 2; below, each subset ({r} at rank r, or the empty one) is
-    asked whole.
+    In colex order the m-subsets with largest element a form one block, of
+    C(a, m - 1) subsets, and the blocks follow in ascending a; the block of
+    a ``top`` outside [m - 1, n) is empty, and the empty subset (m = 0) is in
+    none.  A subset x passes a test ``(rows, need)`` when ``rows`` has a
+    ``need``-clique inside x, and fails when it fails any test.  Returns
+    ``(scanned, failures, first_failure)``: subsets decided, failing subsets
+    among them, and the first failing mask in colex order (None when all
+    pass).  With ``stop`` the scan ends at the first failure, so ``scanned``
+    counts the subsets up to it.  ``_walk`` does the work for m >= 2; below,
+    each subset ({a}, or the empty one) is asked whole.
     """
-    space = comb(n, m)
-    hi = min(hi, space)
-    if m < 2:
-        return _scan_each(tests, (1 << r if m else 0 for r in range(max(lo, 0), hi)), stop)
+    if m == 0:
+        return _scan_each(tests, [0] if top is None else [], stop)
+    elements = range(m - 1, n) if top is None else range(max(top, m - 1), min(top + 1, n))
+    if m == 1:
+        return _scan_each(tests, (1 << a for a in elements), stop)
     out = [0, 0, None]
-    if lo < hi:
-        todo = [(rows, need, closer_mask(rows, 0, need, (1 << n) - 1)) for rows, need in tests]
-        _walk(out, lo, hi, stop, 0, 0, m, todo, n, lo <= 0 and hi == space)
+    todo = [(rows, need, closer_mask(rows, 0, need, (1 << n) - 1)) for rows, need in tests]
+    _walk(out, stop, 0, m, todo, elements)
     return tuple(out)
 
 
@@ -494,42 +495,31 @@ def closer_mask(rows: tuple[int, ...], prefix: int, need: int, limit: int) -> in
     return found
 
 
-def _walk(out, lo, hi, stop, prefix, base, j, todo, bound, inside) -> bool:
-    """Decide the window [lo, hi)'s subsets of ``prefix`` and j >= 2 elements below ``bound``.
+def _walk(out, stop, prefix, j, todo, elements) -> bool:
+    """Decide the subsets of ``prefix`` and j >= 2 more elements, the largest in ``elements``.
 
     Colex order picks the largest element first, so the walk is depth first
-    over descending prefixes.  ``base`` is the rank ``prefix`` adds: the
-    subsets whose next element is a form one block, with the ranks
-    base + [C(a, j), C(a + 1, j)).  Blocks outside the window are skipped, and
-    a block wholly inside it is walked with ``inside`` set, which computes no
-    binomial.  ``todo`` holds ``(rows, need, closers)`` for each test
-    ``prefix`` fails, ``closers`` being its ``closer_mask`` below ``bound``:
-    adding a passes the test iff bit a is set, and the child's closers add
-    those of ``prefix & rows[a]`` one size down, inside ``rows[a]``.  Once a
-    prefix passes every test, its whole block passes (the tests are
-    monotone) and its part in the window is counted without a visit.  At
-    j = 2 a loop of its own decides each block with no deeper call: the
-    block's failures are the window's bits b missing from some child's
-    closers, one popcount.  ``out`` holds ``scan_subsets``' result so far.
-    True when the scan stops.
+    over descending prefixes: the subsets whose next element is a form one
+    block, walked with the elements below a.  ``todo`` holds
+    ``(rows, need, closers)`` for each test ``prefix`` fails, ``closers``
+    being its ``closer_mask`` below the prefix: adding a passes the test
+    iff bit a is set, and the child's closers add those of
+    ``prefix & rows[a]`` one size down, inside ``rows[a]``.  Once a prefix
+    passes every test, its whole block passes (the tests are monotone) and
+    is counted without a visit.  At j = 2 a loop of its own decides each
+    block with no deeper call: the block's failures are the bits b below a
+    missing from some child's closers, one popcount.  ``out`` holds
+    ``scan_subsets``' result so far.  True when the scan stops.
     """
     if j == 2:  # a's block: prefix | 1 << a | 1 << b for the bits b of span
-        end = base
-        for a in range(1, bound):
-            start, end = end, end + a
-            span = below = (1 << a) - 1
-            if not inside:
-                if end <= lo:
-                    continue
-                if start >= hi:
-                    return False
-                span = (1 << min(hi - start, a)) - (1 << max(lo - start, 0))
+        for a in elements:
+            span = (1 << a) - 1
             bad = 0
             for rows, need, closers in todo:
                 if not closers >> a & 1:  # b passes iff bit b is in the child's closers
                     row = rows[a]
                     bad |= span & ~(closers | closer_mask(
-                        rows, prefix & row, need - 1, row & ~closers & below))
+                        rows, prefix & row, need - 1, row & ~closers & span))
             if bad and stop:  # the scan ends at the lowest failure
                 bad &= -bad
                 span &= 2 * bad - 1
@@ -542,14 +532,7 @@ def _walk(out, lo, hi, stop, prefix, base, j, todo, bound, inside) -> bool:
                     return True
         return False
     rest = j - 1  # the elements still to add below a
-    start = end = base  # a's block holds the ranks [start, end), tracked only when not inside
-    for a in range(rest, bound):
-        if not inside:
-            start, end = end, base + comb(a + 1, j)
-            if end <= lo:
-                continue
-            if start >= hi:
-                return False
+    for a in elements:
         left = []
         for rows, need, closers in todo:
             if not closers >> a & 1:  # a adds the closers of prefix & rows[a], below a
@@ -557,9 +540,8 @@ def _walk(out, lo, hi, stop, prefix, base, j, todo, bound, inside) -> bool:
                 left.append((rows, need, closers | closer_mask(
                     rows, prefix & row, need - 1, row & ~closers & ((1 << a) - 1))))
         if not left:
-            out[0] += comb(a, rest) if inside else min(end, hi) - max(start, lo)
-        elif _walk(out, lo, hi, stop, prefix | (1 << a), start, rest, left, a,
-                   inside or lo <= start and end <= hi):
+            out[0] += comb(a, rest)
+        elif _walk(out, stop, prefix | (1 << a), rest, left, range(rest - 1, a)):
             return True
     return False
 
@@ -603,18 +585,18 @@ def scan_colex(
     """``scan_subsets`` over all m-subsets of range(n), or over ``samples`` draws of them.
 
     An exact scan (``samples`` None) checks ``exact_space`` and returns
-    ``scan_subsets(tests, n, m, 0, C(n, m), stop)`` for every ``threads``.
-    With ``stop`` that one window runs in this process, since it ends
-    sooner than a process pool starts.  A count (``stop`` False) starts
-    w = min(threads, usable CPUs) worker processes, cuts the ranks at
-    multiples of C(n, m) // w into w consecutive windows, the last taking
-    the remainder, and sums them; with w = 1, or fewer than four subsets
-    per worker, it too runs here.  A sampled scan decides ``samples``
-    draws of ``rng.choice(n, size=m)``, m distinct vertices each, here,
-    each whole, in draw order; it never shards, so ``threads`` above 1
-    raises ValueError.
-    Returns ``(scanned, failures, first_failure)`` as ``scan_subsets``
-    does, the first failure in colex or draw order.
+    ``scan_subsets(tests, n, m, stop)`` for every ``threads``.  With
+    ``stop`` that one scan runs in this process, since it ends sooner than
+    a process pool starts.  A count (``stop`` False) starts
+    w = min(threads, usable CPUs) worker processes and maps the blocks of
+    ``scan_subsets`` over the largest elements a = n - 1 down to m - 1, so
+    the largest blocks start first; it sums them and takes the first
+    failure from the lowest a.  With w = 1, or fewer than four subsets per
+    worker, it too runs here.  A sampled scan decides ``samples`` draws of
+    ``rng.choice(n, size=m)``, m distinct vertices each, here, each whole,
+    in draw order; it never shards, so ``threads`` above 1 raises
+    ValueError.  Returns ``(scanned, failures, first_failure)`` as
+    ``scan_subsets`` does, the first failure in colex or draw order.
     """
     if not 1 <= threads <= THREAD_CAP:
         raise ValueError(f"need 1 <= threads <= {THREAD_CAP}, got {threads}")
@@ -627,12 +609,10 @@ def scan_colex(
     space = exact_space(n, m)
     workers = 1 if stop else min(threads, _usable_cpus())
     if workers == 1 or space < 4 * workers:
-        return scan_subsets(tests, n, m, 0, space, stop)
+        return scan_subsets(tests, n, m, stop)
     from concurrent.futures import ProcessPoolExecutor  # only a counting scan loads it
 
-    chunk = space // workers
-    cuts = [j * chunk for j in range(workers)] + [space]
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        shards = ex.map(partial(scan_subsets, tests, n, m, stop=False), cuts[:-1], cuts[1:])
-        scanned, failures, fails = zip(*shards)
-    return sum(scanned), sum(failures), next((x for x in fails if x is not None), None)
+        blocks = ex.map(partial(scan_subsets, tests, n, m, False), range(n - 1, m - 2, -1))
+        scanned, failures, fails = zip(*blocks)
+    return sum(scanned), sum(failures), next((x for x in reversed(fails) if x is not None), None)

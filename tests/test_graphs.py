@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramsat as rs
-from ramsat.graphs import find_clique_mask, gosper_next, iter_bits, mask_of, subset_unrank
+from ramsat.graphs import find_clique_mask, gosper_next, iter_bits, mask_of
 
 from conftest import (
     all_graphs,
@@ -206,9 +206,15 @@ def test_closer_mask_matches_itertools(n, p, seed, need, data):
     assert rs.graphs.closer_mask(g.rows, prefix, need, limit) == want & limit
 
 
-def reference_scan(tests, first: int, count: int, stop: bool):
+def reference_scan(tests, n: int, m: int, stop: bool, top=None):
     """``scan_subsets`` literally: one Gosper step and one clique search per subset."""
-    x, failures, first_failure = first, 0, None
+    if m == 0:  # the empty subset, in no block
+        x, count = 0, int(top is None)
+    elif top is None:
+        x, count = (1 << m) - 1, math.comb(n, m)
+    else:  # top's block: top above the m - 1 lowest elements, C(top, m - 1) subsets
+        x, count = (1 << (m - 1)) - 1 | 1 << top, math.comb(top, m - 1)
+    failures, first_failure = 0, None
     for i in range(count):
         if i:
             x = gosper_next(x)
@@ -238,49 +244,40 @@ def scan_cases(draw):
     n = draw(st.integers(1, 14))
     tests = draw_tests(draw, n, 0)
     m = draw(st.integers(0, n))
-    space = math.comb(n, m)
-    lo = draw(st.integers(0, space - 1))
-    hi = lo + draw(st.sampled_from([0, 1, draw(st.integers(0, space - lo))]))
-    return tests, n, m, lo, hi, draw(st.booleans())
+    top = draw(st.sampled_from([None, *range(m - 1, n)]))
+    return tests, n, m, top, draw(st.booleans())
 
 
 @settings(max_examples=400, deadline=None)
 @given(scan_cases())
 def test_scan_subsets_matches_reference(case):
-    tests, n, m, lo, hi, stop = case
-    first = mask_of(subset_unrank(lo, m))
-    got = rs.graphs.scan_subsets(tests, n, m, lo, hi, stop)
-    assert got == reference_scan(tests, first, hi - lo, stop)
+    tests, n, m, top, stop = case
+    assert rs.graphs.scan_subsets(tests, n, m, stop, top) == reference_scan(tests, n, m, stop, top)
 
 
 @pytest.mark.parametrize("stop", [False, True])
 def test_scan_subsets_cuts_passing_blocks(stop):
-    # In K_6 with need 2 the prefix {3, 4} passes, so its block of 3-subsets,
-    # ranks [7, 10), passes whole; every window cuts it somewhere.
+    # In K_6 with need 2 the prefix {3, 4} passes, so its block of 3-subsets
+    # passes whole inside the block of 4; each block is also scanned alone.
     k6 = rs.SimpleGraph.complete(6).rows
     c6 = cycle(6).rows
     for tests in (((k6, 2),), ((k6, 2), (c6, 2))):
-        for lo in range(21):
-            for hi in range(lo, 21):
-                first = mask_of(subset_unrank(lo, 3)) if lo < 20 else 0
-                got = rs.graphs.scan_subsets(tests, 6, 3, lo, hi, stop)
-                assert got == reference_scan(tests, first, hi - lo, stop), (tests, lo, hi)
+        for top in (None, *range(2, 6)):
+            got = rs.graphs.scan_subsets(tests, 6, 3, stop, top)
+            assert got == reference_scan(tests, 6, 3, stop, top), (tests, top)
 
 
 @pytest.mark.parametrize("stop", [False, True])
 def test_scan_subsets_cuts_last_level_blocks(stop):
     # In C_7 most pairs miss an edge, and no pair holds a triangle of the
     # complement, so the blocks the last two levels decide fail in part or
-    # whole; every window of the 1-, 2- and 3-subsets cuts them somewhere.
+    # whole; the 1-, 2- and 3-subsets are scanned whole and block by block.
     c7 = cycle(7)
     for tests in (((c7.rows, 2),), ((c7.rows, 2), (c7.complement.rows, 3))):
         for m in (1, 2, 3):
-            space = math.comb(7, m)
-            for lo in range(space + 1):
-                for hi in range(lo, space + 1):
-                    first = mask_of(subset_unrank(lo, m)) if lo < space else 0
-                    got = rs.graphs.scan_subsets(tests, 7, m, lo, hi, stop)
-                    assert got == reference_scan(tests, first, hi - lo, stop), (tests, m, lo, hi)
+            for top in (None, *range(m - 1, 7)):
+                got = rs.graphs.scan_subsets(tests, 7, m, stop, top)
+                assert got == reference_scan(tests, 7, m, stop, top), (tests, m, top)
 
 
 def reference_sampled_scan(tests, n: int, m: int, samples: int, seed: int, stop: bool):
@@ -302,7 +299,7 @@ def reference_sampled_scan(tests, n: int, m: int, samples: int, seed: int, stop:
 @settings(max_examples=200, deadline=None)
 @given(scan_cases(), st.integers(1, 30), st.integers(0, 2**32))
 def test_sampled_scan_colex_matches_reference(case, samples, seed):
-    tests, n, m, _, _, stop = case
+    tests, n, m, _, stop = case
     rng = rs.graphs.seeded_rng(seed)
     got = rs.graphs.scan_colex(tests, n, m, 1, stop, samples, rng)
     assert got == reference_sampled_scan(tests, n, m, samples, seed, stop)
@@ -342,9 +339,9 @@ def test_no_worker_processes_refuses_a_sharded_scan(no_worker_processes, monkeyp
 def test_a_scan_that_stops_starts_no_worker_process(no_worker_processes, monkeypatch):
     monkeypatch.setattr(rs.graphs, "_usable_cpus", lambda: rs.graphs.THREAD_CAP)
     tests = rs.graphs.balance_tests(cycle(12), 3, 3)
-    one_window = rs.graphs.scan_subsets(tests, 12, 6, 0, math.comb(12, 6))
+    serial = rs.graphs.scan_subsets(tests, 12, 6)
     for threads in range(1, rs.graphs.THREAD_CAP + 1):
-        assert rs.graphs.scan_colex(tests, 12, 6, threads) == one_window
+        assert rs.graphs.scan_colex(tests, 12, 6, threads) == serial
 
 
 def test_exact_scans_ask_no_clique_search(no_worker_processes, monkeypatch):
@@ -352,6 +349,10 @@ def test_exact_scans_ask_no_clique_search(no_worker_processes, monkeypatch):
     # alone, passing or failing, and never asks about a whole subset
     calls = []
     real = rs.graphs.find_clique_mask
+    # saturation and constructions bind find_clique_mask when first imported:
+    # import them before the patch, so neither keeps the stand-in afterwards
+    import ramsat.constructions
+    import ramsat.saturation
 
     def counted(*args):
         calls.append(args)
@@ -366,9 +367,10 @@ def test_exact_scans_ask_no_clique_search(no_worker_processes, monkeypatch):
     assert calls == []
 
 
-def in_process_pool(sizes: list):
-    """A stand-in for ``ProcessPoolExecutor`` that maps in this process and
-    appends each pool's ``max_workers`` to ``sizes``."""
+def in_process_pool(sizes: list, mapped: list | None = None):
+    """A stand-in for ``ProcessPoolExecutor`` that maps in this process,
+    appends each pool's ``max_workers`` to ``sizes`` and, when given a
+    ``mapped`` list, each map's argument lists to it."""
 
     class Pool:
         def __init__(self, max_workers):
@@ -381,6 +383,9 @@ def in_process_pool(sizes: list):
             return False
 
         def map(self, fn, *iterables):
+            iterables = [list(it) for it in iterables]
+            if mapped is not None:
+                mapped.extend(iterables)
             return map(fn, *iterables)
 
     return Pool
@@ -397,7 +402,7 @@ def sharded_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(sharded_cases(), st.booleans())
-def test_sharded_scan_colex_matches_one_window(case, stop):
+def test_sharded_scan_colex_matches_the_serial_scan(case, stop):
     tests, n, m, threads = case
     sizes = []
     with pytest.MonkeyPatch.context() as mp:
@@ -405,18 +410,19 @@ def test_sharded_scan_colex_matches_one_window(case, stop):
         mp.setattr(rs.graphs, "_usable_cpus", lambda: rs.graphs.THREAD_CAP)
         got = rs.graphs.scan_colex(tests, n, m, threads, stop)
     assert sizes == ([] if stop else [threads])  # a scan that stops runs in this process
-    assert got == rs.graphs.scan_subsets(tests, n, m, 0, math.comb(n, m), stop)
+    assert got == rs.graphs.scan_subsets(tests, n, m, stop)
 
 
 @pytest.mark.parametrize("cpus, pools", [(1, []), (3, [3]), (8, [5])])
 def test_sharded_scan_starts_at_most_one_worker_per_cpu(monkeypatch, cpus, pools):
-    sizes = []
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", in_process_pool(sizes))
+    sizes, mapped = [], []
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", in_process_pool(sizes, mapped))
     monkeypatch.setattr(rs.graphs, "_usable_cpus", lambda: cpus)
     tests = rs.graphs.balance_tests(cycle(12), 3, 3)
     got = rs.graphs.scan_colex(tests, 12, 6, 5, False)
     assert sizes == pools
-    assert got == rs.graphs.scan_subsets(tests, 12, 6, 0, math.comb(12, 6), False)
+    assert mapped == [[11, 10, 9, 8, 7, 6, 5]] * len(pools)  # the largest blocks first
+    assert got == rs.graphs.scan_subsets(tests, 12, 6, False)
 
 
 def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
@@ -425,17 +431,20 @@ def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
     assert rs.graphs._usable_cpus() == (os.cpu_count() or 1)
 
 
-def test_scan_subsets_empty_and_single_windows():
+def test_scan_subsets_empty_and_single_blocks():
     rows = cycle(5).rows
-    assert rs.graphs.scan_subsets(((rows, 2),), 5, 3, 1, 1) == (0, 0, None)
-    assert rs.graphs.scan_subsets(((rows, 2),), 5, 2, 1, 2) == (1, 1, 0b00101)
-    assert rs.graphs.scan_subsets(((rows, 2),), 5, 2, 4, 1) == (0, 0, None)
-    # a window running past C(n, m) is cut there, also at the last level
-    assert rs.graphs.scan_subsets(((rows, 2),), 5, 1, 6, 8) == (0, 0, None)
-    assert rs.graphs.scan_subsets(((rows, 2),), 5, 1, 3, 9, False) == (2, 2, 0b01000)
-    assert rs.graphs.scan_subsets(((rows, 2),), 5, 2, 8, 12, False) == (2, 1, 0b10100)
-    # m = 0: the empty subset, rank 0, passes need 0 and fails any larger need
-    assert rs.graphs.scan_subsets(((rows, 0),), 5, 0, 0, 1) == (1, 0, None)
-    assert rs.graphs.scan_subsets(((rows, 0), (rows, 2)), 5, 0, 0, 1) == (1, 1, 0)
-    assert rs.graphs.scan_subsets(((rows, 2),), 5, 0, 1, 2) == (0, 0, None)
+    # a top below m - 1 or past n - 1 has an empty block
+    assert rs.graphs.scan_subsets(((rows, 2),), 5, 3, True, 1) == (0, 0, None)
+    assert rs.graphs.scan_subsets(((rows, 2),), 5, 2, True, 5) == (0, 0, None)
+    assert rs.graphs.scan_subsets(((rows, 2),), 5, 1, True, 6) == (0, 0, None)
+    assert rs.graphs.scan_subsets(((rows, 2),), 5, 2, True, 2) == (1, 1, 0b00101)
+    assert rs.graphs.scan_subsets(((rows, 2),), 5, 2, False, 4) == (4, 2, 0b10010)
+    assert rs.graphs.scan_subsets(((rows, 2),), 5, 1, False, 3) == (1, 1, 0b01000)
+    assert rs.graphs.scan_subsets(((rows, 2),), 5, 1, False) == (5, 5, 0b00001)
+    # m = 0: the empty subset passes need 0, fails any larger need, and is in no block
+    assert rs.graphs.scan_subsets(((rows, 0),), 5, 0) == (1, 0, None)
+    assert rs.graphs.scan_subsets(((rows, 0), (rows, 2)), 5, 0) == (1, 1, 0)
+    assert rs.graphs.scan_subsets(((rows, 0), (rows, 2)), 5, 0, True, 0) == (0, 0, None)
+    # m > n: no subset at all
+    assert rs.graphs.scan_subsets(((rows, 2),), 3, 4) == (0, 0, None)
     assert rs.graphs.scan_colex(((rows, 2),), 3, 4) == (0, 0, None)
