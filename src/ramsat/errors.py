@@ -20,3 +20,13 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class UsageError(Exception):
+    """A command line no command accepts; the CLI exits 3 without a certificate."""
+
+
+def refuse(given, flag: str, where: str) -> None:
+    """A usage error when ``flag`` was given ``where`` it changes nothing."""
+    if given is not None:
+        raise UsageError(f"{flag} changes nothing {where}")

@@ -12,18 +12,20 @@ Subsets are ranked in colex order: rank(c_1 < ... < c_k) = sum of
 C(c_i, i).  ``scan_subsets`` decides the m-subsets, all of them or the
 block whose largest element is given, by a depth-first walk over
 descending prefixes: the subsets that share their top elements form one
-colex block, and a block whose top elements already hold every clique
-asked for passes whole, without a visit.  Each open test carries the
-``closer_mask`` of its prefix, the vertices that would close a clique, so
-adding an element is one bit test and a block of the last two levels is
-one ``bit_count``: only a sampled scan or one of m <= 1 asks
-``find_clique_mask`` about a whole subset.  ``scan_colex`` scans all
-m-subsets or a seeded sample of them; every scan of one graph's subsets
-in the package runs through these two.  Only a count, which visits every
-failure, shards over worker processes, one block per largest element: a
-scan that stops at its first failure ends sooner than a process pool
-starts.  The f and g oracles scan no single graph: they decide blocks of
-candidates on bit-planes (see ``ramsat.reduction``).
+colex block.  Each open test carries the ``closer_mask`` of its prefix,
+the vertices that would close a clique, so adding an element is one bit
+test and a block of the last two levels is one ``bit_count``: only a
+sampled scan or one of m <= 1 asks ``find_clique_mask`` about a whole
+subset.  A block passes whole, without a visit, once each test either
+holds on its top elements or leaves fewer non-closers below them than
+elements still to add, so that every completion takes a closer.
+``scan_colex`` scans all m-subsets or a seeded sample of them; every scan
+of one graph's subsets in the package runs through these two.  Only a
+count, which visits every failure, shards over worker processes, one
+block per largest element: a scan that stops at its first failure ends
+sooner than a process pool starts.  The f and g oracles scan no single
+graph: they decide blocks of candidates on bit-planes (see
+``ramsat.reduction``).
 
 A color pattern (``ColoredCompleteGraph``) is a family of pairwise
 edge-disjoint graphs G_1..G_r on a common vertex set; when the union
@@ -506,10 +508,12 @@ def _walk(out, stop, prefix, j, todo, elements) -> bool:
     iff bit a is set, and the child's closers add those of
     ``prefix & rows[a]`` one size down, inside ``rows[a]``.  Once a prefix
     passes every test, its whole block passes (the tests are monotone) and
-    is counted without a visit.  At j = 2 a loop of its own decides each
-    block with no deeper call: the block's failures are the bits b below a
-    missing from some child's closers, one popcount.  ``out`` holds
-    ``scan_subsets``' result so far.  True when the scan stops.
+    is counted without a visit.  A test also leaves the child's ``todo``
+    when fewer than j - 1 bits below a are missing from the child's
+    closers: every completion then takes a closer.  At j = 2 a loop of its
+    own decides each block with no deeper call: the block's failures are
+    the bits b below a missing from some child's closers, one popcount.
+    ``out`` holds ``scan_subsets``' result so far.  True when the scan stops.
     """
     if j == 2:  # a's block: prefix | 1 << a | 1 << b for the bits b of span
         for a in elements:
@@ -533,12 +537,14 @@ def _walk(out, stop, prefix, j, todo, elements) -> bool:
         return False
     rest = j - 1  # the elements still to add below a
     for a in elements:
+        span = (1 << a) - 1
         left = []
         for rows, need, closers in todo:
             if not closers >> a & 1:  # a adds the closers of prefix & rows[a], below a
                 row = rows[a]
-                left.append((rows, need, closers | closer_mask(
-                    rows, prefix & row, need - 1, row & ~closers & ((1 << a) - 1))))
+                closers |= closer_mask(rows, prefix & row, need - 1, row & ~closers & span)
+                if (span & ~closers).bit_count() >= rest:  # else every completion holds a closer
+                    left.append((rows, need, closers))
         if not left:
             out[0] += comb(a, rest)
         elif _walk(out, stop, prefix | (1 << a), rest, left, range(rest - 1, a)):

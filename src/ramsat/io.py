@@ -270,6 +270,26 @@ class Certificate(Value):
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def artifact_certificate(claim, params, text, checked, out, seed=None) -> Certificate:
+    """A "holds" certificate for a built object in one of the text formats.
+
+    The text goes to the path ``out`` when given, else into the witness,
+    tagged with its format: the first word of its header line.
+    """
+    witness = None
+    if out is None:
+        witness = {"format": text.split(None, 1)[0], "text": text}
+    else:
+        out.write_text(text)
+    return Certificate(claim, {**params, "out": str(out) if out else None}, "holds", witness,
+                       checked, seed)
+
+
+def unknown_certificate(claim, params, budget, witness=None, checked=0, seed=None) -> Certificate:
+    """An "unknown" certificate recording in its params the budget that ran out."""
+    return Certificate(claim, {**params, "budget": str(budget)}, "unknown", witness, checked, seed)
+
+
 def validate_certificate(payload: dict) -> None:
     """Schema check for a parsed certificate; raises ValueError on violations."""
     required = {

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ramsat as rs
-from ramsat import cli
+from ramsat import cmd_constructions
 from ramsat.cli import run
 
 from conftest import checkout_env, cycle, observation_fails_at
@@ -307,17 +307,21 @@ _BASE = {"ramsat", "ramsat.cli", "ramsat.errors", "ramsat.graphs", "ramsat.io"}
 
 
 @pytest.mark.parametrize("argv, loads", [
-    (["search", "ssat", "--r", "2", "--k", "3", "--n", "4"], {"saturation"}),
-    (["oracle", "g", "--n", "3", "--s", "2", "--t", "2", "--n-max", "6"], {"reduction"}),
-    (["oracle", "f", "--n", "3", "--s", "2", "--t", "2", "--n-max", "6"], {"reduction"}),
-    (["verify", "observation", "--in", "c4diag.cg", "--k", "3"], {"saturation"}),
+    (["search", "ssat", "--r", "2", "--k", "3", "--n", "4"], {"cmd_saturation", "saturation"}),
+    (["oracle", "g", "--n", "3", "--s", "2", "--t", "2", "--n-max", "6"],
+     {"cmd_reduction", "reduction"}),
+    (["oracle", "f", "--n", "3", "--s", "2", "--t", "2", "--n-max", "6"],
+     {"cmd_reduction", "reduction"}),
+    (["verify", "observation", "--in", "c4diag.cg", "--k", "3"], {"cmd_saturation", "saturation"}),
     (["experiment", "bad-sets", "--gnp-n", "10", "--gnp-p", "0.5", "--gnp-seed", "4",
-      "--n", "4", "--s", "3", "--t", "3"], {"constructions", "rng"}),
-    (["construct", "affine", "--q", "3", "--r", "2"], {"constructions", "geometry"}),
-    (["geom", "plane", "--q", "3"], {"geometry"}),
+      "--n", "4", "--s", "3", "--t", "3"], {"cmd_constructions", "constructions", "rng"}),
+    (["construct", "affine", "--q", "3", "--r", "2"],
+     {"cmd_constructions", "constructions", "geometry"}),
+    (["geom", "plane", "--q", "3"], {"cmd_constructions", "geometry"}),
     (["verify", "ssat", "--in", "c4diag.cg", "--k", "3", "--samples", "3", "--seed", "1"],
-     {"saturation", "rng"}),
-    (["reduce", "graph-to-chi", "--in", "c4.txt", "--s", "2", "--t", "2"], {"reduction"}),
+     {"cmd_saturation", "saturation", "rng"}),
+    (["reduce", "graph-to-chi", "--in", "c4.txt", "--s", "2", "--t", "2"],
+     {"cmd_reduction", "reduction"}),
 ], ids=lambda x: "-".join(x[:2]) if isinstance(x, list) else None)
 def test_each_command_group_loads_only_its_modules(tmp_path, c4_diagonals, argv, loads):
     # -S keeps what the interpreter's site hooks import out of the check
@@ -386,11 +390,34 @@ def test_no_module_imports_typing():
         assert not any(name.split(".")[0] == "typing" for name in names), (module, names)
 
 
-def test_only_cli_imports_constructions():
+def test_only_the_construct_commands_import_constructions():
     # graphs holds the pattern type and the generator, so only the command
     # groups that build colorings or sample graphs load the constructions
     importers = {module for module, names in _imports().items() if "constructions" in names}
-    assert importers == {"cli"}
+    assert importers == {"cmd_constructions"}
+
+
+def test_no_module_imports_cli():
+    # `python -m ramsat.cli` runs cli as __main__: a module importing it would
+    # compile it again, with a second UsageError that run() does not catch
+    importers = {module for module, names in _imports().items() if "cli" in names}
+    assert importers == set()
+
+
+def test_usage_error_in_a_handler_exits_3_under_python_m():
+    # the handler, not the parser, refuses --trials in an exact count
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramsat.cli", "experiment", "bad-sets", "--gnp-n", "10",
+         "--gnp-p", "0.5", "--gnp-seed", "1", "--n", "4", "--s", "3", "--t", "3",
+         "--mode", "exact", "--trials", "5"],
+        capture_output=True, text=True, env=checkout_env(),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage error: --trials changes nothing")
 
 
 def test_seed_domain_is_numpys(capsys):
@@ -510,7 +537,7 @@ def test_internal_error_exits_5_without_certificate(monkeypatch, capsys):
     def overflow(args):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setitem(cli._HANDLERS, "geom", overflow)
+    monkeypatch.setattr(cmd_constructions, "handle_geom", overflow)
     assert run(["geom", "plane", "--q", "3"]) == 5
     out, err = capsys.readouterr()
     assert out == ""

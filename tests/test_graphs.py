@@ -111,6 +111,12 @@ def test_turan_independent_set_examples():
     assert is_independent(c5, out)
 
 
+def test_turan_independent_set_takes_the_smallest_index_on_ties():
+    # on the path 0-1-2-3 the ends tie at degree 1, then 2 and 3 tie
+    path = rs.SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert rs.turan_independent_set(path) == (0, 2)
+
+
 @pytest.mark.parametrize("n, e", [(0, 0), (-1, 0), (3, -2), (3, 4), (1, 1)])
 def test_turan_bound_refuses_sizes_no_graph_has(n, e):
     with pytest.raises(ValueError):
@@ -278,6 +284,19 @@ def test_scan_subsets_cuts_last_level_blocks(stop):
             for top in (None, *range(m - 1, 7)):
                 got = rs.graphs.scan_subsets(tests, 7, m, stop, top)
                 assert got == reference_scan(tests, 7, m, stop, top), (tests, m, top)
+
+
+@pytest.mark.parametrize("stop", [False, True])
+def test_scan_subsets_passes_a_block_with_too_few_non_closers(monkeypatch, stop):
+    # Vertex 6 sees all of 0..4, so with need 2 every pair below it holds one
+    # of its closers: its block passes whole, and the walk asks for no closers
+    # below it (one call at the root, one for 6).
+    g = rs.SimpleGraph.from_edges(7, [(v, 6) for v in range(5)])
+    calls = []
+    closer_mask = rs.graphs.closer_mask
+    monkeypatch.setattr(rs.graphs, "closer_mask", lambda *a: calls.append(a) or closer_mask(*a))
+    assert rs.graphs.scan_subsets(((g.rows, 2),), 7, 3, stop, 6) == (15, 0, None)
+    assert len(calls) == 2
 
 
 def reference_sampled_scan(tests, n: int, m: int, samples: int, seed: int, stop: bool):

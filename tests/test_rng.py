@@ -28,6 +28,15 @@ def test_integers_match_numpy():
         assert PCG64(seed).integers(0, r, size=30) == want, seed
 
 
+@pytest.mark.parametrize("high", [2**31 + 1, 3 * 2**30, 2**32 - 1])
+def test_wide_integers_reject_as_numpy_does(high):
+    # numpy redraws while the low half of word * high is under 2^32 mod high:
+    # at 3 * 2^30 a quarter of the words, so a wrong threshold shifts the stream
+    for seed in range(200):
+        want = numpy_rng(seed).integers(0, high, size=50).tolist()
+        assert PCG64(seed).integers(0, high, size=50) == want, seed
+
+
 def test_permutation_matches_numpy():
     for seed in SEEDS:
         n = seed % (ENUMERATION_CAP + 1)
