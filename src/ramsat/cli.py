@@ -8,7 +8,11 @@ unexpected exception, such as a recursion too deep for the interpreter).
 Randomized commands refuse to run without an explicit ``--seed`` so
 certificates never depend on hidden entropy, and a flag that would change
 nothing (``--seed`` where nothing is drawn, ``--trials`` in an exact count)
-exits 3, so a certificate records only parameters that acted.
+exits 3, so a certificate records only parameters that acted.  The one
+exception is ``verify observation --threads``, accepted in [1, 64] and
+recorded in ``params`` although an observation scan stops at its first
+failure and never starts a worker; it stays because the golden
+certificates, the README example and the bench's ``observation`` row pass it.
 
 Subcommands, the module holding each group's commands, and the modules
 its handler imports besides ``errors``, ``graphs`` and ``io``::

@@ -46,12 +46,20 @@ def _tokens(text: str):
 
 
 def _header(text: str, expected: str):
-    """The token stream of ``text`` after its first line, that line's number and tokens."""
+    """The token stream of ``text`` after its first line, that line's number and tokens.
+
+    The first line must match the form ``expected``, e.g. ``'cg <n> <r>'``:
+    its tag, then one field per placeholder, a bracketed one optional.
+    """
     it = _tokens(text)
     try:
         lineno, head = next(it)
     except StopIteration:
         raise ParseError(1, f"empty input, expected '{expected}' header") from None
+    form = expected.split()
+    optional = sum(f.startswith("[") for f in form)
+    if head[0] != form[0] or not len(form) - optional <= len(head) <= len(form):
+        raise ParseError(lineno, f"expected header '{expected}'")
     return it, lineno, head
 
 
@@ -83,8 +91,6 @@ def _pair_lines(it, n: int, shape: str):
 
 def parse_simple_graph(text: str) -> SimpleGraph:
     it, lineno, head = _header(text, "g <n>")
-    if len(head) != 2 or head[0] != "g":
-        raise ParseError(lineno, "expected header 'g <n>'")
     try:
         n = int(head[1])
     except ValueError:
@@ -105,8 +111,6 @@ def dump_simple_graph(g: SimpleGraph) -> str:
 
 def parse_colored_graph(text: str) -> ColoredCompleteGraph:
     it, lineno, head = _header(text, "cg <n> <r>")
-    if len(head) != 3 or head[0] != "cg":
-        raise ParseError(lineno, "expected header 'cg <n> <r>'")
     try:
         n, r = int(head[1]), int(head[2])
     except ValueError:
@@ -136,8 +140,6 @@ def parse_ksubset_coloring(text: str) -> KSubsetColoring:
     from .reduction import KSubsetColoring, coloring_bit_count
 
     it, lineno, head = _header(text, "ksc <N> <k>")
-    if len(head) != 3 or head[0] != "ksc":
-        raise ParseError(lineno, "expected header 'ksc <N> <k>'")
     try:
         N, k = int(head[1]), int(head[2])
     except ValueError:
@@ -176,9 +178,7 @@ def dump_ksubset_coloring(chi: KSubsetColoring) -> str:
 def parse_incidence(text: str) -> IncidenceStructure:
     from .geometry import AFFINE_PLANE, FQ3_FAMILY, IncidenceStructure, require_prime
 
-    it, head_no, head = _header(text, "inc <kind> <q>")
-    if head[0] != "inc" or len(head) not in (3, 4):
-        raise ParseError(head_no, "expected header 'inc <kind> <q> [<lambda>]'")
+    it, head_no, head = _header(text, "inc <kind> <q> [<lambda>]")
     kind = head[1]
     if kind not in (AFFINE_PLANE, FQ3_FAMILY):
         raise ParseError(head_no, f"unknown kind {kind!r}")

@@ -84,11 +84,33 @@ class SsatSearchResult(Value):
         self.__dict__.update(status=status, pattern=pattern, nodes=nodes)
 
 
-def _require_complete(c: ColoredCompleteGraph):
+def _require_complete(c: ColoredCompleteGraph, k: int):
     if not c.complete:
         raise ValueError("this check needs a complete pattern")
     if c.r < 2:
         raise ValueError("need at least two colors")
+    if k < 3:
+        raise ValueError("need k >= 3")
+
+
+def _escaping(colors, checked: int, exhaustive: bool = True) -> Verdict:
+    """The failing verdict whose witness is the escaping vertex coloring ``colors``."""
+    return Verdict(False, {"kind": "escaping-coloring", "colors": list(colors)}, checked,
+                   exhaustive)
+
+
+def _first_escape(c: ColoredCompleteGraph, k: int, colorings, exhaustive: bool) -> Verdict:
+    """Ask ``coloring_escapes`` of each coloring in turn; ``checked`` counts those asked."""
+    checked = 0
+    for checked, colors in enumerate(colorings, 1):
+        if coloring_escapes(c, k, colors):
+            return _escaping(colors, checked, exhaustive)
+    return Verdict(True, None, checked, exhaustive)
+
+
+def _class_witness(kind: str, i: int, vertices: int) -> dict:
+    """A witness naming class i, as color i + 1, and the vertex set of a mask."""
+    return {"kind": kind, "color": i + 1, "vertices": list(iter_bits(vertices))}
 
 
 def coloring_escapes(c: ColoredCompleteGraph, k: int, colors) -> bool:
@@ -127,24 +149,14 @@ def is_semisaturated(
     nodes.  Requires r^n <= 10^9; beyond that pass ``samples`` to test
     seeded uniform assignments instead (holds becomes evidence-only).
     """
-    _require_complete(c)
-    if k < 3:
-        raise ValueError("need k >= 3")
+    _require_complete(c, k)
     if samples is not None and samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     n, r = c.n, c.r
     if samples is not None:
         rng = seeded_rng(seed)
-        for trial in range(samples):
-            colors = rng.integers(1, r + 1, size=n)
-            if coloring_escapes(c, k, colors):
-                return Verdict(
-                    holds=False,
-                    witness={"kind": "escaping-coloring", "colors": colors},
-                    checked=trial + 1,
-                    exhaustive=False,
-                )
-        return Verdict(holds=True, witness=None, checked=samples, exhaustive=False)
+        return _first_escape(c, k, (rng.integers(1, r + 1, size=n) for _ in range(samples)),
+                             False)
     if r**n > EXACT_COLORING_CAP:
         raise BudgetError(
             f"{r}^{n} assignments exceed cap {EXACT_COLORING_CAP}; use samples="
@@ -152,13 +164,9 @@ def is_semisaturated(
     masks = [0] * r
     escaped, nodes = _escape_search([cls.rows for cls in c.classes], range(n), k, masks)
     if escaped:
-        colors = [next(i + 1 for i in range(r) if masks[i] >> v & 1) for v in range(n)]
-        return Verdict(
-            holds=False,
-            witness={"kind": "escaping-coloring", "colors": colors},
-            checked=nodes,
-        )
-    return Verdict(holds=True, witness=None, checked=nodes)
+        return _escaping((next(i + 1 for i in range(r) if masks[i] >> v & 1) for v in range(n)),
+                         nodes)
+    return Verdict(True, None, nodes)
 
 
 def _escape_search(rows_per_class, order, k: int, masks: list[int]) -> tuple[bool, int]:
@@ -208,21 +216,11 @@ def is_semisaturated_direct(c: ColoredCompleteGraph, k: int) -> Verdict:
     order and asks ``coloring_escapes`` of each; it never backtracks.
     ``checked`` counts assignments examined.
     """
-    _require_complete(c)
-    if k < 3:
-        raise ValueError("need k >= 3")
+    _require_complete(c, k)
     n, r = c.n, c.r
     if r**n > EXACT_COLORING_CAP:
         raise BudgetError(f"{r}^{n} assignments exceed cap {EXACT_COLORING_CAP}")
-    checked = 0
-    for checked, colors in enumerate(product(range(1, r + 1), repeat=n), 1):
-        if coloring_escapes(c, k, colors):
-            return Verdict(
-                holds=False,
-                witness={"kind": "escaping-coloring", "colors": list(colors)},
-                checked=checked,
-            )
-    return Verdict(holds=True, witness=None, checked=checked)
+    return _first_escape(c, k, product(range(1, r + 1), repeat=n), True)
 
 
 def check_observation(
@@ -265,9 +263,8 @@ def check_observation(
         scanned, _, fail = scan_colex(((cls.rows, k - 1),), n, m, threads, True, samples, rng)
         checked += scanned
         if fail is not None:
-            witness = {"kind": "clique-free-subset", "color": i + 1,
-                       "vertices": list(iter_bits(fail))}
-            return Verdict(False, witness, checked, exhaustive)
+            return Verdict(False, _class_witness("clique-free-subset", i, fail), checked,
+                           exhaustive)
     return Verdict(True, None, checked, exhaustive)
 
 
@@ -284,21 +281,13 @@ def check_kkfree(c: ColoredCompleteGraph, k: int) -> Verdict:
     for i, cls in enumerate(c.classes):
         clique = find_clique_mask(cls.rows, full, k)
         if clique is not None:
-            return Verdict(
-                holds=False,
-                witness={
-                    "kind": "monochromatic-clique",
-                    "color": i + 1,
-                    "vertices": list(iter_bits(clique)),
-                },
-                checked=i + 1,
-            )
-    return Verdict(holds=True, witness=None, checked=c.r)
+            return Verdict(False, _class_witness("monochromatic-clique", i, clique), i + 1)
+    return Verdict(True, None, c.r)
 
 
 def is_saturated(c: ColoredCompleteGraph, k: int) -> Verdict:
     """K_k-free in every class and semisaturated."""
-    _require_complete(c)
+    _require_complete(c, k)
     free = check_kkfree(c, k)
     if not free.holds:
         return free
@@ -344,10 +333,6 @@ def ssat_upper_bound_reference(r: int, k: int) -> int:
     if r < 2 or k < 2:
         raise ValueError("need r >= 2 and k >= 2")
     return (k - 1) ** r
-
-
-class _BudgetHit(Exception):
-    pass
 
 
 def ssat_search(
@@ -414,7 +399,7 @@ def ssat_search(
         nonlocal nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
-            raise _BudgetHit
+            raise BudgetError(f"node budget {node_budget} exhausted")
 
     def dfs(d: int, used: int) -> ColoredCompleteGraph | None:
         """Search below a node at depth ``d`` that passed its doom check."""
@@ -443,7 +428,7 @@ def ssat_search(
     try:
         visit()
         pattern = None if _escape_search(opt, range(n), k, [0] * r)[0] else dfs(0, 0)
-    except _BudgetHit:
+    except BudgetError:  # raised only by visit; the rest raises ValueError at most
         return SsatSearchResult("budget", None, nodes)
     if pattern is None:
         return SsatSearchResult("exhausted", None, nodes)

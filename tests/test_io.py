@@ -1,6 +1,7 @@
 """Text format round-trips, line-numbered parse errors, certificate schema."""
 
 import json
+import re
 
 import pytest
 
@@ -85,6 +86,22 @@ def test_incidence_parse_errors():
         rs.parse_incidence("inc fq3-family 3\n")  # lambda missing
     with pytest.raises(ParseError, match="line 2"):
         rs.parse_incidence("inc affine-plane 2\n0 9\n")
+
+
+@pytest.mark.parametrize("parse, form", [
+    (rs.parse_simple_graph, "g <n>"),
+    (rs.parse_colored_graph, "cg <n> <r>"),
+    (rs.parse_ksubset_coloring, "ksc <N> <k>"),
+    (rs.parse_incidence, "inc <kind> <q> [<lambda>]"),
+], ids=["g", "cg", "ksc", "inc"])
+def test_header_must_match_its_form(parse, form):
+    empty = f"line 1: empty input, expected '{form}' header"
+    with pytest.raises(ParseError, match=re.escape(empty)):
+        parse("# only a comment\n")
+    tag, fields = form.split()[0], len(form.split()) - 1
+    for head in ["x" + tag[1:] + " 3" * fields, tag, tag + " 3" * (fields + 1)]:
+        with pytest.raises(ParseError, match=re.escape(f"line 3: expected header '{form}'")):
+            parse(f"# comment\n\n{head}\n")
 
 
 def test_certificate_canonical_json():

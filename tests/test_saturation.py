@@ -283,6 +283,12 @@ def test_ssat_search_witnesses_pass_direct():
 def test_ssat_search_budget():
     res = rs.ssat_search(2, 3, 4, node_budget=2)
     assert res.status == "budget" and res.pattern is None
+    # a budget of the search's own node count lets it finish; one less stops it a node over
+    for r, k, n in [(2, 3, 4), (3, 3, 5)]:
+        full = rs.ssat_search(r, k, n)
+        assert rs.ssat_search(r, k, n, node_budget=full.nodes) == full
+        cut = rs.ssat_search(r, k, n, node_budget=full.nodes - 1)
+        assert (cut.status, cut.pattern, cut.nodes) == ("budget", None, full.nodes)
 
 
 def test_ssat_search_validates_params():
