@@ -28,15 +28,17 @@ its handler imports besides ``errors``, ``graphs`` and ``io``::
 
 This module is a thin single-threaded shell: the parser, the group table,
 ``run`` and the exit codes.  A group's module defines ``<group>_commands``,
-which adds its commands to the parser, and ``handle_<group>``, which runs
-one.  A process builds the parser of the one group its argv names, so it
-compiles only that group's module, and imports the group's modules before
-the clock of ``wall_time_ms`` starts: the time records the command's
-work, not start-up.  No module imports this one, since ``python -m
-ramsat.cli`` runs it as ``__main__``, and a second copy would raise usage
-errors of its own type.  A seeded draw loads ``rng``, and a sharded count
-the process pool, when they run.  ``--help`` (``-h``) prints its text on
-stderr and exits 3, since it prints no certificate.
+which adds its commands to the parser, and ``handle_<group>(args, claim)``,
+which runs one.  ``run`` builds the parser of the one group its argv names,
+so a process compiles only that group's module, imports the group's
+modules, names the claim ``<group>-<command>`` and only then starts the
+clock of ``wall_time_ms``, which it prints beside the certificate's body:
+the time records the command's work, not start-up.  No module imports this
+one, since ``python -m ramsat.cli`` runs it as ``__main__``, and a second
+copy would raise usage errors of its own type.  A seeded draw loads
+``rng``, and a sharded count the process pool, when they run.  ``--help``
+(``-h``) prints its text on stderr and exits 3, since it prints no
+certificate.
 
 ``--threads`` is forwarded to the library scans and bounds the worker
 processes they start without changing their answer.  Only an exact count
@@ -123,9 +125,10 @@ def run(argv) -> int:
     handle = getattr(_commands(args.group), f"handle_{args.group}")
     for module in _GROUPS[args.group][2]:
         import_module(f".{module}", __package__)
+    claim = f"{args.group}-{args.command}"
     start = time.perf_counter()
     try:
-        cert = handle(args)
+        cert = handle(args, claim)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 3
@@ -138,8 +141,7 @@ def run(argv) -> int:
     except Exception as err:
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 5
-    cert.wall_time_ms = int((time.perf_counter() - start) * 1000)
-    print(cert.to_json())
+    print(cert.to_json(int((time.perf_counter() - start) * 1000)))
     return _EXIT_CODES[cert.verdict]
 
 

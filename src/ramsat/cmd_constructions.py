@@ -63,7 +63,7 @@ def geom_commands(sub) -> None:
     g_inc.add_argument("--points", type=str, required=True, help="comma-separated point indices")
 
 
-def handle_construct(args) -> io.Certificate:
+def handle_construct(args, claim: str) -> io.Certificate:
     from . import constructions
 
     if args.command == "affine":
@@ -71,22 +71,21 @@ def handle_construct(args) -> io.Certificate:
             refuse(args.seed, "--seed", "with --strategy parallel-balanced, which draws nothing")
         params = {"q": args.q, "r": args.r, "strategy": args.strategy}
         pattern = constructions.affine_coloring(args.q, args.r, args.strategy, args.seed)
-        return io.artifact_certificate("construct-affine", params, io.dump_colored_graph(pattern),
+        return io.artifact_certificate(claim, params, io.dump_colored_graph(pattern),
                                        comb(pattern.n, 2), args.out, args.seed)
     if args.command == "fq3":
         pattern = constructions.fq3_coloring(args.q, args.r)
-        return io.artifact_certificate("construct-fq3", {"q": args.q, "r": args.r},
+        return io.artifact_certificate(claim, {"q": args.q, "r": args.r},
                                        io.dump_colored_graph(pattern), comb(pattern.n, 2), args.out)
     params = {"n": args.n, "p": args.p, "generator": GENERATOR_NAME}
     g = constructions.sample_gnp(constructions.GnpParams(args.n, args.p, args.seed))
-    return io.artifact_certificate("construct-gnp", params, io.dump_simple_graph(g),
+    return io.artifact_certificate(claim, params, io.dump_simple_graph(g),
                                    comb(g.n, 2), args.out, args.seed)
 
 
-def handle_experiment(args) -> io.Certificate:
+def handle_experiment(args, claim: str) -> io.Certificate:
     from . import constructions
 
-    claim = "experiment-bad-sets"
     if (args.infile is None) == (args.gnp_n is None):
         raise UsageError("bad-sets needs exactly one of --in or --gnp-n/--gnp-p/--gnp-seed")
     if args.mode == "exact":
@@ -129,16 +128,16 @@ def _int_list(text: str) -> list[int]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def handle_geom(args) -> io.Certificate:
+def handle_geom(args, claim: str) -> io.Certificate:
     from . import geometry
 
     if args.command == "plane":
         inc = geometry.build_affine_plane(args.q)
-        return io.artifact_certificate("geom-plane", {"q": args.q}, io.dump_incidence(inc),
+        return io.artifact_certificate(claim, {"q": args.q}, io.dump_incidence(inc),
                                        len(inc.lines), args.out)
     if args.command == "fq3-family":
         inc = geometry.fq3_line_family(args.q, args.lam)
-        return io.artifact_certificate("geom-fq3-family", {"q": args.q, "lambda": args.lam},
+        return io.artifact_certificate(claim, {"q": args.q, "lambda": args.lam},
                                        io.dump_incidence(inc), len(inc.lines), args.out)
     inc = io.parse_incidence(args.infile.read_text())
     lines = _int_list(args.lines)
@@ -146,5 +145,4 @@ def handle_geom(args) -> io.Certificate:
     params = {"in": str(args.infile), "lines": lines, "points": points}
     count, bound = geometry.incidence_sum(inc, lines, points)
     verdict = "holds" if count >= bound else "fails"
-    return io.Certificate("geom-incidence", params, verdict, {"count": count, "bound": bound},
-                          len(lines))
+    return io.Certificate(claim, params, verdict, {"count": count, "bound": bound}, len(lines))

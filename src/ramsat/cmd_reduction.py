@@ -37,10 +37,9 @@ def reduce_commands(sub) -> None:
     r_g2c.add_argument("--out", type=Path, default=None)
 
 
-def handle_oracle(args) -> io.Certificate:
+def handle_oracle(args, claim: str) -> io.Certificate:
     from . import reduction
 
-    claim = f"oracle-{args.command}"
     params = {"n": args.n, "s": args.s, "t": args.t, "n_max": args.n_max}
     if args.command == "f":
         params["k"] = args.s + args.t - 2 if args.k is None else args.k  # where f = g
@@ -61,18 +60,16 @@ def handle_oracle(args) -> io.Certificate:
     return io.Certificate(claim, params, "holds", witness, res.checked)
 
 
-def handle_reduce(args) -> io.Certificate:
+def handle_reduce(args, claim: str) -> io.Certificate:
     from . import reduction
 
     params = {"in": str(args.infile), "s": args.s, "t": args.t}
     if args.command == "chi-to-graph":
         chi = io.parse_ksubset_coloring(args.infile.read_text())
         g = reduction.coloring_to_graph(chi, args.s, args.t, args.tie_break)
-        return io.artifact_certificate("reduce-chi-to-graph",
-                                       {**params, "tie_break": args.tie_break},
+        return io.artifact_certificate(claim, {**params, "tie_break": args.tie_break},
                                        io.dump_simple_graph(g), chi.subset_count, args.out)
     g = io.parse_simple_graph(args.infile.read_text())
     chi = reduction.graph_to_coloring(g, args.s, args.t, args.default_color)
-    return io.artifact_certificate("reduce-graph-to-chi",
-                                   {**params, "default": args.default_color},
+    return io.artifact_certificate(claim, {**params, "default": args.default_color},
                                    io.dump_ksubset_coloring(chi), chi.subset_count, args.out)

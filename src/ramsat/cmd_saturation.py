@@ -46,11 +46,10 @@ def _verdict(c, args):
     return saturation.is_saturated(c, args.k)
 
 
-def handle_verify(args) -> io.Certificate:
+def handle_verify(args, claim: str) -> io.Certificate:
     if getattr(args, "samples", None) is None:
         refuse(getattr(args, "seed", None), "--seed", "without --samples")
     pattern = io.parse_colored_graph(args.infile.read_text())
-    claim = f"verify-{args.command}"
     params = {"in": str(args.infile), "k": args.k, "n": pattern.n, "r": pattern.r}
     if args.command == "observation":
         if args.r not in (None, pattern.r):
@@ -70,10 +69,9 @@ def handle_verify(args) -> io.Certificate:
     return io.Certificate(claim, params, verdict, v.witness, v.checked, seed)
 
 
-def handle_search(args) -> io.Certificate:
+def handle_search(args, claim: str) -> io.Certificate:
     from . import saturation
 
-    claim = "search-ssat"
     params = {"r": args.r, "k": args.k, "n": args.n, "node_budget": args.node_budget}
     res = saturation.ssat_search(args.r, args.k, args.n, args.node_budget)
     if res.status == "found":

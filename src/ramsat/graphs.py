@@ -41,9 +41,11 @@ their own, a negative seed raises ValueError, and None is refused.  Pair
 ordering is documented per function, so a given seed reproduces the same
 object, and numpy seeded alike draws the same numbers.
 
-All types are immutable after construction (``Value`` is the plain base
-of the package's value types) and every operation is a pure function, so
-concurrent use from multiple threads or worker processes is safe.
+All types are immutable after construction (``Value`` is their plain
+base).  Every operation is a pure function but ``reduction._superset_mask``,
+whose process-wide cache changes no answer, so concurrent use from threads
+or worker processes is safe; its bit count is not updated atomically,
+though, so concurrent threads can overrun ``SUPERSET_CACHE_BITS``.
 Searches are deterministic and return the lexicographically smallest
 witness, which keeps certificates reproducible.
 """

@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import json
 
+from . import __version__ as TOOL_VERSION
 from .errors import ParseError
 from .graphs import COLOR_CAP, VERTEX_CAP, ColoredCompleteGraph, SimpleGraph, Value
-
-TOOL_VERSION = "0.1.0"
 
 
 def _tokens(text: str):
@@ -232,41 +231,25 @@ class Certificate(Value):
 
     Construction checks the record with ``validate_certificate``: a "fails"
     verdict carries a witness, an "unknown" verdict records the exhausted
-    budget in ``params``.  The body — everything but ``wall_time_ms`` — is
-    canonical JSON, so re-running the recorded command (same flags, same
-    seed) reproduces it byte for byte.  Unlike the other value types it
-    may be changed after construction (the CLI sets ``wall_time_ms`` last),
-    so it is not hashable.
+    budget in ``params``.  The record is the body, stamped with
+    ``TOOL_VERSION``: canonical JSON, so re-running the recorded command
+    (same flags, same seed) reproduces it byte for byte.  ``to_json`` adds
+    the run's ``wall_time_ms`` beside it.
     """
 
-    _fields = ("claim", "params", "verdict", "witness", "checked", "seed", "tool_version",
-               "wall_time_ms")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    _fields = ("claim", "params", "verdict", "witness", "checked", "seed", "tool_version")
 
     def __init__(self, claim: str, params: dict, verdict: str, witness: object | None = None,
-                 checked: int = 0, seed: int | None = None, tool_version: str = TOOL_VERSION,
-                 wall_time_ms: int = 0):
+                 checked: int = 0, seed: int | None = None):
         self.__dict__.update(claim=claim, params=params, verdict=verdict, witness=witness,
-                             checked=checked, seed=seed, tool_version=tool_version,
-                             wall_time_ms=wall_time_ms)
-        validate_certificate({**self.body(), "wall_time_ms": self.wall_time_ms})
+                             checked=checked, seed=seed, tool_version=TOOL_VERSION)
+        validate_certificate({**self.body(), "wall_time_ms": 0})
 
     def body(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": self.params,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "checked": self.checked,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-        }
+        return dict(zip(self._fields, self._values()))
 
-    def to_json(self) -> str:
-        payload = self.body()
-        payload["wall_time_ms"] = self.wall_time_ms
+    def to_json(self, wall_time_ms: int = 0) -> str:
+        payload = {**self.body(), "wall_time_ms": wall_time_ms}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

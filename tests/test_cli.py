@@ -534,7 +534,7 @@ def test_oracles_refuse_an_empty_level_range(capsys, command, n, n_max):
 
 
 def test_internal_error_exits_5_without_certificate(monkeypatch, capsys):
-    def overflow(args):
+    def overflow(args, claim):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(cmd_constructions, "handle_geom", overflow)

@@ -105,15 +105,13 @@ def test_header_must_match_its_form(parse, form):
 
 
 def test_certificate_canonical_json():
-    cert = rs.Certificate(
-        claim="x", params={"b": 1, "a": 2}, verdict="holds", checked=3,
-        wall_time_ms=55,
-    )
-    text = cert.to_json()
+    cert = rs.Certificate(claim="x", params={"b": 1, "a": 2}, verdict="holds", checked=3)
+    text = cert.to_json(55)
     assert text.index('"a"') < text.index('"b"')  # sorted keys
     parsed = json.loads(text)
     rs.validate_certificate(parsed)
     assert cert.body() == {k: v for k, v in parsed.items() if k != "wall_time_ms"}
+    assert parsed["wall_time_ms"] == 55
 
 
 def test_certificate_invariants():

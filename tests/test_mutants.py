@@ -87,6 +87,21 @@ MUTANTS = [
      "if not",
      ["tests/test_io.py::test_header_must_match_its_form"],
      "a header's tag goes unchecked"),
+    ("cli",
+     'claim = f"{args.group}-{args.command}"',
+     'claim = f"{args.command}-{args.group}"',
+     ["tests/test_golden.py::test_certificate_body_replays"],
+     "the claim names the command before its group"),
+    ("io",
+     '"wall_time_ms": wall_time_ms}',
+     '"wall_time_ms": 0}',
+     ["tests/test_package.py::test_certificate_is_read_only_and_unhashable"],
+     "the printed certificate drops the run's wall time"),
+    ("io",
+     'validate_certificate({**self.body(), "wall_time_ms": 0})',
+     "None",
+     ["tests/test_io.py::test_certificate_invariants"],
+     "a certificate is built without its schema check"),
 ]
 
 EQUIVALENT = [

@@ -110,10 +110,13 @@ def test_cached_properties_still_cache():
     assert plane.point_to_lines is plane.point_to_lines
 
 
-def test_certificate_is_mutable_and_unhashable():
+def test_certificate_is_read_only_and_unhashable():
     cert = rs.Certificate("c", {}, "holds")
-    cert.wall_time_ms = 12
-    assert '"wall_time_ms":12' in cert.to_json()
-    assert cert == rs.Certificate("c", {}, "holds", wall_time_ms=12)
+    for name in ("claim", "wall_time_ms"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(cert, name, 12)
+    assert '"wall_time_ms":12' in cert.to_json(12)
+    assert cert == rs.Certificate("c", {}, "holds")
+    assert cert.tool_version == rs.__version__
     with pytest.raises(TypeError):
         hash(cert)
