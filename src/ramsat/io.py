@@ -14,10 +14,11 @@ Four line-oriented formats, each with a one-line header:
   indices per geometric line; the lines must form the structure the header
   names.
 
-Parsers reject malformed constructs with the 1-based line number, and
-check a header's sizes against the package caps (``VERTEX_CAP`` vertices
-or points, ``COLOR_CAP`` colors, ``COLORING_BIT_CAP`` subset bits) before
-allocating anything for the body.
+Numbers are ASCII decimal digits after at most one minus sign, and the
+``ksc`` line is ASCII hex digits.  Parsers reject malformed constructs
+with the 1-based line number, and check a header's sizes against the
+package caps (``VERTEX_CAP`` vertices or points, ``COLOR_CAP`` colors,
+``COLORING_BIT_CAP`` subset bits) before allocating anything for the body.
 Certificates serialize to canonical JSON (sorted keys, compact separators)
 so that re-running a recorded command reproduces the byte-identical body;
 only ``wall_time_ms`` is excluded from the body.
@@ -41,14 +42,17 @@ def _tokens(text: str):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if not line.isascii() or "+" in line or "_" in line:
+            raise ParseError(i, "a line must be ASCII, without '+' or '_'")
         yield i, line.split()
 
 
 def _header(text: str, expected: str):
-    """The token stream of ``text`` after its first line, that line's number and tokens.
+    """The token stream of ``text`` after its first line, that line's number and fields.
 
     The first line must match the form ``expected``, e.g. ``'cg <n> <r>'``:
-    its tag, then one field per placeholder, a bracketed one optional.
+    its tag, then one field per placeholder, a bracketed one optional and
+    None when left out.  Every field but ``<kind>`` is an integer.
     """
     it = _tokens(text)
     try:
@@ -59,44 +63,55 @@ def _header(text: str, expected: str):
     optional = sum(f.startswith("[") for f in form)
     if head[0] != form[0] or not len(form) - optional <= len(head) <= len(form):
         raise ParseError(lineno, f"expected header '{expected}'")
-    return it, lineno, head
+    try:
+        fields = [x if f == "<kind>" else int(x) for f, x in zip(form[1:], head[1:])]
+    except ValueError:
+        raise ParseError(lineno, f"expected integers in header '{expected}'") from None
+    return it, lineno, fields + [None] * (len(form) - len(head))
 
 
-def _pair_lines(it, n: int, shape: str):
-    """Yield ``(lineno, entries)`` for each body line of ``shape``, e.g. ``'u v c'``.
+def _classes(it, lineno: int, n: int, r: int, shape: str) -> tuple[SimpleGraph, ...]:
+    """The r colour classes of body lines ``'u v c'``, or of ``'u v'`` lines in colour 1.
 
-    Checks the field count, integer entries, 0 <= u < v < n for the first
-    two entries, and that no pair comes twice.
+    Checks the header's sizes against the caps, then each line's ``shape``,
+    integer entries, 0 <= u < v < n, 1 <= c <= r, and that no pair comes
+    twice.  Each pair goes straight into its class's bit rows; a repeated
+    pair is found by its bit in ``used``.
     """
-    seen = set()
+    if not (0 <= n <= VERTEX_CAP and 1 <= r <= COLOR_CAP):
+        raise ParseError(
+            lineno, f"sizes n={n}, r={r} outside [0, {VERTEX_CAP}] x [1, {COLOR_CAP}]"
+        )
+    rows = [[0] * n for _ in range(r)]
+    used = [0] * n
+    width = len(shape.split())
     for lineno, parts in it:
-        if len(parts) != len(shape.split()):
+        if len(parts) != width:
             raise ParseError(lineno, f"expected '{shape}'")
         try:
-            entries = [int(p) for p in parts]
+            u, v, c = int(parts[0]), int(parts[1]), int(parts[2]) if width == 3 else 1
         except ValueError:
             raise ParseError(lineno, "entries must be integers") from None
-        u, v = entries[0], entries[1]
         if not 0 <= u < v < n:
             raise ParseError(lineno, f"need 0 <= u < v < {n}, got {u} {v}")
-        if (u, v) in seen:
+        bit = 1 << v
+        if used[u] & bit:
             raise ParseError(lineno, f"duplicate pair {u} {v}")
-        seen.add((u, v))
-        yield lineno, entries
+        if not 1 <= c <= r:
+            raise ParseError(lineno, f"color {c} outside [1, {r}]")
+        used[u] |= bit
+        row = rows[c - 1]
+        row[u] |= bit
+        row[v] |= 1 << u
+    return tuple(SimpleGraph(n, tuple(row)) for row in rows)
 
 
 # -- simple graphs ----------------------------------------------------------
 
 
 def parse_simple_graph(text: str) -> SimpleGraph:
-    it, lineno, head = _header(text, "g <n>")
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise ParseError(lineno, f"bad vertex count {head[1]!r}") from None
-    if not 0 <= n <= VERTEX_CAP:
-        raise ParseError(lineno, f"vertex count {n} outside [0, {VERTEX_CAP}]")
-    return SimpleGraph.from_edges(n, (pair for _, pair in _pair_lines(it, n, "u v")))
+    it, lineno, (n,) = _header(text, "g <n>")
+    return _classes(it, lineno, n, 1, "u v")[0]
 
 
 def dump_simple_graph(g: SimpleGraph) -> str:
@@ -109,21 +124,8 @@ def dump_simple_graph(g: SimpleGraph) -> str:
 
 
 def parse_colored_graph(text: str) -> ColoredCompleteGraph:
-    it, lineno, head = _header(text, "cg <n> <r>")
-    try:
-        n, r = int(head[1]), int(head[2])
-    except ValueError:
-        raise ParseError(lineno, "vertex and color counts must be integers") from None
-    if not (0 <= n <= VERTEX_CAP and 1 <= r <= COLOR_CAP):
-        raise ParseError(
-            lineno, f"sizes n={n}, r={r} outside [0, {VERTEX_CAP}] x [1, {COLOR_CAP}]"
-        )
-    edges = [[] for _ in range(r)]
-    for lineno, (u, v, c) in _pair_lines(it, n, "u v c"):
-        if not 1 <= c <= r:
-            raise ParseError(lineno, f"color {c} outside [1, {r}]")
-        edges[c - 1].append((u, v))
-    return ColoredCompleteGraph(tuple(SimpleGraph.from_edges(n, es) for es in edges))
+    it, lineno, (n, r) = _header(text, "cg <n> <r>")
+    return ColoredCompleteGraph(_classes(it, lineno, n, r, "u v c"))
 
 
 def dump_colored_graph(c: ColoredCompleteGraph) -> str:
@@ -138,11 +140,7 @@ def dump_colored_graph(c: ColoredCompleteGraph) -> str:
 def parse_ksubset_coloring(text: str) -> KSubsetColoring:
     from .reduction import KSubsetColoring, coloring_bit_count
 
-    it, lineno, head = _header(text, "ksc <N> <k>")
-    try:
-        N, k = int(head[1]), int(head[2])
-    except ValueError:
-        raise ParseError(lineno, "N and k must be integers") from None
+    it, lineno, (N, k) = _header(text, "ksc <N> <k>")
     try:
         m = coloring_bit_count(N, k)
     except ValueError as err:
@@ -152,12 +150,9 @@ def parse_ksubset_coloring(text: str) -> KSubsetColoring:
         lineno, body = next(it)
     except StopIteration:
         raise ParseError(lineno + 1, "missing hex color line") from None
-    if len(body) != 1 or len(body[0]) != digits:
+    if len(body) != 1 or len(body[0]) != digits or body[0].strip("0123456789abcdefABCDEF"):
         raise ParseError(lineno, f"expected one hex string of {digits} digits")
-    try:
-        bits = int(body[0], 16)
-    except ValueError:
-        raise ParseError(lineno, f"bad hex string {body[0]!r}") from None
+    bits = int(body[0], 16)
     if bits >> m:
         raise ParseError(lineno, "color bits extend past C(N, k)")
     for lineno, _ in it:
@@ -177,15 +172,9 @@ def dump_ksubset_coloring(chi: KSubsetColoring) -> str:
 def parse_incidence(text: str) -> IncidenceStructure:
     from .geometry import AFFINE_PLANE, FQ3_FAMILY, IncidenceStructure, require_prime
 
-    it, head_no, head = _header(text, "inc <kind> <q> [<lambda>]")
-    kind = head[1]
+    it, head_no, (kind, q, lam) = _header(text, "inc <kind> <q> [<lambda>]")
     if kind not in (AFFINE_PLANE, FQ3_FAMILY):
         raise ParseError(head_no, f"unknown kind {kind!r}")
-    try:
-        q = int(head[2])
-        lam = int(head[3]) if len(head) == 4 else None
-    except ValueError:
-        raise ParseError(head_no, "q and lambda must be integers") from None
     try:
         require_prime(q)
     except ValueError as err:

@@ -239,6 +239,15 @@ def test_usage_and_io_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_number_that_is_not_ascii_digits_exits_4(tmp_path, capsys):
+    path = tmp_path / "g"
+    path.write_text("g 1_0\n0 1\n")
+    argv = ["experiment", "bad-sets", "--in", str(path), "--n", "3", "--s", "2", "--t", "2"]
+    assert run(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "line 1" in captured.err
+
+
 def test_certificate_reproducibility(capsys):
     argv = ["construct", "gnp", "--n", "12", "--p", "0.5", "--seed", "33"]
     _, a = _run(capsys, argv)

@@ -24,7 +24,8 @@ from ramsat.cli import run
 from conftest import random_ksc
 
 SMALL = st.integers(-2, 12)
-JUNK = st.sampled_from(["x", "1.5", "0x3", "-", "#", "ff", "g", "cg", "inc", "", "99999999999"])
+JUNK = st.sampled_from(["x", "1.5", "0x3", "-", "#", "ff", "g", "cg", "inc", "", "99999999999",
+                        "+3", "1_0", "\u0663"])
 TOKEN = st.one_of(SMALL.map(str), JUNK)
 SIZE = st.sampled_from(["2", "3", "4", "1"])  # a clique or independent-set size flag
 

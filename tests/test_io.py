@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -102,6 +103,42 @@ def test_header_must_match_its_form(parse, form):
     for head in ["x" + tag[1:] + " 3" * fields, tag, tag + " 3" * (fields + 1)]:
         with pytest.raises(ParseError, match=re.escape(f"line 3: expected header '{form}'")):
             parse(f"# comment\n\n{head}\n")
+
+
+@pytest.mark.parametrize("parse, text, lineno", [
+    (rs.parse_simple_graph, "g +3\n", 1),
+    (rs.parse_simple_graph, "g 1_0\n", 1),
+    (rs.parse_simple_graph, "g \u0663\n", 1),  # an Arabic-Indic three
+    (rs.parse_colored_graph, "cg 3 2\n0 1 +2\n", 2),
+    (rs.parse_incidence, "inc affine-plane 2\n+1 0\n", 2),
+    (rs.parse_ksubset_coloring, "ksc 5 2\n3_f\n", 2),
+    (rs.parse_ksubset_coloring, "ksc 5 2\n+3f\n", 2),
+    (rs.parse_ksubset_coloring, "ksc 5 2\n0x3\n", 2),
+], ids=["g-plus", "g-underscore", "g-arabic-indic", "cg-plus", "inc-plus", "ksc-underscore",
+        "ksc-plus", "ksc-0x"])
+def test_numbers_are_ascii_digits(parse, text, lineno):
+    with pytest.raises(ParseError, match=f"line {lineno}"):
+        parse(text)
+
+
+def test_comments_may_hold_any_character():
+    assert rs.parse_simple_graph("# \u0663 +1_0\ng 2\n0 1\n") == rs.SimpleGraph.complete(2)
+
+
+@pytest.mark.parametrize("parse, dump, obj", [
+    (rs.parse_simple_graph, rs.dump_simple_graph, rs.SimpleGraph.complete(300)),
+    (rs.parse_colored_graph, rs.dump_colored_graph, rs.random_complete_pattern(300, 3, 7)),
+], ids=["g-K300", "cg-K300-3-colours"])
+def test_reading_a_body_peaks_under_16_times_its_text(parse, dump, obj):
+    text = dump(obj)
+    tracemalloc.start()
+    try:
+        back = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == obj
+    assert peak < 16 * len(text), (peak, len(text))
 
 
 def test_certificate_canonical_json():

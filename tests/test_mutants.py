@@ -102,6 +102,22 @@ MUTANTS = [
      "if not",
      ["tests/test_io.py::test_header_must_match_its_form"],
      "a header's tag goes unchecked"),
+    ("io",
+     "used[u] |= bit",
+     "used[u] |= 0",
+     ["tests/test_io.py::test_simple_graph_parse_errors",
+      "tests/test_io.py::test_colored_graph_parse_errors"],
+     "a pair's used bit is never set, so a repeated pair goes unseen"),
+    ("io",
+     'x if f == "<kind>" else int(x)',
+     'x if f == "<q>" else int(x)',
+     ["tests/test_io.py::test_incidence_roundtrip"],
+     "the header converts <kind> like a number"),
+    ("io",
+     """if not line.isascii() or "+" in line or "_" in line:""",
+     "if False:",
+     ["tests/test_io.py::test_numbers_are_ascii_digits"],
+     "a line holding a sign, an underscore or a non-ASCII digit is tokenised"),
     ("cli",
      'claim = f"{args.group}-{args.command}"',
      'claim = f"{args.command}-{args.group}"',
